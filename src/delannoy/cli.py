@@ -170,8 +170,15 @@ def build_parser():
 
 
 def _read_matrix(path, field):
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return matrix_from_json(json.loads(text), field)
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path) as fh:
+            text = fh.read()
+    try:
+        return matrix_from_json(json.loads(text), field)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _suite_kwargs(name, args):
@@ -330,7 +337,7 @@ def main(argv=None):
                 _print_report(rep, args.json)
             return 0 if all(rep.ok for rep in reports) else 1
         return 0
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

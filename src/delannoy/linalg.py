@@ -7,6 +7,7 @@ claimed corank is proved by exact integer verification of reconstructed
 kernel vectors.  No result is returned on probabilistic evidence alone.
 """
 
+import warnings
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -200,16 +201,13 @@ def _mod_rref(mat, p):
     return r, tuple(piv), m[:r]
 
 
-def _crt_pair(a1, m1, a2, m2):
-    inv = pow(m1 % m2, -1, m2)
-    t = ((a2 - a1) * inv) % m2
-    return a1 + m1 * t, m1 * m2
-
-
 def _rat_reconstruct(a, m):
     """Rational n/d with n*inv(d) = a (mod m), |n|, d <= sqrt(m/2), or None."""
+    a %= m
+    if a == 0:
+        return Fraction(0)
     bound = isqrt(m // 2)
-    r0, r1 = m, a % m
+    r0, r1 = m, a
     s0, s1 = 0, 1
     while r1 > bound:
         q = r0 // r1
@@ -226,29 +224,38 @@ def rank_kernel_int(int_rows, ncols):
     Strategy: modular RREF gives a rank lower bound that is exact over Q
     whenever the reconstructed kernel verifies (independence mod p implies
     independence over Q; `ncols - rank` exactly verified kernel vectors give
-    the matching upper bound).  More primes are added until the
-    reconstruction verifies; a plain Fraction elimination is the final
-    fallback.
+    the matching upper bound).  The RREF coefficients of the free columns are
+    CRT-combined prime by prime and rationally reconstructed after each one;
+    the first reconstruction that verifies is returned.  A plain Fraction
+    elimination is the last resort, and it warns.
     """
     if not int_rows:
         basis = [[Fraction(0)] * ncols for _ in range(ncols)]
         for i in range(ncols):
             basis[i][i] = Fraction(1)
         return 0, basis
-    best = None  # (rank, pivcols, [(rref, p), ...])
-    for used, p in enumerate(_MOD_PRIMES, start=1):
-        r, piv, red = _mod_rref(int_rows, p)
+    a = np.array(int_rows, dtype=np.int64)
+    best = None  # (rank, pivcols) of the primes being combined
+    for p in _MOD_PRIMES:
+        r, piv, red = _mod_rref(a, p)
+        # A prime can only lose rank or move pivots right; keep the best.
         if best is None or r > best[0] or (r == best[0] and piv < best[1]):
-            best = (r, piv, [(red, p)])
-        elif (r, piv) == best[:2]:
-            best[2].append((red, p))
-        kern = _kernel_from_rrefs(best, ncols)
-        if kern is not None and len(kern) == ncols - best[0] and \
-                all(_verifies(int_rows, v) for v in kern):
-            return best[0], kern
-        if used >= 6 and used >= len(_MOD_PRIMES) - 1:
-            break
-    # Certification did not converge (pathological); do it the slow sure way.
+            best = (r, piv)
+            pivset = set(piv)
+            free = [c for c in range(ncols) if c not in pivset]
+            res, m = red[:, free].astype(object), p
+        elif (r, piv) == best:
+            t = ((red[:, free] - res) * pow(m, -1, p)) % p
+            res, m = res + m * t, m * p
+        else:
+            continue
+        kern = _reconstruct_kernel(res, m, piv, free, ncols)
+        if kern is not None and _verifies(a, kern):
+            return r, kern
+    warnings.warn(f"rank_kernel_int: modular certification of a "
+                  f"{len(int_rows)}x{ncols} matrix failed at all "
+                  f"{len(_MOD_PRIMES)} primes; using Fraction elimination",
+                  RuntimeWarning, stacklevel=2)
     red, piv = rref([[Fraction(x) for x in row] for row in int_rows], QQ)
     pivset = set(piv)
     kern = []
@@ -263,40 +270,48 @@ def rank_kernel_int(int_rows, ncols):
     return len(piv), kern
 
 
-def _kernel_from_rrefs(best, ncols):
-    r, piv, reds = best
-    pivset = set(piv)
-    free = [c for c in range(ncols) if c not in pivset]
-    # CRT-combine the RREF coefficient columns, then rationally reconstruct.
+def _reconstruct_kernel(res, m, piv, free, ncols):
+    """Kernel vectors from CRT residues `res[i, j]` of the RREF entries in
+    pivot row i and free column free[j]; None if any entry fails."""
     kern = []
-    for f in free:
+    for j, f in enumerate(free):
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
-        ok = True
         for i, c in enumerate(piv):
-            a, m = 0, 1
-            for red, p in reds:
-                a, m = _crt_pair(a, m, int(red[i, f]), p)
-            q = _rat_reconstruct(a, m)
+            q = _rat_reconstruct(int(res[i, j]), m)
             if q is None:
-                ok = False
-                break
+                return None
             v[c] = -q
-        if not ok:
-            return None
         kern.append(v)
     return kern
 
 
-def _verifies(int_rows, vec):
-    den = 1
-    for x in vec:
-        den = lcm(den, x.denominator)
-    w = [int(x * den) for x in vec]
-    for row in int_rows:
-        if sum(a * b for a, b in zip(row, w) if a):
-            return False
-    return True
+def _verifies(a, kern):
+    """Exact test of a @ v == 0 for every vector v in `kern` at once.
+
+    `a` is an int64 matrix.  The kernel vectors are cleared of denominators
+    into the rows of W; a @ W.T runs in int64 only when max_i |a_i|_1 *
+    max|W| < 2**63 bounds every partial sum, and over Python ints otherwise.
+    """
+    if not kern:
+        return True
+    w = []
+    for v in kern:
+        den = 1
+        for x in v:
+            den = lcm(den, x.denominator)
+        w.append([x.numerator * (den // x.denominator) for x in v])
+    wmax = max(abs(x) for row in w for x in row)
+    # ncols * max|a| caps the row 1-norms; the exact maximum is taken only
+    # where the int64 sums behind it cannot overflow.
+    row_l1 = max(int(a.max()), -int(a.min())) * a.shape[1]
+    if row_l1 < 2 ** 63:
+        row_l1 = int(np.abs(a).sum(axis=1).max())
+    if row_l1 * wmax < 2 ** 63:
+        prod = a @ np.array(w, dtype=np.int64).T
+    else:
+        prod = a.astype(object) @ np.array(w, dtype=object).T
+    return bool((prod == 0).all())
 
 
 # ---------------------------------------------------------------------------

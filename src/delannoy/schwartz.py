@@ -471,7 +471,39 @@ def matrix_to_json(amat):
 
 
 def matrix_from_json(data, field=QQ):
-    entries = {(e["ti"], e["si"], e["path"]): field.parse(e["coeff"])
-               for e in data["entries"]}
-    return PermMatrix(tuple(data["source"]), tuple(data["target"]),
+    """Inverse of matrix_to_json; ValueError names the first malformed field."""
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    parts = {}
+    for key in ("source", "target"):
+        v = data.get(key)
+        if not isinstance(v, list) or not all(is_int(x) and x >= 0 for x in v):
+            raise ValueError(f"{key!r} must be a list of part sizes")
+        parts[key] = v
+    if not isinstance(data.get("entries"), list):
+        raise ValueError("'entries' must be a list")
+    entries = {}
+    for k, e in enumerate(data["entries"]):
+        if not isinstance(e, dict):
+            raise ValueError(f"entries[{k}] must be an object")
+        for key, part in (("ti", "target"), ("si", "source")):
+            if not (is_int(e.get(key)) and 0 <= e[key] < len(parts[part])):
+                raise ValueError(f"entries[{k}].{key} must index {part!r}")
+        path = e.get("path")
+        if not isinstance(path, str) or not set(path) <= set("URD"):
+            raise ValueError(f"entries[{k}].path must be a string over U, R, D")
+        coeff = e.get("coeff")
+        try:
+            c = field.parse(coeff) if isinstance(coeff, str) or is_int(coeff) \
+                else None
+        except (ValueError, ZeroDivisionError):
+            c = None
+        if c is None:
+            raise ValueError(f"entries[{k}].coeff {coeff!r} is not an "
+                             f"element of {field!r}")
+        entries[(e["ti"], e["si"], path)] = c
+    return PermMatrix(tuple(parts["source"]), tuple(parts["target"]),
                       entries, field)

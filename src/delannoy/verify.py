@@ -727,6 +727,6 @@ SUITES = {
 def run_suite(name, **kwargs):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    t0 = time.time()
+    t0 = time.perf_counter()
     cases, window = SUITES[name](**kwargs)
-    return VerifyReport(name, window, cases, time.time() - t0)
+    return VerifyReport(name, window, cases, time.perf_counter() - t0)

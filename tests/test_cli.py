@@ -101,3 +101,27 @@ def test_verify_all_jobs_content_invariant(capsys):
     _, seq = run_cli(capsys, "--json", "verify", "measures")
     _, par = run_cli(capsys, "--json", "--jobs", "4", "verify", "measures")
     assert seq == par
+
+
+@pytest.mark.parametrize("text, field", [
+    ("[1, 2]", "JSON object"),
+    ('{"source": [1]}', "'target'"),
+    ('{"source": [1], "target": [1]}', "'entries'"),
+    ('{"source": [1], "target": [1], "entries": [7]}', "entries[0]"),
+    ('{"source": [1], "target": [1], "entries": '
+     '[{"ti": 0, "si": 1, "path": "D", "coeff": "1"}]}', "entries[0].si"),
+    ('{"source": [1], "target": [1], "entries": '
+     '[{"ti": 0, "si": 0, "path": "X", "coeff": "1"}]}', "entries[0].path"),
+    ('{"source": [1], "target": [1], "entries": '
+     '[{"ti": 0, "si": 0, "path": "D", "coeff": 0.5}]}', "entries[0].coeff"),
+    ('{"source": [1], "target": [1], "entries": '
+     '[{"ti": 0, "si": 0, "path": "DD", "coeff": "1"}]}', "'DD'"),
+    ("not json", "Expecting value"),
+])
+def test_compose_rejects_malformed_matrix(tmp_path, capsys, text, field):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code = main(["compose", str(p), str(p)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {p}: ") and field in err

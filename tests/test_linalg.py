@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from delannoy import linalg
+from delannoy.acat import degenerate_quotient_dim
 from delannoy.fields import QQ, PrimeField
-from delannoy.linalg import (SpanBuilder, nullspace, rank, rank_big,
+from delannoy.linalg import (_MOD_PRIMES, SpanBuilder, _rat_reconstruct,
+                             _verifies, nullspace, rank, rank_big,
                              rank_kernel_int, rref, solve)
 
 
@@ -86,3 +93,120 @@ def test_prime_field_rank():
     rows2 = [[10, 0], [0, 1]]
     assert rank([[f.of_int(x) for x in r] for r in rows2], f) == 1
     assert rank_big(frac_rows(rows2), QQ) == 2
+
+
+def test_rat_reconstruct():
+    m = _MOD_PRIMES[0] * _MOD_PRIMES[1]
+    assert _rat_reconstruct(0, m) == 0
+    assert _rat_reconstruct(m, m) == 0
+    assert _rat_reconstruct(-7 * pow(3, -1, m) % m, m) == Fraction(-7, 3)
+    # largest numerator and denominator the bound isqrt(m // 2) admits
+    b = 32761
+    assert b * b <= m // 2 < (b + 1) * (b + 1)
+    assert _rat_reconstruct(-b * pow(b - 1, -1, m) % m, m) == Fraction(-b, b - 1)
+    # no n/d with |n|, d <= 152 is 12345 mod 46337
+    assert _rat_reconstruct(12345, 46337) is None
+
+
+def _no_fraction_fallback(*args, **kwargs):
+    raise AssertionError("Fraction fallback ran")
+
+
+@pytest.mark.parametrize("rows, ncols, expected", [
+    ([[1, 0, 0], [0, 1, 0]], 3, 2),
+    ([[0, 0, 0]], 3, 0),
+    ([[2, 3, 0, 0, 0], [4, 6, 0, 0, 0], [0, 0, 0, 1, -1], [0, 0, 0, 2, -2]],
+     5, 2),
+    ([[1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 0, 5]], 6, 3),
+])
+def test_rank_kernel_int_certifies_zero_heavy(monkeypatch, rows, ncols,
+                                              expected):
+    monkeypatch.setattr(linalg, "rref", _no_fraction_fallback)
+    r, ker = rank_kernel_int(rows, ncols)
+    assert r == expected and len(ker) == ncols - r
+    for v in ker:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_degenerate_ideal_certifies_without_fallback(monkeypatch, n):
+    monkeypatch.setattr(linalg, "rref", _no_fraction_fallback)
+    assert degenerate_quotient_dim(n) == 2 ** n
+
+
+def test_rank_kernel_int_fallback_warns(monkeypatch):
+    monkeypatch.setattr(linalg, "_rat_reconstruct", lambda a, m: None)
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    with pytest.warns(RuntimeWarning, match=r"3x3 .* 18 primes"):
+        r, ker = rank_kernel_int(rows, 3)
+    assert r == rank(frac_rows(rows)) == 2
+    assert len(ker) == 1
+    assert all(sum(a * b for a, b in zip(row, ker[0])) == 0 for row in rows)
+
+
+def test_verifies_int64_and_python_int_branches():
+    a = np.array([[1, -1, 0], [0, 2, -2]], dtype=np.int64)
+    assert _verifies(a, [[Fraction(1)] * 3])
+    assert not _verifies(a, [[Fraction(1), Fraction(1), Fraction(0)]])
+    assert _verifies(a, [])
+    # 2**32 * 2**31 * 2 = 2**64 wraps to 0 in int64; the bound must
+    # route this product through Python ints and reject the vector.
+    a = np.array([[2 ** 32, 2 ** 32]], dtype=np.int64)
+    assert not _verifies(a, [[Fraction(2 ** 31), Fraction(2 ** 31)]])
+    assert _verifies(a, [[Fraction(2 ** 31), Fraction(-2 ** 31)]])
+
+
+@st.composite
+def low_rank_int_matrices(draw):
+    """Integer matrices of low rank with zero columns, zero-heavy kernels,
+    and rows perturbed by multiples of the first primes so that the rank
+    drops mod those primes; `big` shifts the entries near 2**40."""
+    ncols = draw(st.integers(1, 7))
+    k = draw(st.integers(0, min(ncols, 4)))
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols))
+    big = draw(st.booleans())
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    basis = [[0 if c in zero_cols else draw(entry) + (big << 40)
+              for c in range(ncols)] for _ in range(k)]
+    rows = []
+    for _ in range(draw(st.integers(1, 7))):
+        coeffs = [draw(st.integers(-2, 2)) for _ in range(k)]
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, basis))
+                     for j in range(ncols)])
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, ncols - 1))
+        rows[i][j] += draw(st.sampled_from([_MOD_PRIMES[0],
+                                            _MOD_PRIMES[0] * _MOD_PRIMES[1]]))
+    return rows, ncols
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(low_rank_int_matrices())
+@example(([[1, 2 ** 40, 5], [2 ** 40 + 1, 3, 7], [2 ** 40 + 2, 2 ** 40 + 3, 12]],
+          3))
+@example(([[1, 0, 0], [0, _MOD_PRIMES[0], 0]], 3))
+def test_rank_big_against_fraction_rank(case):
+    rows, ncols = case
+    fr = frac_rows(rows)
+    expected = rank(fr)
+    assert rank_big(fr) == expected
+    r, ker = rank_kernel_int(rows, ncols)
+    assert r == expected and len(ker) == ncols - r
+    for v in ker:
+        assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+
+
+def test_big_entries_verify_over_python_ints():
+    # rank 2; the kernel is spanned by the cross product of the first two
+    # rows, whose entries are ~2**80, far beyond the int64 bound
+    rows = [[1, 2 ** 40, 5], [2 ** 40 + 1, 3, 7]]
+    rows.append([x + y for x, y in zip(*rows)])
+    r, ker = rank_kernel_int(rows, 3)
+    assert r == 2 and len(ker) == 1
+    v = ker[0]
+    assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in rows)
+    den = max(x.denominator for x in v)
+    row_l1 = max(sum(abs(a) for a in row) for row in rows)
+    assert row_l1 * max(abs(x * den) for x in v) >= 2 ** 63
