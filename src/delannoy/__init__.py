@@ -5,6 +5,7 @@ Subpackages:
   paths     Delannoy paths and orbit representatives
   schwartz  the measure-weighted matrix calculus on Schwartz spaces
   acat      Karoubi-level structure of the two matrix categories
+  rep       the module-map linear algebra shared by both module categories
   bmod      finite modules over the combinatorial category of indecomposables
   dmod      finite modules over the tilting combinatorial category
   derived   the three left-derived functors and the semi-orthogonal checks

@@ -585,19 +585,19 @@ def yoneda(x, max_len=None):
     for lam in weights:
         bases[lam] = hom_space(indecomposable(lam, MU2, f), x).basis
     dims = {lam: len(bases[lam]) for lam in weights if bases[lam]}
-    up, down = {}, {}
+    arrows = {}
     for lam in weights:
         lw, lb = lam + "w", lam + "b"
         if len(lw) <= max_len and bases[lam] and bases.get(lw):
             d = down_map(lam, f)
             cols = [coords_in_basis(compose(h, d, MU2), bases[lw])
                     for h in bases[lam]]
-            up[lam] = [[cols[j][i] for j in range(len(cols))]
-                       for i in range(len(bases[lw]))]
+            arrows[(lam, lw)] = [[cols[j][i] for j in range(len(cols))]
+                                 for i in range(len(bases[lw]))]
         if len(lb) <= max_len and bases.get(lb) and bases[lam]:
             u = up_map(lam, f)
             cols = [coords_in_basis(compose(h, u, MU2), bases[lam])
                     for h in bases[lb]]
-            down[lam] = [[cols[j][i] for j in range(len(cols))]
-                         for i in range(len(bases[lam]))]
-    return bmod.BModule(dims, up, down, field=f)
+            arrows[(lb, lam)] = [[cols[j][i] for j in range(len(cols))]
+                                 for i in range(len(bases[lam]))]
+    return bmod.BModule(dims, arrows, field=f)

@@ -5,111 +5,58 @@ V(lam) -> V(lam + 'w') ("up") and V(lam + 'b') -> V(lam) ("down"), subject to
 rows and columns being complexes: two consecutive ups vanish, as do two
 consecutive downs.  The mixed composite up o down is the action of the third
 distinguished morphism and is unconstrained.  Only the generator maps are
-stored; nothing else is imposed, by the presentation of the category.
+stored; nothing else is imposed, by the presentation of the category.  The
+module-map linear algebra (hom, kernel, cokernel, sums, duals) is `rep`'s.
 """
 
-import random
 from dataclasses import dataclass
 
+from . import rep
 from .fields import QQ
-from .linalg import (SpanBuilder, column_space_basis, eye, mat_eq, mat_is_zero,
-                     mat_mul, mat_transpose, mat_vec, nullspace, rank, solve,
-                     zeros)
-from .weights import (alternating_suffixes, dual as dual_weight, flat,
-                      sort_key)
+from .linalg import (SpanBuilder, eye, mat_is_zero, mat_mul, mat_transpose,
+                     mat_vec, rank, zeros)
+from .rep import Module, ModuleMap
+from .weights import alternating_suffixes, sort_key
+
+# Names the benchmark tracer patches by attribute; they are the rep functions.
+kernel_bmap, hom_bmodules = rep.kernel, rep.hom
+find_isomorphism = rep.find_isomorphism
 
 
-class BModule:
-    """A finite module: dims per weight plus up/down generator matrices."""
+class BModule(Module):
+    """Arrows lam -> lam + 'w' (up) and lam + 'b' -> lam (down)."""
 
-    def __init__(self, dims, up, down, field=QQ, validate=True):
-        self.field = field
-        self.dims = {lam: d for lam, d in dims.items() if d > 0}
-        self.up = {lam: m for lam, m in up.items()
-                   if not mat_is_zero(m, field)}
-        self.down = {lam: m for lam, m in down.items()
-                     if not mat_is_zero(m, field)}
-        if validate:
-            self._validate()
+    @staticmethod
+    def is_arrow(lam, mu):
+        return mu == lam + "w" or lam == mu + "b"
 
-    def dim(self, lam):
-        return self.dims.get(lam, 0)
-
-    @property
-    def support(self):
-        return sorted(self.dims, key=sort_key)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
+    @classmethod
+    def pairs(cls, weights):
+        have = set(weights)
+        out = []
+        for lam in weights:
+            if lam + "w" in have:
+                out.append((lam, lam + "w"))
+            if lam + "b" in have:
+                out.append((lam + "b", lam))
+        return out
 
     def up_matrix(self, lam):
-        m = self.up.get(lam)
-        return m if m is not None else zeros(self.dim(lam + "w"),
-                                             self.dim(lam), self.field)
+        return self.matrix(lam, lam + "w")
 
     def down_matrix(self, lam):
-        m = self.down.get(lam)
-        return m if m is not None else zeros(self.dim(lam),
-                                             self.dim(lam + "b"), self.field)
+        return self.matrix(lam + "b", lam)
 
-    def is_zero(self):
-        return not self.dims
-
-    def _validate(self):
+    def check_relations(self):
         f = self.field
-        for lam, m in self.up.items():
-            if len(m) != self.dim(lam + "w") or any(len(r) != self.dim(lam) for r in m):
-                raise ValueError(f"up matrix shape mismatch at {lam!r}")
-        for lam, m in self.down.items():
-            if len(m) != self.dim(lam) or any(len(r) != self.dim(lam + "b")
-                                              for r in m):
-                raise ValueError(f"down matrix shape mismatch at {lam!r}")
-        for lam in self.up:
-            if lam + "w" in self.up:
-                if not mat_is_zero(mat_mul(self.up[lam + "w"], self.up[lam], f), f):
-                    raise ValueError(f"up o up nonzero at {lam!r}")
-        for lam in self.down:
-            if lam + "b" in self.down:
-                if not mat_is_zero(mat_mul(self.down[lam], self.down[lam + "b"], f), f):
-                    raise ValueError(f"down o down nonzero at {lam!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, BModule):
-            return NotImplemented
-        if self.dims != other.dims or self.field != other.field:
-            return False
-        f = self.field
-        for lam in set(self.up) | set(other.up):
-            if not mat_eq(self.up_matrix(lam), other.up_matrix(lam), f):
-                return False
-        for lam in set(self.down) | set(other.down):
-            if not mat_eq(self.down_matrix(lam), other.down_matrix(lam), f):
-                return False
-        return True
-
-    def __repr__(self):
-        parts = ", ".join(f"{lam or 'e'}:{d}" for lam, d in
-                          sorted(self.dims.items(), key=lambda kv: sort_key(kv[0])))
-        return f"BModule({{{parts}}})"
-
-
-def zero_bmodule(field=QQ):
-    return BModule({}, {}, {}, field)
-
-
-def full_bmodule(support, field=QQ):
-    """The full module on a support set: dims 1, identities where possible."""
-    supp = set(support)
-    dims = {lam: 1 for lam in supp}
-    up, down = {}, {}
-    one = [[field.one]]
-    for lam in supp:
-        if lam + "w" in supp:
-            up[lam] = one
-        if lam + "b" in supp:
-            down[lam] = one
-    return BModule(dims, up, down, field)  # validation rejects bad supports
+        for lam in self.dims:
+            for kind, first, second in (
+                    ("up", (lam, lam + "w"), (lam + "w", lam + "ww")),
+                    ("down", (lam + "bb", lam + "b"), (lam + "b", lam))):
+                if first in self.arrows and second in self.arrows and \
+                        not mat_is_zero(mat_mul(self.arrows[second],
+                                                self.arrows[first], f), f):
+                    raise ValueError(f"{kind} o {kind} nonzero at {lam!r}")
 
 
 def named_bmodule(kind, lam, field=QQ):
@@ -134,7 +81,7 @@ def named_bmodule(kind, lam, field=QQ):
         supp = {lam, lam + "w", lam + "b"}
     else:
         raise ValueError(f"unknown module kind {kind!r}")
-    return full_bmodule(supp, field)
+    return BModule.full(supp, field)
 
 
 def truncated_tilting(lam, max_len, field=QQ):
@@ -148,331 +95,7 @@ def truncated_tilting(lam, max_len, field=QQ):
     supp = {lam}
     room = max_len - len(lam)
     supp.update(lam + w for w in alternating_suffixes(room))
-    return full_bmodule(supp, field)
-
-
-def direct_sum(modules, field=QQ):
-    """Direct sum with slot bookkeeping: (module, offsets).
-
-    offsets[i][lam] is the index where slot i's part of V(lam) starts.
-    """
-    dims, offsets = {}, []
-    for m in modules:
-        off = {}
-        for lam, d in m.dims.items():
-            off[lam] = dims.get(lam, 0)
-            dims[lam] = dims.get(lam, 0) + d
-        offsets.append(off)
-    up, down = {}, {}
-    for lam in list(dims):
-        for kind in ("up", "down"):
-            if kind == "up":
-                nr, nc = dims.get(lam + "w", 0), dims[lam]
-            else:
-                nr, nc = dims[lam], dims.get(lam + "b", 0)
-            if nr == 0 or nc == 0:
-                continue
-            block = zeros(nr, nc, field)
-            any_nz = False
-            for i, m in enumerate(modules):
-                sub = m.up.get(lam) if kind == "up" else m.down.get(lam)
-                if sub is None:
-                    continue
-                any_nz = True
-                if kind == "up":
-                    r0, c0 = offsets[i].get(lam + "w", 0), offsets[i][lam]
-                else:
-                    r0, c0 = offsets[i][lam], offsets[i].get(lam + "b", 0)
-                for r, row in enumerate(sub):
-                    for c, x in enumerate(row):
-                        block[r0 + r][c0 + c] = x
-            if any_nz:
-                (up if kind == "up" else down)[lam] = block
-    return BModule(dims, up, down, field), offsets
-
-
-def dual_bmodule(m):
-    """Pointwise dual: V*(lam) = V(dual lam)^t; an exact involution."""
-    f = m.field
-    dims = {dual_weight(lam): d for lam, d in m.dims.items()}
-    up, down = {}, {}
-    for lam, mat in m.down.items():
-        up[dual_weight(lam + "b")[:-1]] = mat_transpose(mat, ncols=m.dim(lam))
-    for lam, mat in m.up.items():
-        down[dual_weight(lam + "w")[:-1]] = mat_transpose(mat, ncols=m.dim(lam))
-    return BModule(dims, up, down, f)
-
-
-# ---------------------------------------------------------------------------
-# Module maps.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BModuleMap:
-    src: BModule
-    dst: BModule
-    comps: dict  # lam -> matrix dim_dst(lam) x dim_src(lam)
-
-    def component(self, lam):
-        m = self.comps.get(lam)
-        if m is not None:
-            return m
-        return zeros(self.dst.dim(lam), self.src.dim(lam), self.src.field)
-
-    def is_zero(self):
-        f = self.src.field
-        return all(mat_is_zero(m, f) for m in self.comps.values())
-
-    def validate(self):
-        f = self.src.field
-        lams = set(self.src.dims) | set(self.dst.dims)
-        for lam in lams:
-            left = mat_mul(self.component(lam + "w"), self.src.up_matrix(lam), f)
-            right = mat_mul(self.dst.up_matrix(lam), self.component(lam), f)
-            if not mat_eq(left, right, f):
-                raise ValueError(f"up square fails at {lam!r}")
-            left = mat_mul(self.component(lam), self.src.down_matrix(lam), f)
-            right = mat_mul(self.dst.down_matrix(lam), self.component(lam + "b"), f)
-            if not mat_eq(left, right, f):
-                raise ValueError(f"down square fails at {lam!r}")
-        return self
-
-    def scale(self, c):
-        f = self.src.field
-        return BModuleMap(self.src, self.dst,
-                          {lam: [[f.mul(c, x) for x in row] for row in m]
-                           for lam, m in self.comps.items()})
-
-    def __add__(self, other):
-        f = self.src.field
-        out = {}
-        for lam in set(self.comps) | set(other.comps):
-            a, b = self.component(lam), other.component(lam)
-            out[lam] = [[f.add(x, y) for x, y in zip(ra, rb)]
-                        for ra, rb in zip(a, b)]
-        return BModuleMap(self.src, self.dst, out)
-
-
-def compose_bmaps(g, f):
-    """g o f for module maps with matching middle."""
-    fld = f.src.field
-    comps = {}
-    for lam in set(f.comps) | set(g.comps):
-        m = mat_mul(g.component(lam), f.component(lam), fld)
-        if not mat_is_zero(m, fld):
-            comps[lam] = m
-    return BModuleMap(f.src, g.dst, comps)
-
-
-def dual_bmap(f):
-    """The dual map between the dual modules (contravariant)."""
-    comps = {}
-    for lam, m in f.comps.items():
-        comps[dual_weight(lam)] = mat_transpose(m, ncols=f.src.dim(lam))
-    return BModuleMap(dual_bmodule(f.dst), dual_bmodule(f.src), comps)
-
-
-def hom_bmodules(m, n):
-    """Basis of the space of module maps m -> n."""
-    f = m.field
-    lams = sorted(set(m.dims) & set(n.dims), key=sort_key)
-    var_index = {}
-    for lam in lams:
-        for i in range(n.dim(lam)):
-            for j in range(m.dim(lam)):
-                var_index[(lam, i, j)] = len(var_index)
-    nvars = len(var_index)
-    if nvars == 0:
-        return []
-    rows = []
-
-    def add_square(lam, src_mat, dst_mat, upper, kind):
-        # kind "up": f_{lam w} @ up_m(lam) == up_n(lam) @ f_lam
-        # kind "down": f_lam @ down_m(lam) == down_n(lam) @ f_{lam b}
-        if kind == "up":
-            nr, nc = n.dim(lam + "w"), m.dim(lam)
-            for r in range(nr):
-                for c in range(nc):
-                    row = [f.zero] * nvars
-                    nz = False
-                    for k in range(m.dim(lam + "w")):
-                        v = src_mat[k][c]
-                        if not f.is_zero(v) and (lam + "w", r, k) in var_index:
-                            row[var_index[(lam + "w", r, k)]] = v
-                            nz = True
-                    for k in range(n.dim(lam)):
-                        v = dst_mat[r][k]
-                        if not f.is_zero(v) and (lam, k, c) in var_index:
-                            idx = var_index[(lam, k, c)]
-                            row[idx] = f.sub(row[idx], v)
-                            nz = True
-                    if nz:
-                        rows.append(row)
-        else:
-            nr, nc = n.dim(lam), m.dim(lam + "b")
-            for r in range(nr):
-                for c in range(nc):
-                    row = [f.zero] * nvars
-                    nz = False
-                    for k in range(m.dim(lam)):
-                        v = src_mat[k][c]
-                        if not f.is_zero(v) and (lam, r, k) in var_index:
-                            row[var_index[(lam, r, k)]] = v
-                            nz = True
-                    for k in range(n.dim(lam + "b")):
-                        v = dst_mat[r][k]
-                        if not f.is_zero(v) and (lam + "b", k, c) in var_index:
-                            idx = var_index[(lam + "b", k, c)]
-                            row[idx] = f.sub(row[idx], v)
-                            nz = True
-                    if nz:
-                        rows.append(row)
-
-    every = set(m.dims) | set(n.dims)
-    for lam in sorted(every, key=sort_key):
-        add_square(lam, m.up_matrix(lam), n.up_matrix(lam), True, "up")
-        add_square(lam, m.down_matrix(lam), n.down_matrix(lam), True, "down")
-    basis_vecs = nullspace(rows, nvars, f) if rows else \
-        [[f.one if i == j else f.zero for i in range(nvars)] for j in range(nvars)]
-    maps = []
-    for v in basis_vecs:
-        comps = {}
-        for lam in lams:
-            mat = zeros(n.dim(lam), m.dim(lam), f)
-            nz = False
-            for i in range(n.dim(lam)):
-                for j in range(m.dim(lam)):
-                    x = v[var_index[(lam, i, j)]]
-                    if not f.is_zero(x):
-                        mat[i][j] = x
-                        nz = True
-            if nz:
-                comps[lam] = mat
-        maps.append(BModuleMap(m, n, comps))
-    return maps
-
-
-def hom_dim_bmodules(m, n):
-    return len(hom_bmodules(m, n))
-
-
-def kernel_bmap(f):
-    """(K, incl) with K the pointwise kernel carrying restricted maps."""
-    fld = f.src.field
-    m = f.src
-    kbasis = {}
-    for lam in m.dims:
-        comp = f.component(lam)
-        if f.dst.dim(lam) == 0:
-            kbasis[lam] = [[fld.one if i == j else fld.zero
-                            for i in range(m.dim(lam))]
-                           for j in range(m.dim(lam))]
-        else:
-            kbasis[lam] = nullspace(comp, m.dim(lam), fld)
-    dims = {lam: len(b) for lam, b in kbasis.items()}
-    up, down = {}, {}
-    for lam, basis in kbasis.items():
-        if not basis:
-            continue
-        tw = lam + "w"
-        if dims.get(tw):
-            targets = [mat_vec(m.up_matrix(lam), v, fld) for v in basis]
-            coords = _in_basis(kbasis[tw], targets, fld)
-            up[lam] = mat_transpose(coords, ncols=len(kbasis[tw]))
-        tb = lam + "b"
-        if dims.get(tb):
-            targets = [mat_vec(m.down_matrix(lam), v, fld) for v in kbasis[tb]]
-            coords = _in_basis(kbasis.get(lam, []), targets, fld)
-            down[lam] = mat_transpose(coords, ncols=len(kbasis.get(lam, [])))
-    k = BModule(dims, up, down, fld)
-    incl = BModuleMap(k, m, {lam: mat_transpose(b, ncols=m.dim(lam))
-                             for lam, b in kbasis.items() if b})
-    return k, incl
-
-
-def _in_basis(basis, targets, fld):
-    """Coordinates of target vectors in a basis (list of vectors); exact."""
-    if not targets:
-        return []
-    if not basis:
-        if all(all(fld.is_zero(x) for x in t) for t in targets):
-            return [[] for _ in targets]
-        raise ValueError("vector not in span")
-    rows = mat_transpose(basis, ncols=len(basis[0]))
-    sol = solve(rows, [list(t) for t in targets], fld)
-    if sol is None:
-        raise ValueError("vector not in span (structure map does not restrict)")
-    return sol
-
-
-def image_bmap(f):
-    """(I, incl into dst) with I the pointwise image as a submodule."""
-    fld = f.src.field
-    n = f.dst
-    ibasis = {}
-    for lam in set(f.comps):
-        cols = column_space_basis(f.component(lam), fld)
-        if cols:
-            ibasis[lam] = cols
-    dims = {lam: len(b) for lam, b in ibasis.items()}
-    up, down = {}, {}
-    for lam, basis in ibasis.items():
-        tw, tb = lam + "w", lam + "b"
-        if dims.get(tw):
-            targets = [mat_vec(n.up_matrix(lam), v, fld) for v in basis]
-            up[lam] = mat_transpose(_in_basis(ibasis[tw], targets, fld),
-                                    ncols=dims[tw])
-        if dims.get(tb):
-            targets = [mat_vec(n.down_matrix(lam), v, fld) for v in ibasis[tb]]
-            down[lam] = mat_transpose(_in_basis(ibasis.get(lam, []), targets, fld),
-                                      ncols=dims.get(lam, 0))
-    i = BModule(dims, up, down, fld)
-    incl = BModuleMap(i, n, {lam: mat_transpose(b, ncols=n.dim(lam))
-                             for lam, b in ibasis.items()})
-    return i, incl
-
-
-def cokernel_bmap(f):
-    """(C, proj) computed as the dual of the kernel of the dual map."""
-    fd = dual_bmap(f)
-    k, incl = kernel_bmap(fd)
-    proj = dual_bmap(incl)
-    return proj.dst, BModuleMap(f.dst, proj.dst, proj.comps)
-
-
-def lift_through_inclusion(f, incl):
-    """The map g with incl o g = f, for f landing inside the submodule."""
-    fld = f.src.field
-    comps = {}
-    for lam in set(f.comps):
-        cols = mat_transpose(f.component(lam), ncols=f.src.dim(lam))
-        basis = [list(c) for c in mat_transpose(incl.component(lam),
-                                                ncols=incl.src.dim(lam))]
-        coords = _in_basis(basis, cols, fld)
-        mat = mat_transpose(coords, ncols=incl.src.dim(lam))
-        if not mat_is_zero(mat, fld):
-            comps[lam] = mat
-    return BModuleMap(f.src, incl.src, comps)
-
-
-def homology_bmodule(d_in, d_out):
-    """ker(d_out) / im(d_in) for module maps with zero composite."""
-    if not compose_bmaps(d_out, d_in).is_zero():
-        raise ValueError("maps do not compose to zero")
-    k, incl = kernel_bmap(d_out)
-    lift = lift_through_inclusion(d_in, incl)
-    h, _ = cokernel_bmap(lift)
-    return h
-
-
-def is_exact_pair(f, g):
-    """Exactness of src(f) -> mid -> dst(g) at the middle."""
-    fld = f.src.field
-    if not compose_bmaps(g, f).is_zero():
-        return False
-    img, _ = image_bmap(f)
-    ker, _ = kernel_bmap(g)
-    return img.dims == ker.dims
+    return BModule.full(supp, field)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +176,8 @@ def projective_cover(m):
         for v in lifts[lam]:
             symbols.append((lam, v))
     mods = [named_bmodule("P", mu, fld) for mu, _ in symbols]
-    p, offsets = direct_sum(mods, fld) if mods else (zero_bmodule(fld), [])
+    p, offsets = rep.direct_sum(mods, fld) if mods else \
+        (BModule({}, {}, fld), [])
     comps = {}
     for slot, (mu, v) in enumerate(symbols):
         for kappa in projective_support(mu):
@@ -564,7 +188,7 @@ def projective_cover(m):
             c0 = offsets[slot][kappa]
             for r, x in enumerate(w):
                 mat[r][c0] = x
-    cover = BModuleMap(p, m, comps)
+    cover = ModuleMap(p, m, comps)
     for lam in m.dims:  # covers are surjective; catch upstream bugs early
         if rank(cover.component(lam), fld) != m.dim(lam):
             raise AssertionError(f"cover not surjective at {lam!r}")
@@ -644,15 +268,15 @@ def min_projective_resolution(m, max_deg):
     for k in range(max_deg + 1):
         symbols, p, cover = projective_cover(current)
         mods = [named_bmodule("P", mu, fld) for mu in symbols]
-        _, offsets = direct_sum(mods, fld) if mods else (zero_bmodule(fld), [])
+        _, offsets = rep.direct_sum(mods, fld) if mods else (None, [])
         if k > 0:
-            full = compose_bmaps(incl, cover)
+            full = rep.compose(incl, cover)
             diffs.append(_extract_blocks(symbols, offsets,
                                          prev_symbols, prev_offsets, full))
         terms.append(list(symbols))
         if not symbols:
             break
-        current, incl = kernel_bmap(cover)
+        current, incl = rep.kernel(cover)
         prev_symbols, prev_offsets = symbols, offsets
     return FormalProjComplex(terms, diffs, fld)
 
@@ -777,7 +401,7 @@ def standard_filtration_failures(m, max_check_len=None):
 
 
 def has_costandard_filtration(m):
-    return has_standard_filtration(dual_bmodule(m))
+    return has_standard_filtration(rep.dual(m))
 
 
 # ---------------------------------------------------------------------------
@@ -949,40 +573,3 @@ def tor_bmod(m, n, imax, max_part=6, nu_len=None):
             if i < len(bases):
                 out[i] += len(bases[i]) - ranks[i] - ranks[i + 1]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism testing.
-# ---------------------------------------------------------------------------
-
-def find_isomorphism(m, n, tries=25, seed=0):
-    """An invertible module map m -> n, or None.
-
-    Searches small linear combinations of a hom basis; no fuzzy matching:
-    either a verified isomorphism is produced or None is returned.
-    """
-    if m.dims != n.dims:
-        return None
-    if m.is_zero():
-        return BModuleMap(m, n, {})
-    fld = m.field
-    homs = hom_bmodules(m, n)
-    if not homs:
-        return None
-    rng = random.Random(seed)
-
-    def invertible(f):
-        return all(rank(f.component(lam), fld) == m.dim(lam) for lam in m.dims)
-
-    for h in homs:
-        if invertible(h):
-            return h
-    for _ in range(tries):
-        coeffs = [fld.of_int(rng.randint(-3, 3)) for _ in homs]
-        cand = None
-        for c, h in zip(coeffs, homs):
-            part = h.scale(c)
-            cand = part if cand is None else cand + part
-        if cand is not None and invertible(cand):
-            return cand
-    return None

@@ -8,7 +8,6 @@ output is deterministic: fixed case ordering and sorted keys, schema 1.
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import acat, bmod, dmod, derived, kring, verify
 from .fields import QQ, field_from_spec
@@ -86,7 +85,7 @@ def _render(data, indent=""):
 
 
 _GLOBAL_DEFAULTS = {"measure": "mu2", "field": "q", "max_len": 4,
-                    "max_deg": 5, "json": False, "jobs": 1}
+                    "max_deg": 5, "json": False}
 
 
 def _common_flags():
@@ -100,8 +99,6 @@ def _common_flags():
     c.add_argument("--max-len", type=int, help="weight window (default 4)")
     c.add_argument("--max-deg", type=int, help="homological window (default 5)")
     c.add_argument("--json", action="store_true", help="machine output")
-    c.add_argument("--jobs", type=int,
-                   help="worker threads for suites (report-invariant)")
     return c
 
 
@@ -325,14 +322,8 @@ def main(argv=None):
                       args.json)
         elif cmd == "verify":
             names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-            if args.jobs > 1 and len(names) > 1:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    reports = list(pool.map(
-                        lambda n: verify.run_suite(n, **_suite_kwargs(n, args)),
-                        names))
-            else:
-                reports = [verify.run_suite(n, **_suite_kwargs(n, args))
-                           for n in names]
+            reports = [verify.run_suite(n, **_suite_kwargs(n, args))
+                       for n in names]
             for rep in reports:
                 _print_report(rep, args.json)
             return 0 if all(rep.ok for rep in reports) else 1

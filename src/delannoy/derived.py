@@ -12,11 +12,10 @@ Homology dimensions are gauge-independent.
 from fractions import Fraction
 
 from .bmod import FormalProjComplex, min_projective_resolution
-from .dmod import (DModuleMap, TiltComplex, direct_sum_dmodules,
-                   homology_dmodule, identify_named_dmodule, named_dmodule,
-                   zero_dmodule)
+from .dmod import DModule, TiltComplex, identify_named_dmodule, named_dmodule
 from .fields import QQ
 from .linalg import rank, zeros
+from .rep import ModuleMap, direct_sum, homology
 from .weights import flat, sort_key
 
 
@@ -132,8 +131,8 @@ def realize_psi_complex(tc):
     mods, offs, full = {}, {}, {}
     for d, syms in tc.terms.items():
         mods_d = [named_dmodule("T", lam, f) for lam in syms]
-        full[d], offs[d] = direct_sum_dmodules(mods_d, f) if mods_d else \
-            (zero_dmodule(f), [])
+        full[d], offs[d] = direct_sum(mods_d, f) if mods_d else \
+            (DModule({}, {}, f), [])
     maps = {}
     for d, entries in tc.diffs.items():
         src, dst = full[d], full.get(d + 1)
@@ -150,7 +149,7 @@ def realize_psi_complex(tc):
                     kappa, zeros(dst.dim(kappa), src.dim(kappa), f))
                 mat[offs[d + 1][j][kappa]][offs[d][i][kappa]] = \
                     f.add(mat[offs[d + 1][j][kappa]][offs[d][i][kappa]], coeff)
-        maps[d] = DModuleMap(src, dst, comps)
+        maps[d] = ModuleMap(src, dst, comps)
     return full, maps
 
 
@@ -173,12 +172,12 @@ def l_psi(m, max_deg, identify=True):
             continue
         d_out = maps.get(deg)
         if d_out is None:
-            d_out = DModuleMap(term, zero_dmodule(f), {})
+            d_out = ModuleMap(term, DModule({}, {}, f), {})
         d_in = maps.get(deg - 1)
         if d_in is None:
-            src = full.get(deg - 1, zero_dmodule(f))
-            d_in = DModuleMap(src, term, {})
-        h = homology_dmodule(d_in, d_out)
+            src = full.get(deg - 1, DModule({}, {}, f))
+            d_in = ModuleMap(src, term, {})
+        h = homology(d_in, d_out)
         if h.is_zero():
             continue
         if identify:

@@ -9,14 +9,16 @@ morphism between supported weights; the only relations are composition
 consistency, which is validated by a direct scan.
 """
 
-import random
 from dataclasses import dataclass
 
+from . import rep
 from .fields import QQ
-from .linalg import (SpanBuilder, column_space_basis, eye, mat_eq, mat_is_zero,
-                     mat_mul, mat_transpose, mat_vec, nullspace, rank, solve,
-                     zeros)
-from .weights import dual as dual_weight, is_alternating, sort_key
+from .linalg import SpanBuilder, eye, mat_eq, mat_mul, mat_vec, rank
+from .rep import Module, ModuleMap
+from .weights import dual as dual_weight, is_alternating
+
+# Names the benchmark tracer patches by attribute; they are the rep functions.
+hom_dmodules, find_isomorphism_d = rep.hom, rep.find_isomorphism
 
 
 def dist_hom_nonzero(lam, mu):
@@ -141,107 +143,28 @@ def basic_targets(lam):
 # Modules.
 # ---------------------------------------------------------------------------
 
-class DModule:
-    """A finite module: dims per weight plus one matrix per nonzero hom."""
+class DModule(Module):
+    """One arrow per nonzero distinguished morphism between distinct weights."""
 
-    def __init__(self, dims, maps, field=QQ, validate=True):
-        self.field = field
-        self.dims = {lam: d for lam, d in dims.items() if d > 0}
-        self.maps = {k: m for k, m in maps.items() if not mat_is_zero(m, field)}
-        if validate:
-            self._validate()
+    @staticmethod
+    def is_arrow(lam, mu):
+        return lam != mu and dist_hom_nonzero(lam, mu)
 
-    def dim(self, lam):
-        return self.dims.get(lam, 0)
-
-    @property
-    def support(self):
-        return sorted(self.dims, key=sort_key)
-
-    @property
-    def total_dim(self):
-        return sum(self.dims.values())
-
-    def is_zero(self):
-        return not self.dims
-
-    def matrix(self, lam, mu):
-        """The action matrix of the distinguished morphism lam -> mu."""
-        if lam == mu:
-            return eye(self.dim(lam), self.field)
-        m = self.maps.get((lam, mu))
-        if m is not None:
-            return m
-        return zeros(self.dim(mu), self.dim(lam), self.field)
-
-    def _pairs(self):
-        supp = self.support
-        for lam in supp:
-            for mu in supp:
-                if lam != mu and dist_hom_nonzero(lam, mu):
-                    yield lam, mu
-
-    def _validate(self):
+    def check_relations(self):
+        """Each composite lam -> mu -> nu is the matrix of lam -> nu: the
+        identity when nu == lam, zero when that morphism vanishes."""
         f = self.field
-        for (lam, mu), m in self.maps.items():
-            if lam == mu or not dist_hom_nonzero(lam, mu):
-                raise ValueError(f"matrix on a zero hom {lam!r} -> {mu!r}")
-            if len(m) != self.dim(mu) or any(len(r) != self.dim(lam) for r in m):
-                raise ValueError(f"shape mismatch at {lam!r} -> {mu!r}")
-        supp = self.support
-        for lam, mu in self._pairs():
-            for nu in supp:
-                if nu == mu or not dist_hom_nonzero(mu, nu):
-                    continue
+        pairs = self.pairs(self.support)
+        out = {}
+        for lam, mu in pairs:
+            out.setdefault(lam, []).append(mu)
+        for lam, mu in pairs:
+            for nu in out.get(mu, ()):
                 comp = mat_mul(self.matrix(mu, nu), self.matrix(lam, mu), f)
-                if dist_hom_nonzero(lam, nu) and lam != nu:
-                    if not mat_eq(comp, self.matrix(lam, nu), f):
-                        raise ValueError(
-                            f"composition inconsistent: {lam!r}->{mu!r}->{nu!r}")
-                elif lam == nu:
-                    if not mat_eq(comp, self.matrix(lam, lam), f):
-                        raise ValueError(
-                            f"composite through {mu!r} is not the identity")
-                else:
-                    if not mat_is_zero(comp, f):
-                        raise ValueError(
-                            f"composite {lam!r}->{mu!r}->{nu!r} should vanish")
-        return self
-
-    def __eq__(self, other):
-        if not isinstance(other, DModule):
-            return NotImplemented
-        if self.dims != other.dims or self.field != other.field:
-            return False
-        f = self.field
-        keys = set(self.maps) | set(other.maps)
-        return all(mat_eq(self.matrix(*k), other.matrix(*k), f) for k in keys)
-
-    def __repr__(self):
-        parts = ", ".join(f"{lam or 'e'}:{d}" for lam, d in
-                          sorted(self.dims.items(), key=lambda kv: sort_key(kv[0])))
-        return f"DModule({{{parts}}})"
-
-
-def zero_dmodule(field=QQ):
-    return DModule({}, {}, field)
-
-
-def full_dmodule(support, field=QQ):
-    """The full module on a support: dims 1, identity on nonzero homs.
-
-    Raises if some vanishing composite would be forced to be the identity
-    (the full module then does not exist).
-    """
-    supp = set(support)
-    dims = {lam: 1 for lam in supp}
-    maps = {}
-    one = [[field.one]]
-    for lam in supp:
-        for mu in supp:
-            if lam != mu and dist_hom_nonzero(lam, mu):
-                maps[(lam, mu)] = one
-    return DModule(dims, maps, field)
+                want = eye(self.dim(lam), f) if lam == nu else self.matrix(lam, nu)
+                if not mat_eq(comp, want, f):
+                    raise ValueError(
+                        f"composition inconsistent: {lam!r}->{mu!r}->{nu!r}")
 
 
 def _prefixes_with_tail(lam, final):
@@ -266,7 +189,7 @@ def named_dmodule(kind, lam, field=QQ):
         supp = {lam, *_prefixes_with_tail(lam, None)}
     else:
         raise ValueError(f"unknown module kind {kind!r}")
-    return full_dmodule(supp, field)
+    return DModule.full(supp, field)
 
 
 def truncated_projective(lam, max_len, field=QQ):
@@ -275,282 +198,13 @@ def truncated_projective(lam, max_len, field=QQ):
     supp = {lam}
     supp.update(lam + w for w in alternating_suffixes(max_len - len(lam), "w")
                 if len(lam + w) <= max_len)
-    supp.update(mu for mu in _upward_extensions(lam, max_len))
-    return full_dmodule(supp, field)
-
-
-def _upward_extensions(lam, max_len):
-    # weights mu with lam in mu * (alternating ending b); mu is a prefix
-    return _prefixes_with_tail(lam, "b")
-
-
-def dual_dmodule(m):
-    """Pointwise dual: M*(lam) = M(dual lam)^t; exact involution."""
-    f = m.field
-    dims = {dual_weight(lam): d for lam, d in m.dims.items()}
-    maps = {}
-    for (lam, mu), mat in m.maps.items():
-        maps[(dual_weight(mu), dual_weight(lam))] = mat_transpose(
-            mat, ncols=m.dim(lam))
-    return DModule(dims, maps, f)
+    supp.update(_prefixes_with_tail(lam, "b"))
+    return DModule.full(supp, field)
 
 
 # ---------------------------------------------------------------------------
-# Module maps and radical filtrations.
+# Identification and radical filtrations.
 # ---------------------------------------------------------------------------
-
-@dataclass
-class DModuleMap:
-    src: DModule
-    dst: DModule
-    comps: dict
-
-    def component(self, lam):
-        m = self.comps.get(lam)
-        if m is not None:
-            return m
-        return zeros(self.dst.dim(lam), self.src.dim(lam), self.src.field)
-
-    def is_zero(self):
-        f = self.src.field
-        return all(mat_is_zero(m, f) for m in self.comps.values())
-
-    def validate(self):
-        f = self.src.field
-        supp = set(self.src.dims) | set(self.dst.dims)
-        for lam in supp:
-            for mu in supp:
-                if lam == mu or not dist_hom_nonzero(lam, mu):
-                    continue
-                left = mat_mul(self.component(mu), self.src.matrix(lam, mu), f)
-                right = mat_mul(self.dst.matrix(lam, mu), self.component(lam), f)
-                if not mat_eq(left, right, f):
-                    raise ValueError(f"square fails at {lam!r} -> {mu!r}")
-        return self
-
-    def scale(self, c):
-        f = self.src.field
-        return DModuleMap(self.src, self.dst,
-                          {lam: [[f.mul(c, x) for x in row] for row in m]
-                           for lam, m in self.comps.items()})
-
-    def __add__(self, other):
-        f = self.src.field
-        out = {}
-        for lam in set(self.comps) | set(other.comps):
-            a, b = self.component(lam), other.component(lam)
-            out[lam] = [[f.add(x, y) for x, y in zip(ra, rb)]
-                        for ra, rb in zip(a, b)]
-        return DModuleMap(self.src, self.dst, out)
-
-
-def compose_dmaps(g, f):
-    fld = f.src.field
-    comps = {}
-    for lam in set(f.comps) | set(g.comps):
-        m = mat_mul(g.component(lam), f.component(lam), fld)
-        if not mat_is_zero(m, fld):
-            comps[lam] = m
-    return DModuleMap(f.src, g.dst, comps)
-
-
-def hom_dmodules(m, n):
-    """Basis of the space of module maps m -> n."""
-    f = m.field
-    lams = sorted(set(m.dims) & set(n.dims), key=sort_key)
-    var_index = {}
-    for lam in lams:
-        for i in range(n.dim(lam)):
-            for j in range(m.dim(lam)):
-                var_index[(lam, i, j)] = len(var_index)
-    nvars = len(var_index)
-    if nvars == 0:
-        return []
-    rows = []
-    supp = sorted(set(m.dims) | set(n.dims), key=sort_key)
-    for lam in supp:
-        for mu in supp:
-            if lam == mu or not dist_hom_nonzero(lam, mu):
-                continue
-            src_mat = m.matrix(lam, mu)
-            dst_mat = n.matrix(lam, mu)
-            for r in range(n.dim(mu)):
-                for c in range(m.dim(lam)):
-                    row = [f.zero] * nvars
-                    nz = False
-                    for k in range(m.dim(mu)):
-                        v = src_mat[k][c]
-                        if not f.is_zero(v) and (mu, r, k) in var_index:
-                            row[var_index[(mu, r, k)]] = v
-                            nz = True
-                    for k in range(n.dim(lam)):
-                        v = dst_mat[r][k]
-                        if not f.is_zero(v) and (lam, k, c) in var_index:
-                            idx = var_index[(lam, k, c)]
-                            row[idx] = f.sub(row[idx], v)
-                            nz = True
-                    if nz:
-                        rows.append(row)
-    vecs = nullspace(rows, nvars, f) if rows else \
-        [[f.one if i == j else f.zero for i in range(nvars)] for j in range(nvars)]
-    out = []
-    for v in vecs:
-        comps = {}
-        for lam in lams:
-            mat = zeros(n.dim(lam), m.dim(lam), f)
-            nz = False
-            for i in range(n.dim(lam)):
-                for j in range(m.dim(lam)):
-                    x = v[var_index[(lam, i, j)]]
-                    if not f.is_zero(x):
-                        mat[i][j] = x
-                        nz = True
-            if nz:
-                comps[lam] = mat
-        out.append(DModuleMap(m, n, comps))
-    return out
-
-
-def direct_sum_dmodules(modules, field=QQ):
-    """Direct sum with slot bookkeeping: (module, offsets)."""
-    dims, offsets = {}, []
-    for m in modules:
-        off = {}
-        for lam, d in m.dims.items():
-            off[lam] = dims.get(lam, 0)
-            dims[lam] = dims.get(lam, 0) + d
-        offsets.append(off)
-    maps = {}
-    supp = sorted(dims, key=sort_key)
-    for lam in supp:
-        for mu in supp:
-            if lam == mu or not dist_hom_nonzero(lam, mu):
-                continue
-            block = zeros(dims[mu], dims[lam], field)
-            nz = False
-            for i, m in enumerate(modules):
-                sub = m.maps.get((lam, mu))
-                if sub is None:
-                    continue
-                nz = True
-                r0, c0 = offsets[i][mu], offsets[i][lam]
-                for r, row in enumerate(sub):
-                    for c, x in enumerate(row):
-                        block[r0 + r][c0 + c] = x
-            if nz:
-                maps[(lam, mu)] = block
-    return DModule(dims, maps, field), offsets
-
-
-def _in_basis_d(basis, targets, fld):
-    if not targets:
-        return []
-    if not basis:
-        if all(all(fld.is_zero(x) for x in t) for t in targets):
-            return [[] for _ in targets]
-        raise ValueError("vector not in span")
-    rows = mat_transpose(basis, ncols=len(basis[0]))
-    sol = solve(rows, [list(t) for t in targets], fld)
-    if sol is None:
-        raise ValueError("vector not in span (structure map does not restrict)")
-    return sol
-
-
-def kernel_dmap(f):
-    """(K, incl) with K the pointwise kernel carrying restricted actions."""
-    fld = f.src.field
-    m = f.src
-    kbasis = {}
-    for lam in m.dims:
-        comp = f.component(lam)
-        if f.dst.dim(lam) == 0:
-            kbasis[lam] = [[fld.one if i == j else fld.zero
-                            for i in range(m.dim(lam))]
-                           for j in range(m.dim(lam))]
-        else:
-            kbasis[lam] = nullspace(comp, m.dim(lam), fld)
-    dims = {lam: len(b) for lam, b in kbasis.items()}
-    maps = {}
-    for lam, basis in kbasis.items():
-        if not basis:
-            continue
-        for mu in m.dims:
-            if mu == lam or not dist_hom_nonzero(lam, mu) or not dims.get(mu):
-                continue
-            targets = [mat_vec(m.matrix(lam, mu), v, fld) for v in basis]
-            coords = _in_basis_d(kbasis[mu], targets, fld)
-            mat = mat_transpose(coords, ncols=dims[mu])
-            if not mat_is_zero(mat, fld):
-                maps[(lam, mu)] = mat
-    k = DModule(dims, maps, fld)
-    incl = DModuleMap(k, m, {lam: mat_transpose(b, ncols=m.dim(lam))
-                             for lam, b in kbasis.items() if b})
-    return k, incl
-
-
-def image_dmap(f):
-    """(I, incl into dst) with I the pointwise image as a submodule."""
-    fld = f.src.field
-    n = f.dst
-    ibasis = {}
-    for lam in set(f.comps):
-        cols = column_space_basis(f.component(lam), fld)
-        if cols:
-            ibasis[lam] = cols
-    dims = {lam: len(b) for lam, b in ibasis.items()}
-    maps = {}
-    for lam, basis in ibasis.items():
-        for mu in n.dims:
-            if mu == lam or not dist_hom_nonzero(lam, mu):
-                continue
-            targets = [mat_vec(n.matrix(lam, mu), v, fld) for v in basis]
-            if all(all(fld.is_zero(x) for x in t) for t in targets):
-                continue
-            coords = _in_basis_d(ibasis.get(mu, []), targets, fld)
-            mat = mat_transpose(coords, ncols=dims.get(mu, 0))
-            if not mat_is_zero(mat, fld):
-                maps[(lam, mu)] = mat
-    i = DModule(dims, maps, fld)
-    incl = DModuleMap(i, n, {lam: mat_transpose(b, ncols=n.dim(lam))
-                             for lam, b in ibasis.items()})
-    return i, incl
-
-
-def dual_dmap(f):
-    comps = {}
-    for lam, m in f.comps.items():
-        comps[dual_weight(lam)] = mat_transpose(m, ncols=f.src.dim(lam))
-    return DModuleMap(dual_dmodule(f.dst), dual_dmodule(f.src), comps)
-
-
-def cokernel_dmap(f):
-    """(C, proj) computed as the dual of the kernel of the dual map."""
-    fd = dual_dmap(f)
-    k, incl = kernel_dmap(fd)
-    proj = dual_dmap(incl)
-    return proj.dst, DModuleMap(f.dst, proj.dst, proj.comps)
-
-
-def homology_dmodule(d_in, d_out):
-    """ker(d_out) / im(d_in) for composable module maps with zero composite."""
-    fld = d_out.src.field
-    if not compose_dmaps(d_out, d_in).is_zero():
-        raise ValueError("maps do not compose to zero")
-    k, incl = kernel_dmap(d_out)
-    # lift d_in through the kernel inclusion, then quotient by its image
-    comps = {}
-    for lam in set(d_in.comps):
-        cols = mat_transpose(d_in.component(lam), ncols=d_in.src.dim(lam))
-        kb = [list(c) for c in mat_transpose(incl.component(lam),
-                                             ncols=k.dim(lam))]
-        coords = _in_basis_d(kb, cols, fld)
-        mat = mat_transpose(coords, ncols=k.dim(lam))
-        if not mat_is_zero(mat, fld):
-            comps[lam] = mat
-    lift = DModuleMap(d_in.src, k, comps)
-    h, _ = cokernel_dmap(lift)
-    return h
-
 
 def identify_named_dmodule(m, seed=0):
     """('S'|'Delta'|'Nabla'|'T', lam) if m is isomorphic to a named module,
@@ -561,7 +215,7 @@ def identify_named_dmodule(m, seed=0):
         for kind in ("S", "Delta", "Nabla", "T"):
             cand = named_dmodule(kind, lam, m.field)
             if cand.dims == m.dims and \
-                    find_isomorphism_d(m, cand, seed=seed) is not None:
+                    rep.find_isomorphism(m, cand, seed=seed) is not None:
                 return (kind, lam)
     return None
 
@@ -596,34 +250,6 @@ def radical_filtration(m):
             break  # radical stabilized (should only happen at zero)
         current = nxt
     return [layer for layer in layers if layer]
-
-
-def find_isomorphism_d(m, n, tries=25, seed=0):
-    """An invertible module map m -> n, or None (verified, never fuzzy)."""
-    if m.dims != n.dims:
-        return None
-    if m.is_zero():
-        return DModuleMap(m, n, {})
-    f = m.field
-    homs = hom_dmodules(m, n)
-    if not homs:
-        return None
-    rng = random.Random(seed)
-
-    def invertible(h):
-        return all(rank(h.component(lam), f) == m.dim(lam) for lam in m.dims)
-
-    for h in homs:
-        if invertible(h):
-            return h
-    for _ in range(tries):
-        cand = None
-        for hmap in homs:
-            part = hmap.scale(f.of_int(rng.randint(-3, 3)))
-            cand = part if cand is None else cand + part
-        if cand is not None and invertible(cand):
-            return cand
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +293,7 @@ def tilting_map(lam, mu, field=QQ):
     src = named_dmodule("T", lam, field)
     dst = named_dmodule("T", mu, field)
     comps = {kappa: [[field.one]] for kappa in set(src.dims) & set(dst.dims)}
-    return DModuleMap(src, dst, comps)
+    return ModuleMap(src, dst, comps)
 
 
 @dataclass
@@ -740,15 +366,6 @@ def tilting_complex(kind, lam, field=QQ):
     terms = {k: [kappa + "w" * (i - k)] for k in range(i + 1)}
     diffs = {k: {(0, 0): field.one} for k in range(i)}
     return TiltComplex(terms, diffs, field).validate()
-
-
-def realize_tilt_complex(cpx):
-    """Concrete modules and differential maps of a tilting complex."""
-    field = cpx.field
-    mods = {}
-    for d, syms in cpx.terms.items():
-        mods[d] = [named_dmodule("T", lam, field) for lam in syms]
-    return mods
 
 
 def homotopy_hom_dim(x, y, shift=0):

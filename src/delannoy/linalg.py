@@ -234,10 +234,13 @@ def rank_kernel_int(int_rows, ncols):
         for i in range(ncols):
             basis[i][i] = Fraction(1)
         return 0, basis
-    a = np.array(int_rows, dtype=np.int64)
+    try:
+        a = np.array(int_rows, dtype=np.int64)
+    except OverflowError:  # an entry beyond int64: keep exact Python ints
+        a = np.array(int_rows, dtype=object)
     best = None  # (rank, pivcols) of the primes being combined
     for p in _MOD_PRIMES:
-        r, piv, red = _mod_rref(a, p)
+        r, piv, red = _mod_rref(a % p if a.dtype == object else a, p)
         # A prime can only lose rank or move pivots right; keep the best.
         if best is None or r > best[0] or (r == best[0] and piv < best[1]):
             best = (r, piv)
@@ -289,7 +292,8 @@ def _reconstruct_kernel(res, m, piv, free, ncols):
 def _verifies(a, kern):
     """Exact test of a @ v == 0 for every vector v in `kern` at once.
 
-    `a` is an int64 matrix.  The kernel vectors are cleared of denominators
+    `a` is an int64 matrix, or an object matrix of Python ints when an
+    entry exceeds int64.  The kernel vectors are cleared of denominators
     into the rows of W; a @ W.T runs in int64 only when max_i |a_i|_1 *
     max|W| < 2**63 bounds every partial sum, and over Python ints otherwise.
     """

@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from . import acat, bmod, derived, dmod, kring
+from . import acat, bmod, derived, dmod, kring, rep
 from .fields import QQ
 from .linalg import mat_is_zero, mat_mul, rank
 from .paths import delannoy
@@ -282,14 +282,14 @@ def _full_dmodule_map(src, dst):
     """Common-support identity map between full modules (validated)."""
     comps = {kappa: [[src.field.one]]
              for kappa in set(src.dims) & set(dst.dims)}
-    return dmod.DModuleMap(src, dst, comps).validate()
+    return rep.ModuleMap(src, dst, comps).validate()
 
 
 def _d_ses_exact(sub, mid, quot):
     """0 -> sub -> mid -> quot -> 0 with common-support maps, pointwise."""
     f = _full_dmodule_map(sub, mid)
     g = _full_dmodule_map(mid, quot)
-    if not dmod.compose_dmaps(g, f).is_zero():
+    if not rep.compose(g, f).is_zero():
         return False
     fld = sub.field
     for lam in set(sub.dims) | set(mid.dims) | set(quot.dims):
@@ -322,12 +322,12 @@ def suite_dmod_ext(max_len=4, max_i=4, uniserial_len=5, field=QQ):
               sorted(arrows, key=sort_key), sorted(got, key=sort_key))
     for lam in weights:
         for mu in weights:
-            got = len(dmod.hom_dmodules(dmod.named_dmodule("T", lam, field),
+            got = len(rep.hom(dmod.named_dmodule("T", lam, field),
                                         dmod.named_dmodule("T", mu, field)))
             _case(cases, "dmod-ext", f"homT[{_wfmt(lam)},{_wfmt(mu)}]",
                   dmod.tilting_hom_dim(lam, mu), got)
     for lam in enumerate_weights(max_len - 1):
-        comp = dmod.compose_dmaps(dmod.tilting_map(lam, lam + "b", field),
+        comp = rep.compose(dmod.tilting_map(lam, lam + "b", field),
                                   dmod.tilting_map(lam + "w", lam, field))
         want = dmod.tilting_map(lam + "w", lam + "b", field)
         _case(cases, "dmod-ext", f"ud-composite[{_wfmt(lam)}]", True,
@@ -384,7 +384,7 @@ def _named_matches(value, kind, lam, field):
         got = dmod.named_dmodule(value[0], value[1], field)
         return got == want
     if isinstance(value, dmod.DModule):
-        return dmod.find_isomorphism_d(value, want) is not None
+        return rep.find_isomorphism(value, want) is not None
     return False
 
 
@@ -459,7 +459,7 @@ def _b_ses_exact(maps):
     """Exactness of 0 -> A -> B -> C -> 0 given (incl, proj) module maps."""
     f, g = maps
     fld = f.src.field
-    if not bmod.compose_bmaps(g, f).is_zero():
+    if not rep.compose(g, f).is_zero():
         return False
     for lam in set(f.src.dims) | set(f.dst.dims) | set(g.dst.dims):
         rf = rank(f.component(lam), fld)
@@ -477,16 +477,16 @@ def check_pqi(lam, field=QQ):
     q1 = bmod.named_bmodule("Q", lam, field)
     q2 = bmod.named_bmodule("Q", lam[:-1], field)
     i_mod = bmod.named_bmodule("I", lam, field)
-    mid, offs = bmod.direct_sum([q1, q2], field)
-    for f in bmod.hom_bmodules(p, mid):
+    mid, offs = rep.direct_sum([q1, q2], field)
+    for f in rep.hom(p, mid):
         if any(rank(f.component(k), field) != p.dim(k) for k in p.dims):
             continue
-        c, proj = bmod.cokernel_bmap(f)
+        c, proj = rep.cokernel(f)
         if c.dims == i_mod.dims and \
-                bmod.find_isomorphism(c, i_mod) is not None:
+                rep.find_isomorphism(c, i_mod) is not None:
             return True
     # single hom basis elements may not be injective; try +-1 combinations
-    homs = bmod.hom_bmodules(p, mid)
+    homs = rep.hom(p, mid)
     for a in range(len(homs)):
         for b in range(a + 1, len(homs)):
             for sign in (field.one, field.neg(field.one)):
@@ -494,9 +494,9 @@ def check_pqi(lam, field=QQ):
                 if any(rank(f.component(k), field) != p.dim(k)
                        for k in p.dims):
                     continue
-                c, proj = bmod.cokernel_bmap(f)
+                c, proj = rep.cokernel(f)
                 if c.dims == i_mod.dims and \
-                        bmod.find_isomorphism(c, i_mod) is not None:
+                        rep.find_isomorphism(c, i_mod) is not None:
                     return True
     return False
 
@@ -530,13 +530,13 @@ def suite_sod(max_len=4, max_i=5, field=QQ):
     # the two short exact sequences under the unit's filtration
     p_e = bmod.named_bmodule("P", "", field)
     s_w = bmod.named_bmodule("S", "w", field)
-    incl = bmod.BModuleMap(s_w, p_e, {"w": [[field.one]]}).validate()
-    proj = bmod.BModuleMap(p_e, s_empty, {"": [[field.one]]}).validate()
+    incl = rep.ModuleMap(s_w, p_e, {"w": [[field.one]]}).validate()
+    proj = rep.ModuleMap(p_e, s_empty, {"": [[field.one]]}).validate()
     _case(cases, "sod", "3graded-ses1", True, _b_ses_exact((incl, proj)))
     q_e = bmod.named_bmodule("Q", "", field)
     i_e = bmod.named_bmodule("I", "", field)
-    incl = bmod.BModuleMap(s_w, q_e, {"w": [[field.one]]}).validate()
-    proj = bmod.BModuleMap(
+    incl = rep.ModuleMap(s_w, q_e, {"w": [[field.one]]}).validate()
+    proj = rep.ModuleMap(
         q_e, i_e, {"": [[field.one]], "b": [[field.one]]}).validate()
     _case(cases, "sod", "3graded-ses2", True, _b_ses_exact((incl, proj)))
     for lam in [w for w in weights if w]:
@@ -662,7 +662,7 @@ def suite_tilting_hom(window=6, margin=2, field=QQ):
         fails = bmod.standard_filtration_failures(t, max_check_len=window - margin)
         _case(cases, "tilting-hom", f"row-exact[{_wfmt(lam)}@{window}]",
               [], fails)
-        td = bmod.dual_bmodule(t)
+        td = rep.dual(t)
         fails = bmod.standard_filtration_failures(td, max_check_len=window - margin)
         _case(cases, "tilting-hom", f"col-exact[{_wfmt(lam)}@{window}]",
               [], fails)
@@ -686,7 +686,7 @@ def suite_tilting_hom(window=6, margin=2, field=QQ):
             if len(lam) > base_max or len(mu) > base_max:
                 skipped += 1
                 continue
-            got = len(bmod.hom_bmodules(mods[lam], mods[mu]))
+            got = len(rep.hom(mods[lam], mods[mu]))
             _case(cases, "tilting-hom", f"homTT[{_wfmt(lam)},{_wfmt(mu)}]",
                   tilt_pattern(lam, mu), got)
     if skipped:
@@ -696,10 +696,10 @@ def suite_tilting_hom(window=6, margin=2, field=QQ):
     # spaces T_lam -> T_{lam b} -> T_{lam bwb} compose to a nonzero map
     for lam in enumerate_weights(base_max - 3):
         mid, top = lam + "b", lam + "bwb"
-        h1 = bmod.hom_bmodules(mods[lam], mods[mid])
-        h2 = bmod.hom_bmodules(mods[mid], mods[top])
+        h1 = rep.hom(mods[lam], mods[mid])
+        h2 = rep.hom(mods[mid], mods[top])
         if h1 and h2:
-            comp = bmod.compose_bmaps(h2[0], h1[0])
+            comp = rep.compose(h2[0], h1[0])
             _case(cases, "tilting-hom",
                   f"comp-nonzero[{_wfmt(lam)}->{_wfmt(mid)}->{_wfmt(top)}]",
                   True, not comp.is_zero())

@@ -8,7 +8,8 @@ from delannoy.acat import (AObject, coords_in_basis, degenerate_quotient_dim,
                            multiplicities, phi_blocks, schwartz_object,
                            tensor_objects, theta_mult, ud_map, up_map, yoneda,
                            zero_object)
-from delannoy.bmod import find_isomorphism, named_bmodule, zero_bmodule
+from delannoy import rep
+from delannoy.bmod import BModule, named_bmodule
 from delannoy.fields import QQ
 from delannoy.linalg import rank
 from delannoy.paths import enumerate_paths
@@ -184,11 +185,11 @@ def test_yoneda_of_projective_generators():
         y = yoneda(indecomposable(lam))
         p = named_bmodule("P", lam)
         assert y.dims == p.dims
-        assert find_isomorphism(y, p) is not None
+        assert rep.find_isomorphism(y, p) is not None
 
 
 def test_yoneda_zero_and_window():
-    assert yoneda(zero_object()) == zero_bmodule()
+    assert yoneda(zero_object()) == BModule({}, {})
     with pytest.raises(ValueError):
         yoneda(indecomposable("b"), max_len=1)
 

@@ -97,12 +97,6 @@ def test_prime_field_flag(capsys):
     assert code == 2
 
 
-def test_verify_all_jobs_content_invariant(capsys):
-    _, seq = run_cli(capsys, "--json", "verify", "measures")
-    _, par = run_cli(capsys, "--json", "--jobs", "4", "verify", "measures")
-    assert seq == par
-
-
 @pytest.mark.parametrize("text, field", [
     ("[1, 2]", "JSON object"),
     ('{"source": [1]}', "'target'"),

@@ -1,11 +1,10 @@
 import random
 
-from delannoy.bmod import (compose_bmaps, hom_bmodules, image_bmap,
-                           kernel_bmap, direct_sum, cokernel_bmap,
-                           min_projective_resolution, named_bmodule)
+from delannoy import rep
+from delannoy.bmod import min_projective_resolution, named_bmodule
 from delannoy.derived import (euler_characteristics, l_phi, l_psi, l_theta,
                               phi_on_proj, psi_on_proj, theta_on_proj)
-from delannoy.dmod import named_dmodule, find_isomorphism_d
+from delannoy.dmod import named_dmodule
 from delannoy.fields import QQ
 from delannoy.linalg import rank
 from delannoy.weights import enumerate_weights
@@ -39,7 +38,7 @@ def _matches(value, kind, lam):
     want = named_dmodule(kind, lam)
     if isinstance(value, tuple):
         return named_dmodule(*value) == want
-    return find_isomorphism_d(value, want) is not None
+    return rep.find_isomorphism(value, want) is not None
 
 
 def test_l_psi_tables_small():
@@ -112,7 +111,6 @@ def test_white_middle_homology_detection():
     # unit simples exactly when the first derived functor kills it: among
     # white modules the only killed simple is the unit one (this is the
     # module-level content of the exactness-in-the-middle criterion)
-    from delannoy.bmod import homology_bmodule
     rng = random.Random(5)
     whites = [named_bmodule("S", ""), named_bmodule("S", "w"),
               named_bmodule("Stan", ""), named_bmodule("Stan", "w"),
@@ -120,18 +118,18 @@ def test_white_middle_homology_detection():
     checked = 0
     for trial in range(40):
         a = rng.choice(whites)
-        b, _ = direct_sum([rng.choice(whites), rng.choice(whites)])
+        b, _ = rep.direct_sum([rng.choice(whites), rng.choice(whites)])
         c = rng.choice(whites)
-        homs_ab = hom_bmodules(a, b)
+        homs_ab = rep.hom(a, b)
         if not homs_ab:
             continue
         f = homs_ab[rng.randrange(len(homs_ab))]
-        gs = [g for g in hom_bmodules(b, c)
-              if compose_bmaps(g, f).is_zero()]
+        gs = [g for g in rep.hom(b, c)
+              if rep.compose(g, f).is_zero()]
         if not gs:
             continue
         g = gs[rng.randrange(len(gs))]
-        h = homology_bmodule(f, g)
+        h = rep.homology(f, g)
         killed = l_phi(h, 3) == {}
         assert killed == (set(h.dims) <= {""}), (trial, h.dims)
         checked += 1

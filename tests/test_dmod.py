@@ -1,13 +1,11 @@
 import pytest
 
-from delannoy.dmod import (DModuleMap, basic_factorization, basic_targets,
-                           compose_dist, compose_dmaps, dist_hom,
-                           dist_hom_nonzero, dual_dmodule, ext_dim,
-                           find_isomorphism_d, full_dmodule, hom_dmodules,
-                           homology_dmodule, identify_named_dmodule, is_basic,
-                           kernel_dmap, named_dmodule, radical_filtration,
-                           tilting_complex, tilting_hom_dim, tilting_map,
-                           truncated_projective, zero_dmodule)
+from delannoy import rep
+from delannoy.dmod import (DModule, basic_factorization, basic_targets,
+                           compose_dist, dist_hom, dist_hom_nonzero, ext_dim,
+                           identify_named_dmodule, is_basic, named_dmodule,
+                           radical_filtration, tilting_complex,
+                           tilting_hom_dim, tilting_map, truncated_projective)
 from delannoy.fields import QQ
 from delannoy.weights import dual, enumerate_weights, is_alternating
 
@@ -66,10 +64,10 @@ def test_basic_factorization_consistency():
 
 
 def test_full_module_consistency_scan():
-    m = full_dmodule({"b", "w"})
+    m = DModule.full({"b", "w"})
     assert m.dims == {"b": 1, "w": 1}
     with pytest.raises(ValueError):
-        full_dmodule({"b", "", "w"})  # b -> e -> w composes to zero
+        DModule.full({"b", "", "w"})  # b -> e -> w composes to zero
 
 
 def test_named_modules():
@@ -80,8 +78,8 @@ def test_named_modules():
     assert named_dmodule("Nabla", "b") == named_dmodule("S", "b")
     for lam in enumerate_weights(3):
         assert named_dmodule("Nabla", lam) == \
-            dual_dmodule(named_dmodule("Delta", dual(lam)))
-        assert dual_dmodule(named_dmodule("T", lam)) == \
+            rep.dual(named_dmodule("Delta", dual(lam)))
+        assert rep.dual(named_dmodule("T", lam)) == \
             named_dmodule("T", dual(lam))
 
 
@@ -106,16 +104,16 @@ def test_uniserial_radical_layers():
 def test_tilting_hom_rule_vs_solver():
     for a in enumerate_weights(3):
         for b in enumerate_weights(3):
-            got = len(hom_dmodules(named_dmodule("T", a),
-                                   named_dmodule("T", b)))
+            got = len(rep.hom(named_dmodule("T", a),
+                              named_dmodule("T", b)))
             assert got == tilting_hom_dim(a, b), (a, b)
 
 
 def test_tilting_composites():
-    comp = compose_dmaps(tilting_map("", "b"), tilting_map("w", ""))
+    comp = rep.compose(tilting_map("", "b"), tilting_map("w", ""))
     assert comp.comps == tilting_map("w", "b").comps
     # composites through vanishing hom spaces die
-    comp = compose_dmaps(tilting_map("w", "wb"), tilting_map("ww", "w"))
+    comp = rep.compose(tilting_map("w", "wb"), tilting_map("ww", "w"))
     assert comp.is_zero() or tilting_hom_dim("ww", "wb") == 1
 
 
@@ -155,18 +153,18 @@ def test_end_of_tilting_complex():
 def test_kernel_and_homology():
     nabla = named_dmodule("Nabla", "w")
     s = named_dmodule("S", "w")
-    incl = DModuleMap(s, nabla, {"w": [[QQ.one]]}).validate()
-    proj = DModuleMap(nabla, named_dmodule("Delta", ""),
-                      {"": [[QQ.one]]}).validate()
-    k, _ = kernel_dmap(proj)
+    incl = rep.ModuleMap(s, nabla, {"w": [[QQ.one]]}).validate()
+    proj = rep.ModuleMap(nabla, named_dmodule("Delta", ""),
+                         {"": [[QQ.one]]}).validate()
+    k, _ = rep.kernel(proj)
     assert k.dims == {"w": 1}
-    h = homology_dmodule(incl, proj)
+    h = rep.homology(incl, proj)
     assert h.is_zero()
 
 
 def test_identify_named():
     assert identify_named_dmodule(named_dmodule("T", "bw")) is not None
-    assert identify_named_dmodule(zero_dmodule()) is None
+    assert identify_named_dmodule(DModule({}, {})) is None
 
 
 def test_triangular_factorization_dimension_count():

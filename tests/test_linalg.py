@@ -210,3 +210,15 @@ def test_big_entries_verify_over_python_ints():
     den = max(x.denominator for x in v)
     row_l1 = max(sum(abs(a) for a in row) for row in rows)
     assert row_l1 * max(abs(x * den) for x in v) >= 2 ** 63
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_rank_big_entries_beyond_int64():
+    # scaling the first row by 2**70 puts entries outside int64; the rows
+    # stay Python ints, are reduced mod p, and still certify
+    rows = [[Fraction(1, 2 ** 70), Fraction(1)], [Fraction(1), Fraction(2 ** 70)]]
+    assert rank_big(rows) == rank(rows) == 1
+    rows[1][1] += 1
+    assert rank_big(rows) == rank(rows) == 2
+    r, ker = rank_kernel_int([[2 ** 70, 3, 1], [2 ** 71, 6, 2]], 3)
+    assert r == 1 and len(ker) == 2
