@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import QQ, PrimeField
-from .linalg import ModSpan, SpanBuilder, rank_kernel_int, solve
+from .linalg import ModSpan, SpanBuilder, mod_product, rank_big, solve
 from .paths import enumerate_paths, representative
 from .schwartz import (MU1, MU2, PermMatrix, _pair_index, compose, identity,
                        tensor, tensor_object, trace, transpose)
@@ -124,10 +124,16 @@ def _span_keys(x, y):
 
 
 def _bulk_matrix(n, triples):
-    out = np.zeros((n, n), dtype=np.int64)
-    if triples:
-        rows, cols, vals = zip(*triples)
-        np.add.at(out, (np.array(rows), np.array(cols)), np.array(vals))
+    """Sum of the (row, col, value) triples as an n x n matrix: in int64 when
+    the sum of |value| bounds every entry below 2**63, over Python ints
+    otherwise (over a prime field a coefficient -1 arrives as p - 1)."""
+    if not triples:
+        return np.zeros((n, n), dtype=np.int64)
+    rows, cols, vals = zip(*triples)
+    out = np.zeros((n, n), dtype=np.int64
+                   if sum(map(abs, vals)) < 2 ** 63 else object)
+    np.add.at(out, (np.array(rows), np.array(cols)),
+              np.array(vals, dtype=out.dtype))
     return out
 
 
@@ -261,14 +267,9 @@ def _hom_dim_prime(x, y, keys, mu, f):
     id_right = x.is_identity_cut()
     left = None if id_left else _left_operator(y, x.ambient, keys, key_pos, mu)
     right = None if id_right else _right_operator(x, y.ambient, keys, key_pos, mu)
-    if left is None:
-        t = right % f.p
-    elif right is None:
-        t = left % f.p
-    else:
-        t = (left % f.p) @ (right % f.p) % f.p
-    from .linalg import _mod_rref
-    return _mod_rref(t, f.p)[0]
+    if left is None or right is None:
+        return rank_big(right if left is None else left, f)
+    return rank_big(mod_product(left, right, f.p), f)
 
 
 def _apply_cut(h, x, y):
@@ -282,7 +283,8 @@ def hom_space(x, y):
     order; independence is certified modulo a prime (independence mod p
     implies independence over Q), and the scan stops once the exactly known
     dimension is reached, so the basis is certified complete.  Further primes
-    and a final exact elimination serve as fallbacks.
+    and a final exact elimination serve as fallbacks; over a prime field one
+    exact span does the scan.  A scan that misses the dimension raises.
     """
     _check_same_setting(x, y)
     d = hom_dim(x, y)
@@ -294,46 +296,25 @@ def hom_space(x, y):
         basis = [PermMatrix(x.ambient, y.ambient, {k: f.one}, f) for k in keys]
         return HomSpace(basis, d)
     key_pos = {k: i for i, k in enumerate(keys)}
-
-    def candidates():
+    if isinstance(f, PrimeField):
+        spans = [SpanBuilder(len(keys), f)]
+    else:
+        spans = [ModSpan(len(keys), p) for p in _GREEDY_PRIMES]
+        spans.append(SpanBuilder(len(keys), f))
+    for span in spans:
+        basis = []
         for k in keys:
             h = _apply_cut(PermMatrix(x.ambient, y.ambient, {k: f.one}, f), x, y)
-            if not h.is_zero():
-                yield h
-
-    def sparse_insert(span, h):
-        vec = [f.zero] * len(keys)
-        for k, v in h.entries.items():
-            vec[key_pos[k]] = v
-        return span.insert(vec)
-
-    if isinstance(f, PrimeField):
-        span = SpanBuilder(len(keys), f)
-        basis = []
-        for h in candidates():
-            if sparse_insert(span, h):
-                basis.append(h)
-                if len(basis) == d:
-                    break
-        return HomSpace(basis, d)
-    for p in _GREEDY_PRIMES:
-        span = ModSpan(len(keys), p)
-        basis = []
-        for h in candidates():
-            if sparse_insert(span, h):
+            if h.is_zero():
+                continue
+            vec = [f.zero] * len(keys)
+            for key, v in h.entries.items():
+                vec[key_pos[key]] = v
+            if span.insert(vec):
                 basis.append(h)
                 if len(basis) == d:
                     return HomSpace(basis, d)
-    span = SpanBuilder(len(keys), f)
-    basis = []
-    for h in candidates():
-        if sparse_insert(span, h):
-            basis.append(h)
-            if len(basis) == d:
-                break
-    if len(basis) != d:
-        raise RuntimeError("hom basis construction failed to reach the rank")
-    return HomSpace(basis, d)
+    raise RuntimeError("hom basis construction failed to reach the rank")
 
 
 def coords_in_basis(h, basis):
@@ -350,37 +331,29 @@ def coords_in_basis(h, basis):
         raise ValueError("matrix not in span of empty basis")
     f = h.field
     keys = sorted(set(h.entries) | {k for b in basis for k in b.entries})
-    if len(keys) <= 40 * len(basis) or isinstance(f, PrimeField):
-        rows = [[b.get(*k) for b in basis] for k in keys]
-        rhs = [h.get(*k) for k in keys]
-        sol = solve(rows, rhs, f)
-        if sol is None:
-            raise ValueError("matrix not in span of basis")
-        return sol
-    span = ModSpan(len(basis))
-    probes = []
-    for k in keys:
-        row = [b.get(*k) for b in basis]
-        if span.insert(row):
-            probes.append((k, row))
-        if len(probes) == len(basis):
-            break
-    rows = [row for _, row in probes]
-    rhs = [h.get(*k) for k, _ in probes]
-    sol = solve(rows, rhs, f)
-    if sol is not None:
-        residual = dict(h.entries)
-        for c, b in zip(sol, basis):
-            if f.is_zero(c):
-                continue
-            for k, v in b.entries.items():
-                residual[k] = f.sub(residual.get(k, f.zero), f.mul(c, v))
-        if all(f.is_zero(v) for v in residual.values()):
-            return sol
-    # unlucky probe prime; fall back to the complete system
+    if len(keys) > 40 * len(basis) and not isinstance(f, PrimeField):
+        span = ModSpan(len(basis))
+        probes = []
+        for k in keys:
+            row = [b.get(*k) for b in basis]
+            if span.insert(row):
+                probes.append((k, row))
+                if len(probes) == len(basis):
+                    break
+        sol = solve([row for _, row in probes],
+                    [h.get(*k) for k, _ in probes], f)
+        if sol is not None:
+            residual = dict(h.entries)
+            for c, b in zip(sol, basis):
+                if f.is_zero(c):
+                    continue
+                for k, v in b.entries.items():
+                    residual[k] = f.sub(residual.get(k, f.zero), f.mul(c, v))
+            if all(f.is_zero(v) for v in residual.values()):
+                return sol
+        # unlucky probe prime; fall back to the complete system
     rows = [[b.get(*k) for b in basis] for k in keys]
-    rhs = [h.get(*k) for k in keys]
-    sol = solve(rows, rhs, f)
+    sol = solve(rows, [h.get(*k) for k in keys], f)
     if sol is None:
         raise ValueError("matrix not in span of basis")
     return sol
@@ -506,13 +479,8 @@ def degenerate_quotient_dim(n, measure=MU2, field=QQ):
                     nonzero = True
             if nonzero:
                 rows.append(row)
-    if isinstance(field, PrimeField):
-        from .linalg import _mod_rref
-        r = _mod_rref([[x % field.p for x in row] for row in rows], field.p)[0] \
-            if rows else 0
-    else:
-        r = rank_kernel_int(rows, len(gammas))[0] if rows else 0
-    return len(gammas) - r
+    return len(gammas) - rank_big(np.array(rows, dtype=np.int64).reshape(
+        len(rows), len(gammas)), field)
 
 
 # ---------------------------------------------------------------------------

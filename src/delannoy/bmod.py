@@ -168,7 +168,8 @@ def _generator_action(m, mu, kappa, v):
 
 
 def projective_cover(m):
-    """(symbols, P, cover map P -> m); minimal by construction."""
+    """(symbols, P, cover map P -> m, slot offsets of P); minimal by
+    construction."""
     fld = m.field
     lifts = top_lifts(m)
     symbols = []
@@ -192,7 +193,7 @@ def projective_cover(m):
     for lam in m.dims:  # covers are surjective; catch upstream bugs early
         if rank(cover.component(lam), fld) != m.dim(lam):
             raise AssertionError(f"cover not surjective at {lam!r}")
-    return [mu for mu, _ in symbols], p, cover
+    return [mu for mu, _ in symbols], p, cover, offsets
 
 
 @dataclass
@@ -266,9 +267,7 @@ def min_projective_resolution(m, max_deg):
     incl = None  # kernel -> previous cover source
     prev_symbols = prev_offsets = None
     for k in range(max_deg + 1):
-        symbols, p, cover = projective_cover(current)
-        mods = [named_bmodule("P", mu, fld) for mu in symbols]
-        _, offsets = rep.direct_sum(mods, fld) if mods else (None, [])
+        symbols, _, cover, offsets = projective_cover(current)
         if k > 0:
             full = rep.compose(incl, cover)
             diffs.append(_extract_blocks(symbols, offsets,

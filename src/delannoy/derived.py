@@ -14,7 +14,7 @@ from fractions import Fraction
 from .bmod import FormalProjComplex, min_projective_resolution
 from .dmod import DModule, TiltComplex, identify_named_dmodule, named_dmodule
 from .fields import QQ
-from .linalg import rank, zeros
+from .linalg import mat_is_zero, mat_mul, rank, zeros
 from .rep import ModuleMap, direct_sum, homology
 from .weights import flat, sort_key
 
@@ -74,15 +74,7 @@ def phi_on_proj(cpx):
                     mat[dst.index(j)][src.index(i)] = coeff
             diffs.append(mat)
         for k in range(2, len(diffs)):
-            prod_nonzero = False
-            for r in range(len(diffs[k - 1])):
-                for c in range(len(diffs[k][0]) if diffs[k] else 0):
-                    s = f.zero
-                    for m in range(len(diffs[k])):
-                        s = f.add(s, f.mul(diffs[k - 1][r][m], diffs[k][m][c]))
-                    if not f.is_zero(s):
-                        prod_nonzero = True
-            if prod_nonzero:
+            if not mat_is_zero(mat_mul(diffs[k - 1], diffs[k], f), f):
                 raise AssertionError("gauge is not functorial: d^2 != 0")
         out[nu] = (dims, diffs)
     return out

@@ -1,13 +1,18 @@
 """Exact linear algebra over the coefficient fields.
 
-Small systems go through a dense Fraction (or prime-field) row reduction.
-Large integer matrices over the rationals go through a modular fast path that
-is certified exact: independence mod p proves rank >= r over Q, and the
-claimed corank is proved by exact integer verification of reconstructed
-kernel vectors.  No result is returned on probabilistic evidence alone.
+Two elimination kernels, and only this module picks between them:
+`SpanBuilder.insert` is exact incremental RREF over any field (`rref`,
+`nullspace`, `solve` and `ModSpan` run on it), and `_mod_rref` is batch numpy
+RREF mod p of an integer matrix (`rank_big` over a prime field, and each
+prime of `rank_kernel_int`).  Integer arrays stay exact for every p: they are
+reduced mod p first, and elimination runs in int64 only when (p-1)**2 + p <
+2**63, a product only when max_i |a_i|_1 * max|b| < 2**63; Python ints
+otherwise.  Over Q the modular rank is certified: independence mod p proves
+rank >= r, and exactly verified kernel vectors prove the corank.
 """
 
 import warnings
+from bisect import bisect
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
@@ -25,60 +30,37 @@ def rref(rows, field=QQ):
     """Reduced row echelon form. Returns (rref_rows, pivot_columns).
 
     `rows` is a list of equal-length lists over `field`; the input is not
-    mutated.  Pivots prefer entries that are exactly +-1 to limit coefficient
-    growth over the rationals.
+    mutated.  The rows go through one `SpanBuilder`; RREF is unique, so the
+    insertion order does not change the result.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    one, minus_one = field.one, field.neg(field.one)
-    for c in range(ncols):
-        if r == len(mat):
+    span = SpanBuilder(len(rows[0]) if rows else 0, field)
+    for row in rows:
+        if span.dim == span.ncols:
             break
-        pick = None
-        for i in range(r, len(mat)):
-            if not field.is_zero(mat[i][c]):
-                if pick is None:
-                    pick = i
-                if field.eq(mat[i][c], one) or field.eq(mat[i][c], minus_one):
-                    pick = i
-                    break
-        if pick is None:
-            continue
-        mat[r], mat[pick] = mat[pick], mat[r]
-        inv = field.inv(mat[r][c])
-        if not field.eq(inv, one):
-            mat[r] = [field.mul(inv, x) for x in mat[r]]
-        row_r = mat[r]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], row_r)]
-        pivots.append(c)
-        r += 1
-    return mat[:r], pivots
+        span.insert(row)
+    return span.rows, span.pivots
 
 
 def rank(rows, field=QQ):
     return len(rref(rows, field)[1])
 
 
-def nullspace(rows, ncols, field=QQ):
-    """Basis of the right kernel {v : rows @ v = 0} (list of vectors)."""
-    red, pivots = rref(rows, field)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
+def _kernel_from_rref(red, pivots, ncols, field=QQ):
+    """Right kernel basis from an RREF, one vector per free column."""
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(pivots)):
         v = [field.zero] * ncols
         v[f] = field.one
         for i, c in enumerate(pivots):
             v[c] = field.neg(red[i][f])
         basis.append(v)
     return basis
+
+
+def nullspace(rows, ncols, field=QQ):
+    """Basis of the right kernel {v : rows @ v = 0} (list of vectors)."""
+    red, pivots = rref(rows, field)
+    return _kernel_from_rref(red, pivots, ncols, field)
 
 
 def solve(rows, rhs, field=QQ):
@@ -89,25 +71,15 @@ def solve(rows, rhs, field=QQ):
     """
     single = rhs and not isinstance(rhs[0], list)
     cols = [list(rhs)] if single else [list(c) for c in rhs]
-    if not rows:
-        if any(not field.is_zero(x) for c in cols for x in c):
-            return None
-        sol = [[] for _ in cols]
-        return sol[0] if single else sol
-    ncols = len(rows[0])
-    aug = [list(r) + [c[i] for c in cols] for i, r in enumerate(rows)]
-    red, pivots = rref(aug, field)
-    for row in red:
-        if all(field.is_zero(x) for x in row[:ncols]) and any(
-                not field.is_zero(x) for x in row[ncols:]):
-            return None
-    sols = []
-    for j in range(len(cols)):
-        x = [field.zero] * ncols
-        for i, c in enumerate(pivots):
-            if c < ncols:
-                x[c] = red[i][ncols + j]
-        sols.append(x)
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = rref([list(r) + [c[i] for c in cols]
+                        for i, r in enumerate(rows)], field)
+    if pivots and pivots[-1] >= ncols:  # a pivot on the right-hand side
+        return None
+    sols = [[field.zero] * ncols for _ in cols]
+    for i, c in enumerate(pivots):
+        for j, x in enumerate(sols):
+            x[c] = red[i][ncols + j]
     return sols[0] if single else sols
 
 
@@ -141,16 +113,15 @@ class SpanBuilder:
         for p in range(self.ncols):
             if not f.is_zero(v[p]):
                 inv = f.inv(v[p])
-                v = [f.mul(inv, x) for x in v]
+                if not f.eq(inv, f.one):
+                    v = [f.mul(inv, x) for x in v]
                 for i, row in enumerate(self.rows):
                     c = row[p]
                     if not f.is_zero(c):
                         self.rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(row, v)]
-                self.rows.append(v)
-                self.pivots.append(p)
-                order = sorted(range(len(self.pivots)), key=lambda i: self.pivots[i])
-                self.rows = [self.rows[i] for i in order]
-                self.pivots = [self.pivots[i] for i in order]
+                at = bisect(self.pivots, p)
+                self.rows.insert(at, v)
+                self.pivots.insert(at, p)
                 return True
         return False
 
@@ -166,18 +137,28 @@ def _to_int_rows(rows, field):
     """Scale each row by the lcm of denominators; returns list of int lists."""
     out = []
     for r in rows:
-        den = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                den = lcm(den, x.denominator)
-        out.append([int(x * den) if isinstance(x, Fraction) else int(x) * den
-                    for x in r])
+        den = lcm(1, *(x.denominator for x in r if isinstance(x, Fraction)))
+        out.append([int(x * den) for x in r])
     return out
 
 
+def _as_int_array(mat):
+    """An integer matrix as int64, or as Python ints if an entry exceeds int64."""
+    try:
+        return np.asarray(mat, dtype=np.int64)
+    except OverflowError:
+        return np.array(mat, dtype=object)
+
+
 def _mod_rref(mat, p):
-    """RREF of an int64 numpy matrix mod p. Returns (rank, pivcols, reduced)."""
-    m = np.array(mat, dtype=np.int64) % p
+    """RREF mod p of an integer matrix (rows or array), exact for every p.
+
+    Returns (rank, pivcols, reduced).  Entries are reduced mod p first; the
+    elimination runs in int64 when (p-1)**2 + p < 2**63 bounds every
+    intermediate, and over Python ints otherwise.
+    """
+    m = (_as_int_array(mat) % p).astype(
+        np.int64 if (p - 1) ** 2 + p < 2 ** 63 else object, copy=False)
     nrows, ncols = m.shape
     piv = []
     r = 0
@@ -229,23 +210,16 @@ def rank_kernel_int(int_rows, ncols):
     the first reconstruction that verifies is returned.  A plain Fraction
     elimination is the last resort, and it warns.
     """
-    if not int_rows:
-        basis = [[Fraction(0)] * ncols for _ in range(ncols)]
-        for i in range(ncols):
-            basis[i][i] = Fraction(1)
-        return 0, basis
-    try:
-        a = np.array(int_rows, dtype=np.int64)
-    except OverflowError:  # an entry beyond int64: keep exact Python ints
-        a = np.array(int_rows, dtype=object)
+    if len(int_rows) == 0:
+        return 0, _kernel_from_rref([], [], ncols)
+    a = _as_int_array(int_rows)
     best = None  # (rank, pivcols) of the primes being combined
     for p in _MOD_PRIMES:
-        r, piv, red = _mod_rref(a % p if a.dtype == object else a, p)
+        r, piv, red = _mod_rref(a, p)
         # A prime can only lose rank or move pivots right; keep the best.
         if best is None or r > best[0] or (r == best[0] and piv < best[1]):
             best = (r, piv)
-            pivset = set(piv)
-            free = [c for c in range(ncols) if c not in pivset]
+            free = sorted(set(range(ncols)) - set(piv))
             res, m = red[:, free].astype(object), p
         elif (r, piv) == best:
             t = ((red[:, free] - res) * pow(m, -1, p)) % p
@@ -259,34 +233,20 @@ def rank_kernel_int(int_rows, ncols):
                   f"{len(int_rows)}x{ncols} matrix failed at all "
                   f"{len(_MOD_PRIMES)} primes; using Fraction elimination",
                   RuntimeWarning, stacklevel=2)
-    red, piv = rref([[Fraction(x) for x in row] for row in int_rows], QQ)
-    pivset = set(piv)
-    kern = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(piv):
-            v[c] = -red[i][f]
-        kern.append(v)
-    return len(piv), kern
+    red, piv = rref([[Fraction(x) for x in row] for row in a.tolist()], QQ)
+    return len(piv), _kernel_from_rref(red, piv, ncols)
 
 
 def _reconstruct_kernel(res, m, piv, free, ncols):
     """Kernel vectors from CRT residues `res[i, j]` of the RREF entries in
     pivot row i and free column free[j]; None if any entry fails."""
-    kern = []
-    for j, f in enumerate(free):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(piv):
-            q = _rat_reconstruct(int(res[i, j]), m)
-            if q is None:
-                return None
-            v[c] = -q
-        kern.append(v)
-    return kern
+    red = [[Fraction(0)] * ncols for _ in piv]
+    for (i, j), x in np.ndenumerate(res):
+        q = _rat_reconstruct(int(x), m)
+        if q is None:
+            return None
+        red[i][free[j]] = q
+    return _kernel_from_rref(red, piv, ncols)
 
 
 def _verifies(a, kern):
@@ -294,28 +254,39 @@ def _verifies(a, kern):
 
     `a` is an int64 matrix, or an object matrix of Python ints when an
     entry exceeds int64.  The kernel vectors are cleared of denominators
-    into the rows of W; a @ W.T runs in int64 only when max_i |a_i|_1 *
-    max|W| < 2**63 bounds every partial sum, and over Python ints otherwise.
+    into the rows of W, and a @ W.T is formed by `_exact_product`.
     """
     if not kern:
         return True
     w = []
     for v in kern:
-        den = 1
-        for x in v:
-            den = lcm(den, x.denominator)
+        den = lcm(*(x.denominator for x in v))
         w.append([x.numerator * (den // x.denominator) for x in v])
-    wmax = max(abs(x) for row in w for x in row)
+    return bool((_exact_product(a, np.array(w, dtype=object).T) == 0).all())
+
+
+def _max_abs(a):
+    return max(int(a.max()), -int(a.min()))
+
+
+def _exact_product(a, b):
+    """a @ b for nonempty integer arrays, exact: in int64 when
+    max_i |a_i|_1 * max|b| < 2**63 bounds every partial sum, over Python
+    ints otherwise."""
     # ncols * max|a| caps the row 1-norms; the exact maximum is taken only
     # where the int64 sums behind it cannot overflow.
-    row_l1 = max(int(a.max()), -int(a.min())) * a.shape[1]
+    row_l1 = _max_abs(a) * a.shape[1]
     if row_l1 < 2 ** 63:
         row_l1 = int(np.abs(a).sum(axis=1).max())
-    if row_l1 * wmax < 2 ** 63:
-        prod = a @ np.array(w, dtype=np.int64).T
-    else:
-        prod = a.astype(object) @ np.array(w, dtype=object).T
-    return bool((prod == 0).all())
+    if max(row_l1, 1) * _max_abs(b) < 2 ** 63:
+        return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
+    return a.astype(object) @ b.astype(object)
+
+
+def mod_product(a, b, p):
+    """a @ b mod p for integer arrays, exact for every p."""
+    a, b = (_as_int_array(m) % p for m in (a, b))
+    return _exact_product(a, b) % p
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +354,8 @@ def mat_eq(a, b, field=QQ):
 
 def column_space_basis(a, field=QQ):
     """Basis of the column space, as a list of columns."""
-    if not a or not a[0]:
-        return []
-    cols = mat_transpose(a)
-    sb = SpanBuilder(len(a), field)
-    basis = []
-    for c in cols:
-        if sb.insert(c):
-            basis.append(list(c))
-    return basis
+    span = SpanBuilder(len(a), field)
+    return [c for c in mat_transpose(a) if span.insert(c)]
 
 
 def frac_mod(x, p):
@@ -403,7 +367,7 @@ def frac_mod(x, p):
     return x % p
 
 
-class ModSpan:
+class ModSpan(SpanBuilder):
     """Row space mod p, used to certify linear independence over Q.
 
     Vectors independent mod p are independent over Q, so a greedy scan that
@@ -412,44 +376,23 @@ class ModSpan:
     """
 
     def __init__(self, ncols, p=46337):
+        super().__init__(ncols, PrimeField(p))
         self.p = p
-        self.ncols = ncols
-        self.rows = np.zeros((0, ncols), dtype=np.int64)
-        self.pivots = []
-
-    @property
-    def dim(self):
-        return len(self.pivots)
 
     def insert(self, vec):
-        """vec: dense list of field elements; True if the span mod p grew."""
-        p = self.p
-        v = np.zeros(self.ncols, dtype=np.int64)
-        for i, x in enumerate(vec):
-            m = frac_mod(x, p)
-            if m is None:
-                return False  # unusable reduction; caller may fall back
-            v[i] = m
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                v = (v - v[c] * row) % p
-        nz = np.nonzero(v)[0]
-        if len(nz) == 0:
-            return False
-        c = int(nz[0])
-        v = (v * pow(int(v[c]), -1, p)) % p
-        self.rows = np.vstack([self.rows, v])
-        self.pivots.append(c)
-        return True
+        """vec: dense list of rationals; True if the span mod p grew.  False
+        also when a denominator dies mod p; the caller may fall back."""
+        v = [frac_mod(x, self.p) for x in vec]
+        return None not in v and super().insert(v)
 
 
 def rank_big(rows, field=QQ):
-    """Rank of a possibly large matrix; certified modular path over Q."""
-    if isinstance(field, PrimeField):
-        if field.p > 46337:
-            return rank(rows, field)
-        r, _, _ = _mod_rref([[x % field.p for x in row] for row in rows], field.p)
-        return r
-    if not rows:
+    """Rank of a possibly large matrix, given as rows over `field` or as an
+    integer array: `_mod_rref` over a prime field, certified over Q."""
+    if len(rows) == 0:
         return 0
-    return rank_kernel_int(_to_int_rows(rows, field), len(rows[0]))[0]
+    if isinstance(field, PrimeField):
+        return _mod_rref(rows, field.p)[0]
+    if not isinstance(rows, np.ndarray):
+        rows = _to_int_rows(rows, field)
+    return rank_kernel_int(rows, len(rows[0]))[0]

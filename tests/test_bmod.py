@@ -109,7 +109,7 @@ def test_cokernel_of_distinguished_projective_map():
 
 
 def test_projective_cover_of_simple():
-    symbols, p, cover = projective_cover(named_bmodule("S", "b"))
+    symbols, p, cover, _ = projective_cover(named_bmodule("S", "b"))
     assert symbols == ["b"]
     assert p.dims == named_bmodule("P", "b").dims
 

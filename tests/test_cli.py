@@ -119,3 +119,16 @@ def test_compose_rejects_malformed_matrix(tmp_path, capsys, text, field):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {p}: ") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "hom-table", "--field", "p2147483647", "--json"],
+    ["verify", "degenerate-ideal", "--max-len", "3", "--field", "p4294967311",
+     "--json"],
+])
+def test_verify_exact_over_big_primes(capsys, argv):
+    # int64 products and eliminations would wrap at these primes
+    code, out = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert code == 0
+    assert report["counts"]["fail"] == 0 and report["counts"]["pass"] > 0

@@ -222,3 +222,143 @@ def test_rank_big_entries_beyond_int64():
     assert rank_big(rows) == rank(rows) == 2
     r, ker = rank_kernel_int([[2 ** 70, 3, 1], [2 ** 71, 6, 2]], 3)
     assert r == 1 and len(ker) == 2
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the exact kernel (`rref`, `nullspace`, `solve` all run on
+# `SpanBuilder`) against the independent batch kernel `_mod_rref`.
+# ---------------------------------------------------------------------------
+
+GF = PrimeField(46337)
+BIG = PrimeField(4294967311)  # (p-1)**2 > 2**63: object arrays in _mod_rref
+
+
+def _oracle_rank(rows, field):
+    """Rank by the other elimination kernel: `_mod_rref` over a prime field,
+    the certified modular path over Q."""
+    return rank_big(rows, field) if rows and rows[0] else 0
+
+
+@st.composite
+def field_matrices(draw, fields=(QQ, GF)):
+    """(field, rows, ncols) with empty, zero, duplicate and rank-deficient
+    rows; rational entries carry small denominators, prime-field entries
+    include p - 1."""
+    field = draw(st.sampled_from(fields))
+    ncols = draw(st.integers(0, 6))
+    if field == QQ:
+        entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    else:
+        entry = st.sampled_from([0, 0, 1, 2, field.p - 1, field.p // 2])
+    basis = [[draw(entry) for _ in range(ncols)]
+             for _ in range(draw(st.integers(0, 4)))]
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["zero", "dup", "combo", "free"]))
+        if kind == "zero" or (kind != "free" and not basis):
+            rows.append([field.zero] * ncols)
+        elif kind == "dup":
+            rows.append(list(draw(st.sampled_from(basis))))
+        elif kind == "combo":
+            row = [field.zero] * ncols
+            for b in basis:
+                c = field.of_int(draw(st.integers(-2, 2)))
+                row = [field.add(x, field.mul(c, y)) for x, y in zip(row, b)]
+            rows.append(row)
+        else:
+            rows.append([draw(entry) for _ in range(ncols)])
+    return field, rows, ncols
+
+
+def _is_zero_vec(v, field):
+    return all(field.is_zero(x) for x in v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_rref_is_reduced_echelon_with_input_rank(case):
+    field, rows, ncols = case
+    red, piv = rref(rows, field)
+    assert len(red) == len(piv) == _oracle_rank(rows, field)
+    assert piv == sorted(set(piv))
+    for i, (row, c) in enumerate(zip(red, piv)):
+        assert len(row) == ncols
+        assert all(field.is_zero(x) for x in row[:c])
+        assert field.eq(row[c], field.one)
+        assert all(field.is_zero(other[c]) for j, other in enumerate(red) if j != i)
+    # every input row is the combination of the RREF rows read off its
+    # pivot entries, so the row spaces agree
+    for row in rows:
+        combo = [field.zero] * ncols
+        for r, c in zip(red, piv):
+            combo = [field.add(x, field.mul(row[c], y)) for x, y in zip(combo, r)]
+        assert all(field.eq(x, y) for x, y in zip(combo, row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices())
+def test_nullspace_vectors_are_kernel_and_count(case):
+    field, rows, ncols = case
+    ker = nullspace(rows, ncols, field)
+    assert len(ker) == ncols - _oracle_rank(rows, field)
+    for v in ker:
+        assert len(v) == ncols
+        assert _is_zero_vec(linalg.mat_vec(rows, v, field), field)
+    assert _oracle_rank(ker, field) == len(ker)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_matrices(), st.data())
+def test_solve_solves_and_is_none_exactly_when_rank_grows(case, data):
+    field, rows, ncols = case
+    small = st.integers(-3, 3).map(field.of_int)
+    consistent = linalg.mat_vec(rows, [data.draw(small) for _ in range(ncols)],
+                                field)
+    anything = [data.draw(small) for _ in rows]
+
+    def solves(x, rhs):
+        got = linalg.mat_vec(rows, x, field)
+        return all(field.eq(a, b) for a, b in zip(got, rhs))
+
+    for rhs in (consistent, anything):
+        x = solve(rows, rhs, field)
+        aug = [list(r) + [c] for r, c in zip(rows, rhs)]
+        grows = _oracle_rank(aug, field) > _oracle_rank(rows, field)
+        assert (x is None) == grows
+        assert x is None or solves(x, rhs)
+    # several right-hand sides at once: None if any column is inconsistent
+    xs = solve(rows, [consistent, anything], field)
+    if rows:
+        assert (xs is None) == (solve(rows, anything, field) is None)
+    assert xs is None or (solves(xs[0], consistent) and solves(xs[1], anything))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_matrices(fields=(BIG,)))
+def test_rank_big_over_a_prime_beyond_the_int64_rule(case):
+    field, rows, ncols = case
+    assert _oracle_rank(rows, field) == rank(rows, field)
+
+
+@pytest.mark.parametrize("a, b, nu", [
+    ("", "w", ""), ("", "w", "w"), ("", "bw", "bw"), ("w", "w", "ww"),
+    ("w", "b", "b"), ("w", "bw", "wb"), ("b", "wb", "bb"), ("b", "bw", "bw"),
+])
+def test_hom_dim_over_a_big_prime_matches_the_trace_route(a, b, nu):
+    # over QQ hom_dim is a trace; over BIG it is rank_big of the dense
+    # operator, eliminated over Python ints
+    from delannoy.acat import hom_dim, indecomposable, tensor_objects
+    x = [tensor_objects(indecomposable(a, field=f), indecomposable(b, field=f))
+         for f in (QQ, BIG)]
+    y = [indecomposable(nu, field=f) for f in (QQ, BIG)]
+    assert hom_dim(x[0], y[0]) == hom_dim(x[1], y[1])
+    assert hom_dim(y[0], x[0]) == hom_dim(y[1], x[1])
+
+
+def test_operator_assembly_keeps_sums_beyond_int64():
+    # over a prime field a coefficient -1 arrives as p - 1, so the summed
+    # terms of one operator entry can pass 2**63; they must not wrap
+    from delannoy.acat import _bulk_matrix
+    m = _bulk_matrix(2, [(0, 1, 2 ** 62), (0, 1, 2 ** 62), (1, 0, 3)])
+    assert m.tolist() == [[0, 2 ** 63], [3, 0]]
+    assert _bulk_matrix(2, [(1, 0, 3)]).dtype == np.int64
