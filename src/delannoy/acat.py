@@ -14,9 +14,10 @@ import numpy as np
 
 from .fields import QQ, PrimeField
 from .linalg import ModSpan, SpanBuilder, mod_product, rank_big, solve
-from .paths import enumerate_paths, representative
-from .schwartz import (MU1, MU2, PermMatrix, _pair_index, compose, identity,
-                       tensor, tensor_object, trace, transpose)
+from .paths import delannoy, enumerate_paths, representative
+from .schwartz import (MU1, MU2, PermMatrix, _pair_arrays, _pair_index,
+                       _path_pos, compose, identity, tensor, tensor_object,
+                       trace, transpose)
 from .weights import enumerate_weights, dual as dual_weight, flat
 
 _GREEDY_PRIMES = (46337, 46327, 46309)
@@ -146,7 +147,7 @@ def _left_operator(y, x_ambient, keys, key_pos, measure):
     for col, (tmid, sp, delta) in enumerate(keys):
         for tp, beta, c in by_mid.get(tmid, ()):
             index = _pair_index(y.ambient[tp], y.ambient[tmid], x_ambient[sp])
-            per = index.get((beta, delta))
+            per = index[(beta, delta)]
             if not per:
                 continue
             for gamma, cvec in per.items():
@@ -165,7 +166,7 @@ def _right_operator(x, y_ambient, keys, key_pos, measure):
     for col, (tp, smid, gamma) in enumerate(keys):
         for sp, alpha, c in by_mid.get(smid, ()):
             index = _pair_index(y_ambient[tp], x.ambient[smid], x.ambient[sp])
-            per = index.get((gamma, alpha))
+            per = index[(gamma, alpha)]
             if not per:
                 continue
             for delta, cvec in per.items():
@@ -182,39 +183,65 @@ def _check_same_setting(x, y):
         raise ValueError("field mismatch")
 
 
+# Join rows of the expanded trace table accumulated at once.
+_JOIN_CHUNK = 1 << 16
+
+
+def _max_abs(a):
+    return max(-int(a.min()), int(a.max()))
+
+
 @lru_cache(maxsize=None)
 def _trace_table(s_t, s_src):
     """Structure table for operator traces on the matrix span.
 
-    U[(beta, alpha)] is the 4-vector (per measure) of
-    sum over paths delta, gamma between the parts of
+    Returns (U, beta_pos, alpha_pos): U[beta, alpha, mu - 1] is, for the
+    paths with ids beta_pos[beta] and alpha_pos[alpha], the sum over paths
+    delta, gamma between the parts of
     c(gamma; beta, delta) * c(delta; gamma, alpha):
     the trace of H -> C_beta o H o C_alpha on the span of matrices from the
     size-s_src part to the size-s_t part.  Traces of the cut operators are
-    bilinear contractions of this table against the diagonal idempotent
-    blocks.
+    bilinear contractions of this dense int64 table against the diagonal
+    idempotent blocks.
+
+    The two `_pair_arrays` are joined on (delta, gamma) by sorting one side
+    and expanding each row of the other over its matches, a bounded number
+    of joined rows and one measure at a time.
     """
-    idx1 = _pair_index(s_t, s_t, s_src)    # c(gamma; beta, delta)
-    idx2 = _pair_index(s_t, s_src, s_src)  # c(delta; gamma, alpha)
-    by_dg = {}
-    for (beta, delta), per in idx1.items():
-        for gamma, c1 in per.items():
-            by_dg.setdefault((delta, gamma), []).append((beta, c1))
-    table = {}
-    for (gamma, alpha), per in idx2.items():
-        for delta, c2 in per.items():
-            hits = by_dg.get((delta, gamma))
-            if not hits:
-                continue
-            for beta, c1 in hits:
-                key = (beta, alpha)
-                add = (c1[0] * c2[0], c1[1] * c2[1],
-                       c1[2] * c2[2], c1[3] * c2[3])
-                old = table.get(key)
-                table[key] = add if old is None else (
-                    old[0] + add[0], old[1] + add[1],
-                    old[2] + add[2], old[3] + add[3])
-    return table
+    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src)
+    gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src)
+    n_span = delannoy(s_src, s_t)           # paths delta and gamma
+    n_beta, n_alpha = delannoy(s_t, s_t), delannoy(s_src, s_src)
+    key2 = delta2.astype(np.int64) * n_span + gamma2
+    order = np.argsort(key2, kind="stable")
+    key2 = key2[order]
+    key1 = delta1.astype(np.int64) * n_span + gamma1
+    lo = np.searchsorted(key2, key1, "left")
+    counts = np.searchsorted(key2, key1, "right") - lo
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    # every entry of U is a sum of at most `total` products c1 * c2
+    if _max_abs(c1) * _max_abs(c2) * total >= 2 ** 63:
+        raise OverflowError(f"trace table ({s_t}, {s_src}) may exceed int64")
+    table = np.zeros((4, n_beta * n_alpha), dtype=np.int64)
+    start = 0
+    while start < len(counts):
+        # rows start..stop-1 expand to at most _JOIN_CHUNK joined rows
+        # (or to the matches of the one row start)
+        begin = int(ends[start] - counts[start])
+        stop = max(start + 1, int(np.searchsorted(ends, begin + _JOIN_CHUNK,
+                                                  "right")))
+        n = counts[start:stop]
+        i1 = np.repeat(np.arange(start, stop), n)
+        i2 = order[np.repeat(lo[start:stop] - (ends[start:stop] - n), n)
+                   + np.arange(begin, int(ends[stop - 1]))]
+        out = beta[i1].astype(np.int64) * n_alpha + alpha[i2]
+        for mu in range(4):
+            np.add.at(table[mu], out,
+                      c1[i1, mu].astype(np.int64) * c2[i2, mu])
+        start = stop
+    table = np.moveaxis(table.reshape(4, n_beta, n_alpha), 0, -1)
+    return table, _path_pos(s_t, s_t), _path_pos(s_src, s_src)
 
 
 def hom_dim(x, y):
@@ -252,12 +279,12 @@ def hom_dim(x, y):
             alphas = x_diag.get(sp)
             if alphas is None:
                 continue
-            table = _trace_table(s_t, s_src)
-            for beta, cb in betas:
-                for alpha, ca in alphas:
-                    vec = table.get((beta, alpha))
-                    if vec:
-                        total += cb * ca * vec[mu - 1]
+            table, beta_pos, alpha_pos = _trace_table(s_t, s_src)
+            rows = [beta_pos[b] for b, _ in betas]
+            cols = [alpha_pos[a] for a, _ in alphas]
+            block = table[:, :, mu - 1][np.ix_(rows, cols)]
+            for (_, cb), row in zip(betas, block.tolist()):
+                total += cb * sum(ca * v for (_, ca), v in zip(alphas, row))
     return total
 
 
@@ -461,26 +488,16 @@ def degenerate_quotient_dim(n, measure=MU2, field=QQ):
     """dim End(S(R^(n))) / (morphisms factoring through S(R^(n-1)))."""
     if n < 1:
         raise ValueError("need n >= 1")
-    gammas = enumerate_paths(n, n)
-    pos = {g: i for i, g in enumerate(gammas)}
-    index = _pair_index(n, n - 1, n)
-    rows = []
-    for beta in enumerate_paths(n - 1, n):
-        for alpha in enumerate_paths(n, n - 1):
-            per = index.get((beta, alpha))
-            if not per:
-                continue
-            row = [0] * len(gammas)
-            nonzero = False
-            for gamma, cvec in per.items():
-                v = cvec[measure - 1]
-                if v:
-                    row[pos[gamma]] = v
-                    nonzero = True
-            if nonzero:
-                rows.append(row)
-    return len(gammas) - rank_big(np.array(rows, dtype=np.int64).reshape(
-        len(rows), len(gammas)), field)
+    beta, alpha, gamma, cvec = _pair_arrays(n, n - 1, n)
+    vals = cvec[:, measure - 1]
+    keep = vals != 0
+    # one row per (beta, alpha) with a nonzero entry, one column per gamma
+    pair = beta[keep].astype(np.int64) * delannoy(n, n - 1) + alpha[keep]
+    new = np.ones(len(pair), dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=new[1:])
+    mat = np.zeros((int(new.sum()), delannoy(n, n)), dtype=np.int64)
+    mat[np.cumsum(new) - 1, gamma[keep]] = vals[keep]
+    return delannoy(n, n) - rank_big(mat, field)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,20 @@ intervals: mu1 gives (-1)^k for every open interval; mu2 gives (-1)^k for
 intervals bounded above and 0 otherwise; mu3 mirrors mu2 (bounded below);
 mu4 takes the value 1 on the full line itself and is otherwise forced by the
 fibration rule, see `gap_measure`.
+
+Composition reads its structure constants per size triple.  `_pair_arrays`
+builds them once as numpy arrays over path ids (indexes into
+`enumerate_paths`); `_pair_index` serves them as rows (beta, alpha) ->
+{gamma: 4-vector}, each built on first use, so callers index it with `[]`.
 """
 
 from functools import lru_cache
 
+import numpy as np
+
 from .fields import QQ
-from .paths import (enumerate_paths, path_m, path_n, path_of_pair, reflect,
-                    representative)
+from .paths import (delannoy, enumerate_paths, path_m, path_n, path_of_pair,
+                    reflect, representative)
 
 MU1, MU2, MU3, MU4 = 1, 2, 3, 4
 MEASURES = (MU1, MU2, MU3, MU4)
@@ -208,62 +215,178 @@ def _middle_cells(r, k):
     return tuple(results)
 
 
-@lru_cache(maxsize=None)
-def _pair_index(tgt_size, mid_size, src_size):
-    """Composition structure constants for one triple of part sizes.
+# Paths as integers.  A path is coded as the base-4 number of its steps
+# (U = 1, R = 2, D = 3, most significant first); the digits are nonzero, so
+# different paths get different codes, and a path of at most _CODE_LEN steps
+# fits int64.  Its id is its index in enumerate_paths.
+_CODE_LEN = 31
+_DIGITS = str.maketrans("URD", "123")
 
-    Maps (beta, alpha) -> {gamma -> (c1, c2, c3, c4)}: composing a matrix
+# Entries of the (gamma x pattern) grid that _pair_arrays folds at once, so
+# its int64 temporaries stay a few MB whatever the size triple.
+_CHUNK = 1 << 16
+
+
+@lru_cache(maxsize=None)
+def _path_codes(m, n):
+    """Sorted codes of the (m, n) paths and the path id of each sorted code."""
+    codes = np.array([int("0" + p.translate(_DIGITS), 4)
+                      for p in enumerate_paths(m, n)], dtype=np.int64)
+    order = np.argsort(codes)
+    return codes[order], order.astype(np.int32)
+
+
+@lru_cache(maxsize=None)
+def _path_pos(m, n):
+    """Path -> id over the (m, n) paths."""
+    return {p: i for i, p in enumerate(enumerate_paths(m, n))}
+
+
+def _path_ids(codes, m, n):
+    """Ids of coded (m, n) paths."""
+    sorted_codes, ids = _path_codes(m, n)
+    return ids[np.searchsorted(sorted_codes, codes)]
+
+
+def _narrow(a):
+    """`a` in the narrowest signed integer type that holds all its values."""
+    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
+    for dt in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dt)
+        if info.min <= lo and hi <= info.max:
+            return a.astype(dt)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _pair_arrays(tgt_size, mid_size, src_size):
+    """Composition structure constants for one triple of part sizes, as arrays.
+
+    Returns (beta, alpha, gamma, cvec): int32 path ids (beta among the
+    (mid, tgt) paths, alpha among the (src, mid) paths, gamma among the
+    (src, tgt) paths) and the summed 4-vectors, one row per nonzero
+    c(gamma; beta, alpha), sorted by (beta, alpha, gamma).  Composing a matrix
     supported on beta (middle -> target) with one supported on alpha
     (source -> middle) contributes c_mu * product-of-coefficients to gamma.
-    The component paths are assembled slotwise from the cell pattern: a
-    middle coordinate in a gap is a lone source (resp. target) point for the
-    left (resp. right) factor, and a pinned one collides with the fixed
-    point when the latter belongs to the relevant tuple.
+
+    Each gamma of length r is paired with every middle-cell pattern of
+    _middle_cells(r, mid), and beta and alpha are folded slot by slot over the
+    whole (gamma x pattern) grid: a gap of g middle coordinates appends R^g to
+    beta and U^g to alpha; a pin takes the letter of gamma there, and the
+    pattern uses or skips it.  Used/skipped, a U pin (target only) gives beta
+    D/U and alpha U/nothing, an R pin (source only) gives beta R/nothing and
+    alpha D/R, and a D pin gives beta D/U and alpha D/R.
     """
     if mid_size > MAX_MIDDLE:
         raise ValueError(
             f"middle object R^({mid_size}) exceeds the composition window "
             f"(MAX_MIDDLE = {MAX_MIDDLE})")
-    index = {}
-    rs = "R", "RR", "RRR", "RRRR", "RRRRR", "RRRRRR", "RRRRRRR", "RRRRRRRR"
-    us = "U", "UU", "UUU", "UUUU", "UUUUU", "UUUUUU", "UUUUUUU", "UUUUUUUU"
-    for gamma in enumerate_paths(src_size, tgt_size):
-        z, x = representative(gamma)
-        zset, xset = set(z), set(x)
-        r = len(zset | xset)
-        # per pin: the step the left factor takes if the middle uses the pin
-        # (or skips it), and likewise for the right factor
-        pin_beta_used = ["D" if (v + 1) in zset else "R" for v in range(r)]
-        pin_beta_skip = ["U" if (v + 1) in zset else "" for v in range(r)]
-        pin_alpha_used = ["D" if (v + 1) in xset else "U" for v in range(r)]
-        pin_alpha_skip = ["R" if (v + 1) in xset else "" for v in range(r)]
-        for pattern, cvec in _middle_cells(r, mid_size):
-            beta_parts, alpha_parts = [], []
-            for i in range(r):
-                g = pattern[2 * i]
-                if g:
-                    beta_parts.append(rs[g - 1])
-                    alpha_parts.append(us[g - 1])
-                if pattern[2 * i + 1]:
-                    beta_parts.append(pin_beta_used[i])
-                    alpha_parts.append(pin_alpha_used[i])
-                else:
-                    beta_parts.append(pin_beta_skip[i])
-                    alpha_parts.append(pin_alpha_skip[i])
-            g = pattern[2 * r]
-            if g:
-                beta_parts.append(rs[g - 1])
-                alpha_parts.append(us[g - 1])
-            beta = "".join(beta_parts)
-            alpha = "".join(alpha_parts)
-            slot = index.setdefault((beta, alpha), {})
-            old = slot.get(gamma)
-            slot[gamma] = (tuple(a + b for a, b in zip(old, cvec))
-                           if old else cvec)
-    for slot in index.values():
-        for gamma in [g for g, v in slot.items() if not any(v)]:
-            del slot[gamma]
-    return index
+    n_beta, n_alpha, n_gamma = (delannoy(mid_size, tgt_size),
+                                delannoy(src_size, mid_size),
+                                delannoy(src_size, tgt_size))
+    if (max(tgt_size + mid_size, mid_size + src_size, src_size + tgt_size)
+            > _CODE_LEN or n_beta * n_alpha * n_gamma >= 2 ** 63):
+        raise ValueError(f"size triple {(tgt_size, mid_size, src_size)} is "
+                         f"too large for int64 path codes")
+    gammas = enumerate_paths(src_size, tgt_size)
+    by_len = {}
+    for gid, g in enumerate(gammas):
+        by_len.setdefault(len(g), []).append(gid)
+    keys, cells, cvecs = [], [], []
+    n_cells = 0
+    for r, gids in by_len.items():
+        patterns = _middle_cells(r, mid_size)
+        pat = np.array([p for p, _ in patterns], dtype=np.int64)
+        cvecs.append(np.array([c for _, c in patterns], dtype=np.int64))
+        letters = np.array([[int(c) for c in gammas[g].translate(_DIGITS)]
+                            for g in gids], dtype=np.int64)
+        in_tgt, in_src = letters != 2, letters != 1
+        gap_mult = 4 ** pat[:, 0::2]
+        gap_r, gap_u = 2 * (gap_mult - 1) // 3, (gap_mult - 1) // 3
+        used = pat[:, 1::2] == 1
+        step = max(1, _CHUNK // len(patterns))
+        for lo in range(0, len(gids), step):
+            hi = min(lo + step, len(gids))
+            beta = np.zeros((hi - lo, len(patterns)), dtype=np.int64)
+            alpha = np.zeros_like(beta)
+            for i in range(r + 1):
+                beta = beta * gap_mult[:, i] + gap_r[:, i]
+                alpha = alpha * gap_mult[:, i] + gap_u[:, i]
+                if i == r:
+                    break
+                t, s = in_tgt[lo:hi, i, None], in_src[lo:hi, i, None]
+                u = used[:, i]
+                b = np.where(u, np.where(t, 3, 2), np.where(t, 1, 0))
+                a = np.where(u, np.where(s, 3, 1), np.where(s, 2, 0))
+                beta = np.where(b > 0, 4 * beta + b, beta)
+                alpha = np.where(a > 0, 4 * alpha + a, alpha)
+            b_ids = _path_ids(beta, mid_size, tgt_size).astype(np.int64)
+            a_ids = _path_ids(alpha, src_size, mid_size)
+            g_ids = np.array(gids[lo:hi], dtype=np.int64)[:, None]
+            keys.append(((b_ids * n_alpha + a_ids) * n_gamma + g_ids).ravel())
+            cells.append(np.broadcast_to(
+                np.arange(n_cells, n_cells + len(patterns), dtype=np.int32),
+                beta.shape).ravel())
+        n_cells += len(patterns)
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    cvec = np.concatenate(cvecs)[np.concatenate(cells)[order]]
+    new = np.empty(len(key), dtype=bool)
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    if not new.all():  # merge repeated (beta, alpha, gamma)
+        starts = np.flatnonzero(new)
+        key, cvec = key[starts], np.add.reduceat(cvec, starts, axis=0)
+    keep = cvec.any(axis=1)
+    key, cvec = key[keep], cvec[keep]
+    pair, gamma = np.divmod(key, n_gamma)
+    beta, alpha = np.divmod(pair, n_alpha)
+    return (beta.astype(np.int32), alpha.astype(np.int32),
+            gamma.astype(np.int32), _narrow(cvec))
+
+
+class _PairRows(dict):
+    """(beta, alpha) -> {gamma: cvec} for one size triple, built on first use.
+
+    A missing row is cut out of the sorted `_pair_arrays` and stored, so a
+    row already built is a plain dict lookup.  Only `[]` builds rows: `get`,
+    `in` and iteration see just the rows built so far.
+    """
+
+    __slots__ = ("_beta_pos", "_alpha_pos", "_gammas", "_n_alpha", "_pairs",
+                 "_gamma", "_cvec")
+
+    def __init__(self, tgt_size, mid_size, src_size):
+        super().__init__()
+        beta, alpha, self._gamma, self._cvec = _pair_arrays(
+            tgt_size, mid_size, src_size)
+        self._beta_pos = _path_pos(mid_size, tgt_size)
+        self._alpha_pos = _path_pos(src_size, mid_size)
+        self._gammas = enumerate_paths(src_size, tgt_size)
+        self._n_alpha = delannoy(src_size, mid_size)
+        self._pairs = beta.astype(np.int64) * self._n_alpha + alpha
+
+    def __missing__(self, key):
+        beta, alpha = key
+        pair = self._beta_pos[beta] * self._n_alpha + self._alpha_pos[alpha]
+        lo, hi = self._pairs.searchsorted((pair, pair + 1)).tolist()
+        gammas = self._gammas
+        row = dict(zip([gammas[g] for g in self._gamma[lo:hi].tolist()],
+                       map(tuple, self._cvec[lo:hi].tolist())))
+        self[key] = row
+        return row
+
+
+@lru_cache(maxsize=None)
+def _pair_index(tgt_size, mid_size, src_size):
+    """Composition structure constants for one triple of part sizes.
+
+    Maps (beta, alpha) -> {gamma -> (c1, c2, c3, c4)} (see `_pair_arrays`);
+    a row is built from the arrays the first time it is indexed with `[]`,
+    and an empty row is an empty dict.
+    """
+    return _PairRows(tgt_size, mid_size, src_size)
 
 
 def _int_value(c):
@@ -313,7 +436,7 @@ def compose(bmat, amat, measure):
                 continue
             tgt, mid = bmat.target[ti], bmat.source[mi]
             for si, alpha, ac in hits:
-                per = _pair_index(tgt, mid, amat.source[si]).get((beta, alpha))
+                per = _pair_index(tgt, mid, amat.source[si])[(beta, alpha)]
                 if not per:
                     continue
                 bac = bc * ac
@@ -331,7 +454,7 @@ def compose(bmat, amat, measure):
             continue
         for si, alpha, ac in hits:
             per = _pair_index(bmat.target[ti], bmat.source[mi],
-                              amat.source[si]).get((beta, alpha))
+                              amat.source[si])[(beta, alpha)]
             if not per:
                 continue
             bac = f.mul(bc, ac)

@@ -212,11 +212,12 @@ def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
     targets = enumerate_weights(max_len + max_i)
 
     def run_table(kind_m, cid, expected_fn, sources=None):
+        ns = [(nu, bmod.named_bmodule(nu_kind, nu, field))
+              for nu_kind, nu in targets_for(cid)]
         for lam in (sources if sources is not None else weights):
             m = bmod.named_bmodule(kind_m, lam, field)
             res = bmod.min_projective_resolution(m, max_i + 1)
-            for nu_kind, nu in targets_for(cid):
-                n = bmod.named_bmodule(nu_kind, nu, field)
+            for nu, n in ns:
                 got = bmod._ext_from_resolution(res, n, max_i)
                 want = [expected_fn(lam, nu, i) for i in range(max_i + 1)]
                 _case(cases, "bmod-ext",

@@ -1,0 +1,311 @@
+"""The integer-encoded composition structure constants against plain oracles.
+
+`_oracle_pair_index` and `_oracle_trace_table` are the string-keyed builders
+the engine used before its structure constants became arrays: every gamma
+and every middle-cell pattern assembled as path strings, and the trace table
+as a join of two dicts.  They are slow and obviously faithful to the cell
+calculus, so the array builders must agree with them exactly.
+"""
+
+import itertools
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from delannoy import acat, schwartz
+from delannoy.fields import QQ
+from delannoy.paths import enumerate_paths, representative
+from delannoy.schwartz import (MAX_MIDDLE, MEASURES, PermMatrix, _middle_cells,
+                               _narrow, _pair_arrays, _pair_index, compose)
+
+
+@lru_cache(maxsize=None)
+def _oracle_pair_index(tgt_size, mid_size, src_size):
+    """Composition structure constants for one triple of part sizes.
+
+    Maps (beta, alpha) -> {gamma -> (c1, c2, c3, c4)}: composing a matrix
+    supported on beta (middle -> target) with one supported on alpha
+    (source -> middle) contributes c_mu * product-of-coefficients to gamma.
+    The component paths are assembled slotwise from the cell pattern: a
+    middle coordinate in a gap is a lone source (resp. target) point for the
+    left (resp. right) factor, and a pinned one collides with the fixed
+    point when the latter belongs to the relevant tuple.
+    """
+    if mid_size > MAX_MIDDLE:
+        raise ValueError(
+            f"middle object R^({mid_size}) exceeds the composition window "
+            f"(MAX_MIDDLE = {MAX_MIDDLE})")
+    index = {}
+    rs = "R", "RR", "RRR", "RRRR", "RRRRR", "RRRRRR", "RRRRRRR", "RRRRRRRR"
+    us = "U", "UU", "UUU", "UUUU", "UUUUU", "UUUUUU", "UUUUUUU", "UUUUUUUU"
+    for gamma in enumerate_paths(src_size, tgt_size):
+        z, x = representative(gamma)
+        zset, xset = set(z), set(x)
+        r = len(zset | xset)
+        # per pin: the step the left factor takes if the middle uses the pin
+        # (or skips it), and likewise for the right factor
+        pin_beta_used = ["D" if (v + 1) in zset else "R" for v in range(r)]
+        pin_beta_skip = ["U" if (v + 1) in zset else "" for v in range(r)]
+        pin_alpha_used = ["D" if (v + 1) in xset else "U" for v in range(r)]
+        pin_alpha_skip = ["R" if (v + 1) in xset else "" for v in range(r)]
+        for pattern, cvec in _middle_cells(r, mid_size):
+            beta_parts, alpha_parts = [], []
+            for i in range(r):
+                g = pattern[2 * i]
+                if g:
+                    beta_parts.append(rs[g - 1])
+                    alpha_parts.append(us[g - 1])
+                if pattern[2 * i + 1]:
+                    beta_parts.append(pin_beta_used[i])
+                    alpha_parts.append(pin_alpha_used[i])
+                else:
+                    beta_parts.append(pin_beta_skip[i])
+                    alpha_parts.append(pin_alpha_skip[i])
+            g = pattern[2 * r]
+            if g:
+                beta_parts.append(rs[g - 1])
+                alpha_parts.append(us[g - 1])
+            beta = "".join(beta_parts)
+            alpha = "".join(alpha_parts)
+            slot = index.setdefault((beta, alpha), {})
+            old = slot.get(gamma)
+            slot[gamma] = (tuple(a + b for a, b in zip(old, cvec))
+                           if old else cvec)
+    for slot in index.values():
+        for gamma in [g for g, v in slot.items() if not any(v)]:
+            del slot[gamma]
+    return index
+
+
+def _oracle_trace_table(s_t, s_src):
+    """Structure table for operator traces on the matrix span.
+
+    U[(beta, alpha)] is the 4-vector (per measure) of
+    sum over paths delta, gamma between the parts of
+    c(gamma; beta, delta) * c(delta; gamma, alpha):
+    the trace of H -> C_beta o H o C_alpha on the span of matrices from the
+    size-s_src part to the size-s_t part.  Traces of the cut operators are
+    bilinear contractions of this table against the diagonal idempotent
+    blocks.
+    """
+    idx1 = _oracle_pair_index(s_t, s_t, s_src)    # c(gamma; beta, delta)
+    idx2 = _oracle_pair_index(s_t, s_src, s_src)  # c(delta; gamma, alpha)
+    by_dg = {}
+    for (beta, delta), per in idx1.items():
+        for gamma, c1 in per.items():
+            by_dg.setdefault((delta, gamma), []).append((beta, c1))
+    table = {}
+    for (gamma, alpha), per in idx2.items():
+        for delta, c2 in per.items():
+            hits = by_dg.get((delta, gamma))
+            if not hits:
+                continue
+            for beta, c1 in hits:
+                key = (beta, alpha)
+                add = (c1[0] * c2[0], c1[1] * c2[1],
+                       c1[2] * c2[2], c1[3] * c2[3])
+                old = table.get(key)
+                table[key] = add if old is None else (
+                    old[0] + add[0], old[1] + add[1],
+                    old[2] + add[2], old[3] + add[3])
+    return table
+
+
+def _rows_of_arrays(arrays, tgt_size, mid_size, src_size):
+    """The arrays of `_pair_arrays` as the oracle's dict of rows."""
+    betas = enumerate_paths(mid_size, tgt_size)
+    alphas = enumerate_paths(src_size, mid_size)
+    gammas = enumerate_paths(src_size, tgt_size)
+    out = {}
+    for b, a, g, c in zip(*(x.tolist() for x in arrays)):
+        out.setdefault((betas[b], alphas[a]), {})[gammas[g]] = tuple(c)
+    return out
+
+
+def _nonempty(index):
+    return {k: v for k, v in index.items() if v}
+
+
+SIZES = range(5)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _drop_oracle_tables():
+    yield
+    _oracle_pair_index.cache_clear()
+
+
+@pytest.mark.parametrize("sizes", list(itertools.product(SIZES, repeat=3)),
+                         ids=lambda s: "-".join(map(str, s)))
+def test_pair_arrays_and_rows_match_oracle(sizes):
+    t, m, s = sizes
+    want = _oracle_pair_index(t, m, s)
+    arrays = _pair_arrays(t, m, s)
+    beta, alpha, gamma, cvec = arrays
+    key = (beta.astype(np.int64) * len(enumerate_paths(s, m)) + alpha) \
+        * len(enumerate_paths(s, t)) + gamma
+    assert np.all(key[1:] > key[:-1])      # sorted by (beta, alpha, gamma)
+    assert cvec.any(axis=1).all()          # no all-zero rows
+    rows = _pair_index.__wrapped__(t, m, s)    # not kept once checked
+    for beta_path in enumerate_paths(m, t):
+        for alpha_path in enumerate_paths(s, m):
+            key = (beta_path, alpha_path)
+            assert rows[key] == want.get(key, {}), key
+
+
+@pytest.mark.parametrize("sizes", list(itertools.product(SIZES, repeat=2)),
+                         ids=lambda s: "-".join(map(str, s)))
+def test_trace_table_matches_oracle(sizes):
+    s_t, s_src = sizes
+    want = _oracle_trace_table(s_t, s_src)
+    table, beta_pos, alpha_pos = acat._trace_table(s_t, s_src)
+    assert table.dtype == np.int64
+    assert table.shape == (len(beta_pos), len(alpha_pos), 4)
+    expect = np.zeros_like(table)
+    for (beta, alpha), vec in want.items():
+        expect[beta_pos[beta], alpha_pos[alpha]] = vec
+    assert np.array_equal(table, expect)
+
+
+def test_trace_table_join_in_many_chunks(monkeypatch):
+    want = acat._trace_table.__wrapped__(3, 3)
+    monkeypatch.setattr(acat, "_JOIN_CHUNK", 7)
+    got = acat._trace_table.__wrapped__(3, 3)
+    assert np.array_equal(got[0], want[0])
+
+
+def test_trace_table_refuses_possible_int64_overflow(monkeypatch):
+    assert acat._max_abs(np.array([-128, 5], dtype=np.int8)) == 128
+    ids = np.zeros(1, dtype=np.int32)
+    big = np.array([[2 ** 40, 0, 0, 0]], dtype=np.int64)
+    monkeypatch.setattr(acat, "_pair_arrays",
+                        lambda *sizes: (ids, ids, ids, big))
+    with pytest.raises(OverflowError):
+        acat._trace_table.__wrapped__(0, 0)
+
+
+def test_too_large_middle_raises_before_any_allocation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built something before the size check")
+    monkeypatch.setattr(schwartz, "np", None)
+    monkeypatch.setattr(schwartz, "enumerate_paths", refuse)
+    monkeypatch.setattr(schwartz, "_middle_cells", refuse)
+    with pytest.raises(ValueError, match="MAX_MIDDLE"):
+        _pair_arrays(1, MAX_MIDDLE + 1, 1)
+    with pytest.raises(ValueError, match="MAX_MIDDLE"):
+        _pair_index(0, MAX_MIDDLE + 1, 0)
+    # paths of more than 31 steps would overflow their int64 codes
+    with pytest.raises(ValueError, match="int64"):
+        _pair_arrays(16, 1, 16)
+
+
+def test_narrow_keeps_values_exact():
+    for values, dtype in (([127, -128, 0, 1], np.int8),
+                          ([128, -1, 0, 0], np.int16),
+                          ([0, 0, -40000, 0], np.int32),
+                          ([2 ** 40, 0, 0, -1], np.int64)):
+        a = np.array([values], dtype=np.int64)
+        got = _narrow(a)
+        assert got.dtype == dtype
+        assert got.tolist() == [values]
+
+
+def _patch_cells(monkeypatch, cells):
+    monkeypatch.setattr(schwartz, "_middle_cells", cells)
+    monkeypatch.setitem(globals(), "_middle_cells", cells)
+
+
+def test_cell_vectors_outside_int8_stay_exact(monkeypatch):
+    real = _middle_cells
+
+    def wide(r, k):
+        return tuple((p, tuple(1000 * v + 7 for v in c))
+                     for p, c in real(r, k))
+    _patch_cells(monkeypatch, wide)
+    arrays = _pair_arrays.__wrapped__(2, 2, 3)
+    assert arrays[3].dtype == np.int16
+    want = _oracle_pair_index.__wrapped__(2, 2, 3)
+    assert _rows_of_arrays(arrays, 2, 2, 3) == _nonempty(want)
+
+
+def test_repeated_cells_are_summed_and_cancelled_rows_dropped(monkeypatch):
+    real = _middle_cells
+    plain = len(_pair_arrays.__wrapped__(2, 2, 2)[0])
+
+    def doubled(r, k):
+        cells = real(r, k)
+        # every pattern twice: once more as is, once more negated where the
+        # pattern leaves the last gap empty, so those rows cancel to zero
+        return cells + tuple((p, tuple(-v for v in c) if p[-1] == 0 else c)
+                             for p, c in cells)
+    _patch_cells(monkeypatch, doubled)
+    arrays = _pair_arrays.__wrapped__(2, 2, 2)
+    want = _nonempty(_oracle_pair_index.__wrapped__(2, 2, 2))
+    assert _rows_of_arrays(arrays, 2, 2, 2) == want
+    assert 0 < len(arrays[0]) < plain
+
+
+def test_degenerate_quotient_matches_row_oracle():
+    # the matrix the string tables gave: one row per (beta, alpha) with a
+    # nonzero mu2 entry, one column per gamma
+    from delannoy.linalg import rank_big
+    for n in range(1, 4):
+        gammas = enumerate_paths(n, n)
+        rows = []
+        for (_, _), per in sorted(_oracle_pair_index(n, n - 1, n).items()):
+            row = [0] * len(gammas)
+            for g, c in per.items():
+                row[gammas.index(g)] = c[1]
+            if any(row):
+                rows.append(row)
+        want = len(gammas) - rank_big(rows, QQ)
+        assert acat.degenerate_quotient_dim(n) == want == 2 ** n
+
+
+# ---------------------------------------------------------------------------
+# Associativity, whichever builder reaches a size triple first.
+# ---------------------------------------------------------------------------
+
+@st.composite
+def composable_triples(draw):
+    objs = [tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)))
+            for _ in range(4)]
+
+    def matrix(source, target):
+        keys = [(ti, si, p) for ti, nt in enumerate(target)
+                for si, ns in enumerate(source)
+                for p in enumerate_paths(ns, nt)]
+        chosen = draw(st.lists(st.sampled_from(keys), max_size=6, unique=True))
+        return PermMatrix(source, target,
+                          {k: QQ.of_int(draw(st.integers(-3, 3)))
+                           for k in chosen})
+
+    return matrix(objs[0], objs[1]), matrix(objs[1], objs[2]), \
+        matrix(objs[2], objs[3])
+
+
+def _clear_structure_caches():
+    for cached in (_pair_index, _pair_arrays, acat._trace_table):
+        cached.cache_clear()
+
+
+@settings(max_examples=60, deadline=None)
+@given(composable_triples(), st.booleans())
+def test_compose_associative_under_all_measures(mats, traces_first):
+    a, b, c = mats
+    sizes = sorted(set(a.source + a.target + c.source + c.target))
+    _clear_structure_caches()
+    try:
+        if traces_first:
+            for s_t, s_src in itertools.product(sizes, repeat=2):
+                acat._trace_table(s_t, s_src)
+        for mu in MEASURES:
+            left = compose(c, compose(b, a, mu), mu)
+            if not traces_first:
+                for s_t, s_src in itertools.product(sizes, repeat=2):
+                    acat._trace_table(s_t, s_src)
+            assert left == compose(compose(c, b, mu), a, mu), mu
+    finally:
+        _clear_structure_caches()
