@@ -283,12 +283,6 @@ def _exact_product(a, b):
     return a.astype(object) @ b.astype(object)
 
 
-def mod_product(a, b, p):
-    """a @ b mod p for integer arrays, exact for every p."""
-    a, b = (_as_int_array(m) % p for m in (a, b))
-    return _exact_product(a, b) % p
-
-
 # ---------------------------------------------------------------------------
 # Dense matrix helpers (list-of-rows over a field).
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 Each suite returns a VerifyReport whose cases carry pass/fail/inconclusive.
 Inconclusive only arises from truncation-margin or window rules, never from a
-failed computation; any fail carries a reproducer command.
+failed computation; any fail carries a reproducer command.  A suite that
+raises is reported as one failed case naming the exception.
 """
 
+import os
 import time
+import traceback
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
@@ -718,5 +721,13 @@ def run_suite(name, **kwargs):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     t0 = time.perf_counter()
-    cases, window = SUITES[name](**kwargs)
+    try:
+        cases, window = SUITES[name](**kwargs)
+    except Exception as exc:  # a suite that raises is one failed case
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        cases = [Case("raised", "fail", "no exception",
+                      f"{type(exc).__name__}: {exc} (raised at "
+                      f"{os.path.basename(where.filename)}:{where.lineno})",
+                      f"delannoy verify {name}")]
+        window = {}
     return VerifyReport(name, window, cases, time.perf_counter() - t0)

@@ -132,3 +132,47 @@ def test_verify_exact_over_big_primes(capsys, argv):
     report = json.loads(out)
     assert code == 0
     assert report["counts"]["fail"] == 0 and report["counts"]["pass"] > 0
+
+
+def test_decompose_over_f2_keeps_integer_multiplicities(capsys):
+    # 2 * bb + 3 * bbb: both counts are solved over Q, so neither wraps mod 2
+    code, out = run_cli(capsys, "decompose", "M:b*M:bb", "--field", "p2",
+                        "--json")
+    assert code == 0
+    assert json.loads(out)["multiplicities"] == {"bb": 2, "bbb": 3}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "tensor-rule", "--field", "p2", "--json"],
+    ["verify", "schwartz-decomp", "--max-len", "3", "--field", "p2", "--json"],
+])
+def test_verify_decompositions_over_f2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    report = json.loads(out)
+    assert code == 0
+    assert report["counts"]["fail"] == 0 and report["counts"]["pass"] > 0
+
+
+def test_a_suite_that_raises_is_a_failed_case(capsys, monkeypatch):
+    from delannoy import verify
+
+    def boom(field):
+        raise ArithmeticError("no certificate")
+
+    monkeypatch.setattr(verify, "SUITES", {
+        "measures": boom, "matrix-examples": verify.SUITES["matrix-examples"]})
+    code, out = run_cli(capsys, "verify", "measures", "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["counts"] == {"pass": 0, "fail": 1, "inconclusive": 0}
+    [case] = report["cases"]
+    assert case["status"] == "fail"
+    assert case["actual"].startswith(
+        repr("ArithmeticError: no certificate (raised at test_cli.py:")[:-1])
+    assert case["repro"] == "delannoy verify measures"
+    # `verify all` still reports every other suite
+    code, out = run_cli(capsys, "verify", "all", "--json")
+    assert code == 1
+    reports = {r["suite"]: r for r in map(json.loads, out.splitlines())}
+    assert reports["measures"]["counts"]["fail"] == 1
+    assert reports["matrix-examples"]["counts"]["fail"] == 0

@@ -1,0 +1,163 @@
+"""`hom_dim`'s one trace route against the dense operator it replaced.
+
+`_bulk_matrix`, `_left_operator`, `_right_operator` and `_hom_dim_prime` are
+the prime-field route `acat.hom_dim` used to take (with `mod_product`, its
+only helper outside `acat`): assemble the n x n cut operator H -> e_y o H o
+e_x densely and eliminate it mod p.  They stay here as the oracle, kept
+verbatim apart from imports; `dense_hom_dim` is their entry point.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from delannoy.acat import (AObject, _span_keys, hom_dim, indecomposable,
+                           multiplicities)
+from delannoy.cli import parse_aobject
+from delannoy.fields import QQ, PrimeField
+from delannoy.linalg import _as_int_array, _exact_product, rank_big
+from delannoy.schwartz import MU2, PermMatrix, _pair_index, identity
+
+
+def mod_product(a, b, p):
+    """a @ b mod p for integer arrays, exact for every p."""
+    a, b = (_as_int_array(m) % p for m in (a, b))
+    return _exact_product(a, b) % p
+
+
+def _bulk_matrix(n, triples):
+    """Sum of the (row, col, value) triples as an n x n matrix: in int64 when
+    the sum of |value| bounds every entry below 2**63, over Python ints
+    otherwise (over a prime field a coefficient -1 arrives as p - 1)."""
+    if not triples:
+        return np.zeros((n, n), dtype=np.int64)
+    rows, cols, vals = zip(*triples)
+    out = np.zeros((n, n), dtype=np.int64
+                   if sum(map(abs, vals)) < 2 ** 63 else object)
+    np.add.at(out, (np.array(rows), np.array(cols)),
+              np.array(vals, dtype=out.dtype))
+    return out
+
+
+def _left_operator(y, x_ambient, keys, key_pos, measure):
+    """Matrix of H -> idem_y o H on the span, as integer numpy."""
+    by_mid = {}
+    for (tp, mid, beta), c in y.idem.entries.items():
+        by_mid.setdefault(mid, []).append((tp, beta, int(c)))
+    triples = []
+    for col, (tmid, sp, delta) in enumerate(keys):
+        for tp, beta, c in by_mid.get(tmid, ()):
+            index = _pair_index(y.ambient[tp], y.ambient[tmid], x_ambient[sp])
+            per = index[(beta, delta)]
+            if not per:
+                continue
+            for gamma, cvec in per.items():
+                v = cvec[measure - 1]
+                if v:
+                    triples.append((key_pos[(tp, sp, gamma)], col, c * v))
+    return _bulk_matrix(len(keys), triples)
+
+
+def _right_operator(x, y_ambient, keys, key_pos, measure):
+    """Matrix of H -> H o idem_x on the span, as integer numpy."""
+    by_mid = {}
+    for (mid, sp, alpha), c in x.idem.entries.items():
+        by_mid.setdefault(mid, []).append((sp, alpha, int(c)))
+    triples = []
+    for col, (tp, smid, gamma) in enumerate(keys):
+        for sp, alpha, c in by_mid.get(smid, ()):
+            index = _pair_index(y_ambient[tp], x.ambient[smid], x.ambient[sp])
+            per = index[(gamma, alpha)]
+            if not per:
+                continue
+            for delta, cvec in per.items():
+                v = cvec[measure - 1]
+                if v:
+                    triples.append((key_pos[(tp, sp, delta)], col, c * v))
+    return _bulk_matrix(len(keys), triples)
+
+
+def _hom_dim_prime(x, y, keys, mu, f):
+    key_pos = {k: i for i, k in enumerate(keys)}
+    id_left = y.is_identity_cut()
+    id_right = x.is_identity_cut()
+    left = None if id_left else _left_operator(y, x.ambient, keys, key_pos, mu)
+    right = None if id_right else _right_operator(x, y.ambient, keys, key_pos, mu)
+    if left is None or right is None:
+        return rank_big(right if left is None else left, f)
+    return rank_big(mod_product(left, right, f.p), f)
+
+
+def dense_hom_dim(x, y):
+    """dim Hom(x, y) over a prime field by the dense operator's rank."""
+    keys = _span_keys(x, y)
+    if not keys:
+        return 0
+    if x.is_identity_cut() and y.is_identity_cut():
+        return len(keys)
+    return _hom_dim_prime(x, y, keys, x.measure, x.field)
+
+
+# Indecomposables, Schwartz spaces and tensor objects whose spans have
+# 1 to 233 keys, so each small prime falls inside the range of len(keys).
+# The dense operator costs quadratically in the keys: larger spans (the
+# 919 keys of End(M:bw*M:b)) are left out.
+OBJECTS = ("M:e", "M:b", "M:w", "M:bw", "M:wb", "M:bb", "M:ww", "A:1", "A:2",
+           "M:b*M:w", "M:w*M:w", "M:b*M:b", "M:bw*M:b")
+MAX_KEYS = 250
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 46337, 4294967311])
+def test_hom_dim_matches_the_dense_operator(p):
+    f = PrimeField(p)
+    over_q = [parse_aobject(lit, QQ) for lit in OBJECTS]
+    over_p = [parse_aobject(lit, f) for lit in OBJECTS]
+    sizes = set()
+    for xq, x in zip(over_q, over_p):
+        for yq, y in zip(over_q, over_p):
+            n = len(_span_keys(x, y))
+            if n > MAX_KEYS:
+                continue
+            sizes.add(n)
+            assert hom_dim(x, y) == dense_hom_dim(x, y) == hom_dim(xq, yq)
+    # both certificates ran: spans below p (trace mod p) and, for the
+    # small primes, spans of at least p keys (lifts idempotent over Z)
+    assert min(sizes) < p
+    assert p > 5 or max(sizes) >= p
+
+
+def _one_minus_a(field):
+    """1 - A for the idempotent A = D + UR of `matrix-examples`."""
+    minus_ur = {(0, 0, "UR"): field.of_int(-1)}
+    return AObject(MU2, (1,), PermMatrix((1,), (1,), minus_ur, field))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3), PrimeField(46337)])
+def test_minus_one_entry_lifts_symmetrically(field):
+    x = _one_minus_a(field).validate()
+    assert hom_dim(x, x) == 1
+
+
+def test_idempotent_needing_minus_one_raises_over_f2():
+    # over F_2 the entry -1 reads as 1, and UR is not idempotent over Z
+    # (UR o UR = -UR); with 3 >= 2 keys in the span nothing certifies it
+    x = _one_minus_a(PrimeField(2)).validate()
+    with pytest.raises(ValueError, match="GF\\(2\\)"):
+        hom_dim(x, x)
+
+
+def test_non_integral_entry_raises():
+    half = PermMatrix((1,), (1,), {(0, 0, "D"): Fraction(1, 2)}, QQ)
+    x = AObject(MU2, (1,), half)
+    with pytest.raises(ValueError, match="non-integral"):
+        hom_dim(x, x)
+    with pytest.raises(ValueError, match="non-integral"):
+        hom_dim(x, AObject(MU2, (1,), identity((1,), QQ)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_multiplicities_do_not_wrap_mod_p(p):
+    # 2 and 3 vanish mod 2 and mod 3: the counts are solved over Q
+    x = parse_aobject("M:b*M:bb", PrimeField(p))
+    assert multiplicities(x) == {"bb": 2, "bbb": 3}
