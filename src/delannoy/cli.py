@@ -222,6 +222,10 @@ def _print_report(report, as_json):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # the global flags given, so a failed verify case can be replayed
+    given = "".join(f" --{key.replace('_', '-')} {getattr(args, key)}"
+                    for key in _GLOBAL_DEFAULTS
+                    if key != "json" and hasattr(args, key))
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
@@ -322,7 +326,8 @@ def main(argv=None):
                       args.json)
         elif cmd == "verify":
             names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-            reports = [verify.run_suite(n, **_suite_kwargs(n, args))
+            reports = [verify.run_suite(n, f"delannoy verify {n}{given}",
+                                        **_suite_kwargs(n, args))
                        for n in names]
             for rep in reports:
                 _print_report(rep, args.json)

@@ -15,6 +15,10 @@ Composition reads its structure constants per size triple.  `_pair_arrays`
 builds them once as numpy arrays over path ids (indexes into
 `enumerate_paths`); `_pair_index` serves them as rows (beta, alpha) ->
 {gamma: 4-vector}, each built on first use, so callers index it with `[]`.
+
+A `PermMatrix` is immutable once built; it groups its entries for
+`compose` on first use and keeps them (`PermMatrix._operands`), so a matrix
+composed many times converts its coefficients once.
 """
 
 from functools import lru_cache
@@ -77,6 +81,14 @@ def gap_measure(measure, kind, k):
     raise ValueError(f"unknown measure {measure}")
 
 
+def _int_value(c):
+    if isinstance(c, int):
+        return c
+    if getattr(c, "denominator", None) == 1:
+        return c.numerator
+    return None
+
+
 class PermMatrix:
     """A morphism between formal sums of S(R^(n))'s.
 
@@ -84,9 +96,13 @@ class PermMatrix:
     (target part index, source part index, path) to a nonzero coefficient,
     where the path key runs between the source part (right steps) and the
     target part (up steps).  Absent keys are zero.
+
+    A matrix is immutable: nothing changes `entries` after construction,
+    which is what makes it hashable and lets it keep the grouped operands
+    `compose` reads (see `_operands`).
     """
 
-    __slots__ = ("source", "target", "entries", "field")
+    __slots__ = ("source", "target", "entries", "field", "_groups")
 
     def __init__(self, source, target, entries, field=QQ):
         self.source = tuple(source)
@@ -101,6 +117,26 @@ class PermMatrix:
                                  f"{self.source[si]} -> {self.target[ti]}")
             clean[(ti, si, path)] = c
         self.entries = clean
+        self._groups = None
+
+    def _operands(self):
+        """The entries grouped by source part and by target part.
+
+        Returns (by_source, by_target) with by_source[si][ti] and
+        by_target[ti][si] lists of (path, coefficient).  A coefficient is a
+        Python int wherever the entry is one (every prime-field entry and
+        every integral rational) and the field element otherwise.  Built on
+        first use and kept with the matrix.
+        """
+        if self._groups is None:
+            by_source, by_target = {}, {}
+            for (ti, si, path), c in self.entries.items():
+                v = _int_value(c)
+                item = (path, c if v is None else v)
+                by_source.setdefault(si, {}).setdefault(ti, []).append(item)
+                by_target.setdefault(ti, {}).setdefault(si, []).append(item)
+            self._groups = by_source, by_target
+        return self._groups
 
     def get(self, ti, si, path):
         return self.entries.get((ti, si, path), self.field.zero)
@@ -127,14 +163,16 @@ class PermMatrix:
     def __eq__(self, other):
         if not isinstance(other, PermMatrix):
             return NotImplemented
-        if (self.source, self.target) != (other.source, other.target):
+        if ((self.source, self.target, self.field)
+                != (other.source, other.target, other.field)):
             return False
         keys = set(self.entries) | set(other.entries)
         f = self.field
         return all(f.eq(self.get(*k), other.get(*k)) for k in keys)
 
     def __hash__(self):
-        return hash((self.source, self.target, frozenset(self.entries.items())))
+        return hash((self.source, self.target, self.field,
+                     frozenset(self.entries.items())))
 
     def __repr__(self):
         return (f"PermMatrix({list(self.source)} -> {list(self.target)}, "
@@ -389,81 +427,46 @@ def _pair_index(tgt_size, mid_size, src_size):
     return _PairRows(tgt_size, mid_size, src_size)
 
 
-def _int_value(c):
-    if isinstance(c, int):
-        return c
-    if getattr(c, "denominator", None) == 1:
-        return c.numerator
-    return None
-
-
 def compose(bmat, amat, measure):
-    """The product B*A with respect to the measure; B's source = A's target."""
+    """The product B*A with respect to the measure; B's source = A's target.
+
+    B is read grouped by its source part and A by its target part, so each
+    middle part pairs only the entries that meet there.  The products are
+    summed in Python arithmetic, exact for ints and Fractions alike; over a
+    prime field the integer sums are reduced once at the end.
+    """
     if bmat.source != amat.target:
         raise ValueError("object mismatch: source of left factor != target of right")
     if bmat.field != amat.field:
         raise ValueError("field mismatch")
     f = bmat.field
-    # integral rational matrices compose in plain int arithmetic
-    fast = f == QQ
-    if fast:
-        b_items, a_items = [], []
-        for k, c in bmat.entries.items():
-            v = _int_value(c)
-            if v is None:
-                fast = False
-                break
-            b_items.append((k, v))
-        if fast:
-            for k, c in amat.entries.items():
-                v = _int_value(c)
-                if v is None:
-                    fast = False
-                    break
-                a_items.append((k, v))
-    if not fast:
-        b_items = list(bmat.entries.items())
-        a_items = list(amat.entries.items())
-    a_by_mid = {}
-    for (mi, si, alpha), c in a_items:
-        a_by_mid.setdefault(mi, []).append((si, alpha, c))
-    out = {}
-    mi_idx = measure - 1
-    if fast:
-        for (ti, mi, beta), bc in b_items:
-            hits = a_by_mid.get(mi)
-            if not hits:
-                continue
-            tgt, mid = bmat.target[ti], bmat.source[mi]
-            for si, alpha, ac in hits:
-                per = _pair_index(tgt, mid, amat.source[si])[(beta, alpha)]
-                if not per:
-                    continue
-                bac = bc * ac
-                for gamma, cvec in per.items():
-                    c = cvec[mi_idx]
-                    if c:
-                        key = (ti, si, gamma)
-                        out[key] = out.get(key, 0) + bac * c
-        # plain ints are valid rational coefficients; skip the boxing
-        out = {k: v for k, v in out.items() if v}
-        return PermMatrix(amat.source, bmat.target, out, f)
-    for (ti, mi, beta), bc in b_items:
-        hits = a_by_mid.get(mi)
-        if not hits:
+    a_at_mid = amat._operands()[1]
+    col = measure - 1
+    sums = {}
+    for mi, b_at_tgt in bmat._operands()[0].items():
+        a_at_src = a_at_mid.get(mi)
+        if a_at_src is None:
             continue
-        for si, alpha, ac in hits:
-            per = _pair_index(bmat.target[ti], bmat.source[mi],
-                              amat.source[si])[(beta, alpha)]
-            if not per:
-                continue
-            bac = f.mul(bc, ac)
-            for gamma, cvec in per.items():
-                c = cvec[mi_idx]
-                if not c:
-                    continue
-                key = (ti, si, gamma)
-                out[key] = f.add(out.get(key, f.zero), f.mul(bac, f.of_int(c)))
+        mid = bmat.source[mi]
+        for ti, betas in b_at_tgt.items():
+            tgt = bmat.target[ti]
+            for si, alphas in a_at_src.items():
+                rows = _pair_index(tgt, mid, amat.source[si])
+                acc = sums.setdefault((ti, si), {})
+                for beta, bc in betas:
+                    for alpha, ac in alphas:
+                        per = rows[(beta, alpha)]
+                        if not per:
+                            continue
+                        bac = bc * ac
+                        for gamma, cvec in per.items():
+                            c = cvec[col]
+                            if c:
+                                acc[gamma] = acc.get(gamma, 0) + bac * c
+    out = {(ti, si, gamma): v
+           for (ti, si), acc in sums.items() for gamma, v in acc.items()}
+    if f.characteristic:
+        out = {k: f.of_int(v) for k, v in out.items()}
     return PermMatrix(amat.source, bmat.target, out, f)
 
 

@@ -176,3 +176,30 @@ def test_a_suite_that_raises_is_a_failed_case(capsys, monkeypatch):
     reports = {r["suite"]: r for r in map(json.loads, out.splitlines())}
     assert reports["measures"]["counts"]["fail"] == 1
     assert reports["matrix-examples"]["counts"]["fail"] == 0
+
+
+def test_a_failed_case_replays_with_the_flags_of_its_run(capsys, monkeypatch):
+    from delannoy import verify
+
+    def wrong_over_p2(field):
+        cases = []
+        verify._case(cases, "characteristic", 0, field.characteristic)
+        verify._case(cases, "one", 1, field.one)
+        return cases, {}
+
+    monkeypatch.setitem(verify.SUITES, "measures", wrong_over_p2)
+    code, out = run_cli(capsys, "verify", "measures", "--field", "p2",
+                        "--max-len", "3", "--json")
+    assert code == 1
+    failed, passed = json.loads(out)["cases"]
+    assert failed["status"] == "fail" and passed["status"] == "pass"
+    assert failed["repro"] == "delannoy verify measures --field p2 --max-len 3"
+    assert "repro" not in passed
+    # flags before the subcommand count too; --json is not part of a replay
+    code, out = run_cli(capsys, "--field", "p2", "--measure", "mu1",
+                        "verify", "measures")
+    assert code == 1
+    assert "[delannoy verify measures --measure mu1 --field p2]" in out
+    # over Q nothing fails, and a passing report carries no repro
+    code, out = run_cli(capsys, "verify", "measures", "--json")
+    assert code == 0 and "repro" not in out

@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delannoy.acat import (AObject, _span_keys, hom_dim, indecomposable,
+from delannoy.acat import (AObject, _idempotent_over_z, _integer_entries,
+                           _span_keys, hom_dim, indecomposable,
                            multiplicities)
 from delannoy.cli import parse_aobject
 from delannoy.fields import QQ, PrimeField
@@ -161,3 +162,17 @@ def test_multiplicities_do_not_wrap_mod_p(p):
     # 2 and 3 vanish mod 2 and mod 3: the counts are solved over Q
     x = parse_aobject("M:b*M:bb", PrimeField(p))
     assert multiplicities(x) == {"bb": 2, "bbb": 3}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3),
+                                   PrimeField(46337)])
+def test_identity_cuts_and_z_lifts_compare_within_one_field(field):
+    # matrix equality tells fields apart; both readers stay in one field
+    for lit, is_identity in (("A:2", True), ("M:e", True), ("M:bw", False),
+                             ("M:b*M:w", False)):
+        x = parse_aobject(lit, field)
+        assert x.is_identity_cut() is is_identity
+        lifted = frozenset(_integer_entries(x.idem).items())
+        assert _idempotent_over_z(x.measure, x.ambient, lifted)
+    doubled = frozenset({((0, 0, "D"), 2)})
+    assert not _idempotent_over_z(MU2, (1,), doubled)

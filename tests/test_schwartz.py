@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delannoy.fields import QQ, PrimeField
 from delannoy.paths import enumerate_paths
@@ -135,6 +136,51 @@ def test_transpose_is_involutive_antihomomorphism():
         assert lhs == rhs, mu
 
 
+@st.composite
+def small_matrices(draw, source, target, field):
+    keys = [(ti, si, p) for ti, nt in enumerate(target)
+            for si, ns in enumerate(source)
+            for p in enumerate_paths(ns, nt)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=5, unique=True))
+    return PermMatrix(source, target,
+                      {k: field.of_int(draw(st.integers(-2, 2)))
+                       for k in chosen}, field)
+
+
+small_objects = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([QQ, PrimeField(3)]))
+def test_transpose_is_an_antihomomorphism_property(data, field):
+    src, mid, tgt = (data.draw(small_objects) for _ in range(3))
+    a = data.draw(small_matrices(src, mid, field))
+    b = data.draw(small_matrices(mid, tgt, field))
+    # (B o A)^T(x, z) = int A(y, x) B(z, y) dmu(y) = (A^T o B^T)(x, z): the
+    # same measure on both sides (the mirror measure differs from it as soon
+    # as a middle coordinate sits in a half-line, e.g. A = U on (0,) -> (1,))
+    for mu in MEASURES:
+        assert transpose(compose(b, a, mu)) == compose(
+            transpose(a), transpose(b), mu), mu
+
+
+factor_objects = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([QQ, PrimeField(3)]))
+def test_tensor_interchanges_with_compose_property(data, field):
+    # (A (x) B) o (C (x) D) = (A o C) (x) (B o D)
+    s1, m1, t1, s2, m2, t2 = (data.draw(factor_objects) for _ in range(6))
+    a = data.draw(small_matrices(m1, t1, field))
+    c = data.draw(small_matrices(s1, m1, field))
+    b = data.draw(small_matrices(m2, t2, field))
+    d = data.draw(small_matrices(s2, m2, field))
+    for mu in MEASURES:
+        assert compose(tensor(a, b), tensor(c, d), mu) == tensor(
+            compose(a, c, mu), compose(b, d, mu)), mu
+
+
 def test_transpose_swaps_the_two_projectors():
     assert transpose(A_LEQ) == B_GEQ
     assert transpose(identity((2, 1))) == identity((2, 1))
@@ -238,6 +284,21 @@ def test_prime_field_matrices():
     for mu in MEASURES:
         assert compose(a, a, mu) == a
     assert trace(a, MU1) == f.of_int(-1)
+
+
+def test_equality_and_hash_respect_the_field():
+    gf3, gf5 = PrimeField(3), PrimeField(5)
+    two3 = PermMatrix((1,), (1,), {(0, 0, "D"): 2}, gf3)
+    two5 = PermMatrix((1,), (1,), {(0, 0, "D"): 2}, gf5)
+    assert two3 != two5 and hash(two3) != hash(two5)
+    one_q = PermMatrix((1,), (1,), {(0, 0, "D"): Fraction(1)})
+    one_2 = PermMatrix((1,), (1,), {(0, 0, "D"): 1}, PrimeField(2))
+    assert one_q != one_2 and hash(one_q) != hash(one_2)
+    assert len({two3, two5, one_q, one_2}) == 4
+    # within one field nothing changes: 5 is 2 in GF(3)
+    assert two3 == PermMatrix((1,), (1,), {(0, 0, "D"): 5}, gf3)
+    assert one_q == PermMatrix((1,), (1,), {(0, 0, "D"): 1})
+    assert hash(one_q) == hash(identity((1,)))
 
 
 def test_shape_validation():
