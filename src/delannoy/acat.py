@@ -11,9 +11,15 @@ operator H -> idem_y o H o idem_x, an integer contraction of the idempotents'
 diagonal blocks.  Over F_p the trace is certified either by p exceeding the
 span dimension or by both idempotents lifting to idempotents over Z, so a
 hom dimension is the same over Q and over every F_p.
+
+Hom spaces also take one route: `hom_space` scans the cut images once into
+one span (mod p over Q, exact over F_p) and keeps the span's pivot keys with
+the basis, and `coords_in_basis` solves the square system on those keys and
+checks the residual exactly.
 """
 
-from dataclasses import dataclass, field as dc_field
+import warnings
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,9 +32,7 @@ from .paths import delannoy, enumerate_paths, representative
 from .schwartz import (MU1, MU2, PermMatrix, _pair_arrays, _pair_index,  # noqa: F401
                        _path_pos, compose, identity, tensor, tensor_object,
                        trace, transpose)
-from .weights import enumerate_weights, dual as dual_weight, flat
-
-_GREEDY_PRIMES = (46337, 46327, 46309)
+from .weights import enumerate_weights, hom_dim_pattern
 
 
 @dataclass(frozen=True)
@@ -54,8 +58,12 @@ class AObject:
 
 @dataclass
 class HomSpace:
+    """A basis of a cut hom space and its pivot keys: the basis restricted
+    to `pivots` is an invertible dim x dim matrix."""
+
     basis: list
     dim: int
+    pivots: list
 
 
 @lru_cache(maxsize=None)
@@ -286,84 +294,78 @@ def _apply_cut(h, x, y):
 
 
 def hom_space(x, y):
-    """A basis of {H : idem_y o H o idem_x = H}.
+    """A basis of {H : idem_y o H o idem_x = H}, with the keys it is solved on.
 
-    Candidates idem_y o C_key o idem_x are scanned in the deterministic key
-    order; independence is certified modulo a prime (independence mod p
-    implies independence over Q), and the scan stops once the exactly known
-    dimension is reached, so the basis is certified complete.  Further primes
-    and a final exact elimination serve as fallbacks; over a prime field one
-    exact span does the scan.  A scan that misses the dimension raises.
+    Candidates idem_y o C_key o idem_x are scanned once, in the deterministic
+    key order, into one span: modulo a prime over Q (independence mod p
+    implies independence over Q), exact over F_p.  The scan stops once the
+    exactly known dimension d is reached, so the basis is certified
+    complete.  The span's pivot keys are kept as `pivots`: the basis
+    restricted to them is an invertible d x d matrix (a minor invertible mod
+    p is invertible over Q).  If the prime misses d over Q, one exact span
+    runs over the nonzero images already computed, with a RuntimeWarning; a
+    scan that still misses d raises.
     """
     _check_same_setting(x, y)
     d = hom_dim(x, y)
     keys = _span_keys(x, y)
     if d == 0:
-        return HomSpace([], 0)
+        return HomSpace([], 0, [])
     f = x.field
     if d == len(keys):
         basis = [PermMatrix(x.ambient, y.ambient, {k: f.one}, f) for k in keys]
-        return HomSpace(basis, d)
+        return HomSpace(basis, d, keys)
     key_pos = {k: i for i, k in enumerate(keys)}
-    if isinstance(f, PrimeField):
-        spans = [SpanBuilder(len(keys), f)]
-    else:
-        spans = [ModSpan(len(keys), p) for p in _GREEDY_PRIMES]
-        spans.append(SpanBuilder(len(keys), f))
-    for span in spans:
-        basis = []
-        for k in keys:
-            h = _apply_cut(PermMatrix(x.ambient, y.ambient, {k: f.one}, f), x, y)
-            if h.is_zero():
-                continue
-            vec = [f.zero] * len(keys)
-            for key, v in h.entries.items():
-                vec[key_pos[key]] = v
-            if span.insert(vec):
+
+    def vector(h):
+        vec = [f.zero] * len(keys)
+        for key, v in h.entries.items():
+            vec[key_pos[key]] = v
+        return vec
+
+    prime = isinstance(f, PrimeField)
+    span = SpanBuilder(len(keys), f) if prime else ModSpan(len(keys))
+    images, basis = [], []
+    for k in keys:
+        h = _apply_cut(PermMatrix(x.ambient, y.ambient, {k: f.one}, f), x, y)
+        if h.is_zero():
+            continue
+        images.append(h)
+        if span.insert(vector(h)):
+            basis.append(h)
+            if len(basis) == d:
+                return HomSpace(basis, d, [keys[c] for c in span.pivots])
+    if not prime:
+        warnings.warn(f"hom_space: the modular scan of {len(keys)} keys "
+                      f"missed dimension {d}; using an exact span",
+                      RuntimeWarning, stacklevel=2)
+        span, basis = SpanBuilder(len(keys), f), []
+        for h in images:
+            if len(basis) < d and span.insert(vector(h)):
                 basis.append(h)
-                if len(basis) == d:
-                    return HomSpace(basis, d)
+        if len(basis) == d:
+            return HomSpace(basis, d, [keys[c] for c in span.pivots])
     raise RuntimeError("hom basis construction failed to reach the rank")
 
 
-def coords_in_basis(h, basis):
-    """Coordinates of a matrix in a basis of matrices; exact and verified.
+def coords_in_basis(h, space):
+    """Coordinates of a matrix in the basis of a HomSpace; exact and verified.
 
-    The linear system lives on the union of supports, which carries all
-    nonzero coordinates, so the result is complete, not probabilistic.  When
-    the union is large, a modular scan picks len(basis) probe keys, the small
-    exact system is solved there, and the full residual is verified sparsely.
+    The d x d system on the pivot keys is invertible, so it has exactly one
+    solution; the residual h - sum c_j b_j is then checked to vanish on
+    every key, and ValueError is raised if it does not.
     """
-    if not basis:
-        if h.is_zero():
-            return []
-        raise ValueError("matrix not in span of empty basis")
     f = h.field
-    keys = sorted(set(h.entries) | {k for b in basis for k in b.entries})
-    if len(keys) > 40 * len(basis) and not isinstance(f, PrimeField):
-        span = ModSpan(len(basis))
-        probes = []
-        for k in keys:
-            row = [b.get(*k) for b in basis]
-            if span.insert(row):
-                probes.append((k, row))
-                if len(probes) == len(basis):
-                    break
-        sol = solve([row for _, row in probes],
-                    [h.get(*k) for k, _ in probes], f)
-        if sol is not None:
-            residual = dict(h.entries)
-            for c, b in zip(sol, basis):
-                if f.is_zero(c):
-                    continue
-                for k, v in b.entries.items():
-                    residual[k] = f.sub(residual.get(k, f.zero), f.mul(c, v))
-            if all(f.is_zero(v) for v in residual.values()):
-                return sol
-        # unlucky probe prime; fall back to the complete system
-    rows = [[b.get(*k) for b in basis] for k in keys]
-    sol = solve(rows, [h.get(*k) for k in keys], f)
-    if sol is None:
+    basis = space.basis
+    sol = solve([[b.get(*k) for b in basis] for k in space.pivots],
+                [h.get(*k) for k in space.pivots], f)
+    residual = dict(h.entries)
+    for c, b in zip(sol, basis):
+        if f.is_zero(c):
+            continue
+        for k, v in b.entries.items():
+            residual[k] = f.sub(residual.get(k, f.zero), f.mul(c, v))
+    if not all(f.is_zero(v) for v in residual.values()):
         raise ValueError("matrix not in span of basis")
     return sol
 
@@ -371,19 +373,6 @@ def coords_in_basis(h, basis):
 # ---------------------------------------------------------------------------
 # Krull-Schmidt multiplicities.
 # ---------------------------------------------------------------------------
-
-def hom_dim_pattern(lam, nu):
-    """dim Hom between the indecomposables of weights lam -> nu (0 or 1)."""
-    if lam == nu:
-        return 1
-    if lam == nu + "w":          # the downward generator
-        return 1
-    if nu == lam + "b":          # the upward generator
-        return 1
-    if lam.endswith("w") and nu == lam[:-1] + "b":  # their composite
-        return 1
-    return 0
-
 
 def multiplicities(x, check=True):
     """The multiset of indecomposable summands of x (weights -> counts).
@@ -546,23 +535,21 @@ def yoneda(x, max_len=None):
         raise ValueError(f"window too small: need max_len >= {bound}")
     f = x.field
     weights = enumerate_weights(max_len)
-    bases = {}
-    for lam in weights:
-        bases[lam] = hom_space(indecomposable(lam, MU2, f), x).basis
-    dims = {lam: len(bases[lam]) for lam in weights if bases[lam]}
+    spaces = {lam: hom_space(indecomposable(lam, MU2, f), x) for lam in weights}
+    dims = {lam: s.dim for lam, s in spaces.items() if s.dim}
     arrows = {}
     for lam in weights:
         lw, lb = lam + "w", lam + "b"
-        if len(lw) <= max_len and bases[lam] and bases.get(lw):
+        if len(lw) <= max_len and spaces[lam].dim and spaces[lw].dim:
             d = down_map(lam, f)
-            cols = [coords_in_basis(compose(h, d, MU2), bases[lw])
-                    for h in bases[lam]]
+            cols = [coords_in_basis(compose(h, d, MU2), spaces[lw])
+                    for h in spaces[lam].basis]
             arrows[(lam, lw)] = [[cols[j][i] for j in range(len(cols))]
-                                 for i in range(len(bases[lw]))]
-        if len(lb) <= max_len and bases.get(lb) and bases[lam]:
+                                 for i in range(spaces[lw].dim)]
+        if len(lb) <= max_len and spaces[lb].dim and spaces[lam].dim:
             u = up_map(lam, f)
-            cols = [coords_in_basis(compose(h, u, MU2), bases[lam])
-                    for h in bases[lb]]
+            cols = [coords_in_basis(compose(h, u, MU2), spaces[lam])
+                    for h in spaces[lb].basis]
             arrows[(lb, lam)] = [[cols[j][i] for j in range(len(cols))]
-                                 for i in range(len(bases[lam]))]
+                                 for i in range(spaces[lam].dim)]
     return bmod.BModule(dims, arrows, field=f)

@@ -16,7 +16,7 @@ from .fields import QQ
 from .linalg import (SpanBuilder, eye, mat_is_zero, mat_mul, mat_transpose,
                      mat_vec, rank, zeros)
 from .rep import Module, ModuleMap
-from .weights import alternating_suffixes, sort_key
+from .weights import alternating_suffixes, gen_kind, sort_key
 
 # Names the benchmark tracer patches by attribute; they are the rep functions.
 kernel_bmap, hom_bmodules = rep.kernel, rep.hom
@@ -68,10 +68,7 @@ def named_bmodule(kind, lam, field=QQ):
     elif kind == "Cost":
         supp = {lam, lam + "b"}
     elif kind == "P":
-        if lam == "" or lam.endswith("w"):
-            supp = {lam, lam + "w"}
-        else:
-            supp = {lam, lam + "w", lam[:-1], lam[:-1] + "w"}
+        supp = set(projective_support(lam))
     elif kind == "I":
         if lam == "" or lam.endswith("b"):
             supp = {lam, lam + "b"}
@@ -106,19 +103,6 @@ def projective_support(mu):
     if mu == "" or mu.endswith("w"):
         return (mu, mu + "w")
     return (mu, mu + "w", mu[:-1], mu[:-1] + "w")
-
-
-def gen_kind(mu, nu):
-    """The generator type of the 1-dim Hom between projectives mu -> nu."""
-    if mu == nu:
-        return "id"
-    if mu == nu + "w":
-        return "d"
-    if nu == mu + "b":
-        return "u"
-    if mu.endswith("w") and nu == mu[:-1] + "b":
-        return "ud"
-    return None
 
 
 def radical_vectors(m, lam):
@@ -411,7 +395,12 @@ class WindowExceeded(Exception):
     """A computation left its certified window (parts or degree too large)."""
 
 
-def matrix_complex(res, check_parts=4):
+# Largest part size of the middle degree at which `matrix_complex` and
+# `tensor_matrix_complexes` compose d o d to check that it vanishes.
+_CHECK_PARTS = 4
+
+
+def matrix_complex(res):
     """Realize a formal projective complex as cut objects and matrices.
 
     Degree k becomes the direct sum object with one ambient part per symbol
@@ -421,7 +410,7 @@ def matrix_complex(res, check_parts=4):
     Returns (objects, diffs) with diffs[k]: objects[k] -> objects[k-1].
 
     The squared differential is machine-checked to vanish wherever the parts
-    stay within `check_parts`; beyond that the identity follows from the
+    stay within `_CHECK_PARTS`; beyond that the identity follows from the
     validated formal complex plus the generator relations, which the test
     suite checks concretely (compositions of the distinguished maps).
     """
@@ -456,19 +445,19 @@ def matrix_complex(res, check_parts=4):
                 entries[key] = f.add(entries.get(key, f.zero), f.mul(coeff, c))
         diffs.append(PermMatrix(src.ambient, dst.ambient, entries, f))
     for k in range(2, len(objects)):
-        if max(objects[k - 1].ambient, default=0) <= check_parts:
+        if max(objects[k - 1].ambient, default=0) <= _CHECK_PARTS:
             if not compose(diffs[k - 1], diffs[k], MU2).is_zero():
                 raise AssertionError(
                     "matrix differential does not square to zero")
     return objects, diffs
 
 
-def tensor_matrix_complexes(xa, da, xb, db, max_deg, check_parts=4):
+def tensor_matrix_complexes(xa, da, xb, db, max_deg):
     """Total complex of the Kronecker tensor of two matrix complexes.
 
     Degree k is the sum over a + b = k of the part groups of X_a (x) Y_b; the
     differential uses the sign rule d(x (x) y) = dx (x) y + (-1)^a x (x) dy.
-    The squared differential is checked within `check_parts` (beyond that it
+    The squared differential is checked within `_CHECK_PARTS` (beyond that it
     follows from bifunctoriality of the tensor, which the tests verify).
     """
     from .acat import AObject
@@ -515,7 +504,7 @@ def tensor_matrix_complexes(xa, da, xb, db, max_deg, check_parts=4):
         diffs.append(PermMatrix(objects[k].ambient, objects[k - 1].ambient,
                                 entries, f))
     for k in range(2, max_deg + 1):
-        if max(objects[k - 1].ambient, default=0) <= check_parts:
+        if max(objects[k - 1].ambient, default=0) <= _CHECK_PARTS:
             if not compose(diffs[k - 1], diffs[k], MU2).is_zero():
                 raise AssertionError(
                     "tensor differential does not square to zero")
@@ -559,16 +548,16 @@ def tor_bmod(m, n, imax, max_part=6, nu_len=None):
     out = [0] * (imax + 1)
     for nu in enumerate_weights(nu_len):
         m_nu = indecomposable(nu, MU2, f)
-        bases = [hom_space(m_nu, z).basis for z in objects]
+        spaces = [hom_space(m_nu, z) for z in objects]
         ranks = [0] * (imax + 2)
         for k in range(1, imax + 2):
-            if k >= len(bases) or not bases[k]:
+            if k >= len(spaces) or not spaces[k].dim:
                 continue
-            images = [compose(diffs[k], h, MU2) for h in bases[k]]
-            cols = [coords_in_basis(img, bases[k - 1]) for img in images]
+            images = [compose(diffs[k], h, MU2) for h in spaces[k].basis]
+            cols = [coords_in_basis(img, spaces[k - 1]) for img in images]
             ranks[k] = rank([[cols[j][i] for j in range(len(cols))]
-                             for i in range(len(bases[k - 1]))], f)
+                             for i in range(spaces[k - 1].dim)], f)
         for i in range(imax + 1):
-            if i < len(bases):
-                out[i] += len(bases[i]) - ranks[i] - ranks[i + 1]
+            if i < len(spaces):
+                out[i] += spaces[i].dim - ranks[i] - ranks[i + 1]
     return out

@@ -15,7 +15,7 @@ from . import rep
 from .fields import QQ
 from .linalg import SpanBuilder, eye, mat_eq, mat_mul, mat_vec, rank
 from .rep import Module, ModuleMap
-from .weights import dual as dual_weight, is_alternating
+from .weights import dual as dual_weight, hom_dim_pattern, is_alternating
 
 # Names the benchmark tracer patches by attribute; they are the rep functions.
 hom_dmodules, find_isomorphism_d = rep.hom, rep.find_isomorphism
@@ -256,22 +256,9 @@ def radical_filtration(m):
 # Tilting complexes and homotopy homs.
 # ---------------------------------------------------------------------------
 
-def tilting_hom_dim(lam, mu):
-    """dim Hom between tilting modules of the given weights (0 or 1).
-
-    Tiltings are equivalent to the indecomposables of the matrix category,
-    so the nonzero homs are exactly the identity, the one-step down map
-    (lam = mu + w), the one-step up map (mu = lam + b), and their composite.
-    """
-    if lam == mu:
-        return 1
-    if lam == mu + "w":
-        return 1
-    if mu == lam + "b":
-        return 1
-    if lam.endswith("w") and mu == lam[:-1] + "b":
-        return 1
-    return 0
+# dim Hom between tilting modules of the given weights (0 or 1): tiltings
+# are equivalent to the indecomposables of the matrix category.
+tilting_hom_dim = hom_dim_pattern
 
 
 def tilting_composite_unit(lam, mu, nu):

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import QQ
+from .fields import QQ, PrimeField
 from .paths import (delannoy, enumerate_paths, path_m, path_n, path_of_pair,
                     reflect, representative)
 
@@ -95,7 +95,8 @@ class PermMatrix:
     `source` and `target` are tuples of part sizes; `entries` maps
     (target part index, source part index, path) to a nonzero coefficient,
     where the path key runs between the source part (right steps) and the
-    target part (up steps).  Absent keys are zero.
+    target part (up steps).  Absent keys are zero.  Over F_p an entry is
+    kept as its residue in [0, p), so equal matrices have equal entries.
 
     A matrix is immutable: nothing changes `entries` after construction,
     which is what makes it hashable and lets it keep the grouped operands
@@ -108,8 +109,11 @@ class PermMatrix:
         self.source = tuple(source)
         self.target = tuple(target)
         self.field = field
+        p = field.p if isinstance(field, PrimeField) else None
         clean = {}
         for (ti, si, path), c in entries.items():
+            if p is not None:
+                c %= p
             if field.is_zero(c):
                 continue
             if path_m(path) != self.source[si] or path_n(path) != self.target[ti]:
@@ -166,9 +170,7 @@ class PermMatrix:
         if ((self.source, self.target, self.field)
                 != (other.source, other.target, other.field)):
             return False
-        keys = set(self.entries) | set(other.entries)
-        f = self.field
-        return all(f.eq(self.get(*k), other.get(*k)) for k in keys)
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash((self.source, self.target, self.field,

@@ -19,8 +19,9 @@ from .paths import delannoy
 from .schwartz import (MEASURES, MU1, MU2, MU3, MU4, UNBOUNDED_ABOVE,
                        UNBOUNDED_BELOW, compose, gap_measure, identity,
                        trace, transpose)
-from .weights import (dual as dual_weight, enumerate_weights, flat,
-                      format_weight, is_alternating, sort_key, tensor_summands)
+from .weights import (black_tail, dual as dual_weight, enumerate_weights,
+                      flat, format_weight, is_alternating, sort_key,
+                      tensor_summands)
 
 
 @dataclass
@@ -199,15 +200,6 @@ def suite_tensor_rule(max_sum=3, kring_sum=6, field=QQ):
     return cases, {"max_sum": max_sum, "kring_sum": kring_sum}
 
 
-def _black_decomp(lam):
-    mu = lam
-    n = 0
-    while mu.endswith("b"):
-        mu = mu[:-1]
-        n += 1
-    return mu, n
-
-
 def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
     cases = []
     weights = enumerate_weights(max_len)
@@ -230,7 +222,7 @@ def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
                     (targets if cid != "B-ext-f" else weights)]
         return [("Q", nu) for nu in weights]
 
-    mu_n = {lam: _black_decomp(lam) for lam in targets}
+    mu_n = {lam: black_tail(lam) for lam in targets}
 
     def extb_a(lam, nu, i):
         mu, n = mu_n[lam]
@@ -271,7 +263,7 @@ def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
             bmod.named_bmodule("Q", lam, field), 3)
         _case(cases, f"resQP[{_wfmt(lam)}]",
               [[lam + "b" + "w" * k] for k in range(4)], res.terms[:4])
-        mu, n = _black_decomp(lam)
+        mu, n = black_tail(lam)
         res = bmod.min_projective_resolution(
             bmod.named_bmodule("Stan", lam, field), n + 1)
         want = [[mu + "b" * (n - k)] for k in range(n + 1)] + [[]]
@@ -383,7 +375,7 @@ def suite_derived_functors(max_len=4, max_deg=6, psi_i_len=3, field=QQ):
     cases = []
     weights = enumerate_weights(max_len)
     for lam in weights:
-        mu, n = _black_decomp(lam)
+        mu, n = black_tail(lam)
         fmu = flat(mu)
         # first functor
         want = {} if fmu is None else {n: {fmu: 1}}

@@ -92,6 +92,31 @@ def black_tail(lam):
     return lam[: len(lam) - n], n
 
 
+def gen_kind(lam, nu):
+    """The generator spanning Hom between the indecomposables lam -> nu
+    (equally between the projective modules, or the tilting modules).
+
+    'id' (lam = nu), 'd' (the downward generator, lam = nu + w), 'u' (the
+    upward generator, nu = lam + b), 'ud' (their composite, lam = kappa + w
+    and nu = kappa + b), or None when the Hom vanishes; every such Hom has
+    dimension 0 or 1.
+    """
+    if lam == nu:
+        return "id"
+    if lam == nu + WHITE:
+        return "d"
+    if nu == lam + BLACK:
+        return "u"
+    if lam.endswith(WHITE) and nu == lam[:-1] + BLACK:
+        return "ud"
+    return None
+
+
+def hom_dim_pattern(lam, nu):
+    """dim Hom between the indecomposables of weights lam -> nu (0 or 1)."""
+    return int(gen_kind(lam, nu) is not None)
+
+
 @dataclass(frozen=True)
 class MarkedRuffle:
     """A pair of order injections covering [l], plus collision markings.

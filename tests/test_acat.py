@@ -1,17 +1,18 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from delannoy.acat import (AObject, coords_in_basis, degenerate_quotient_dim,
-                           down_map, dual_object, e_lambda, hom_dim,
-                           hom_dim_pattern, hom_space, indecomposable,
-                           multiplicities, phi_blocks, schwartz_object,
-                           tensor_objects, theta_mult, ud_map, up_map, yoneda,
-                           zero_object)
-from delannoy import rep
+from delannoy import acat, rep
+from delannoy.acat import (AObject, _apply_cut, _span_keys, coords_in_basis,
+                           degenerate_quotient_dim, down_map, dual_object,
+                           e_lambda, hom_dim, hom_dim_pattern, hom_space,
+                           indecomposable, multiplicities, phi_blocks,
+                           schwartz_object, tensor_objects, theta_mult,
+                           ud_map, up_map, yoneda, zero_object)
 from delannoy.bmod import BModule, named_bmodule
-from delannoy.fields import QQ
-from delannoy.linalg import rank
+from delannoy.fields import QQ, PrimeField
+from delannoy.linalg import ModSpan, rank
 from delannoy.paths import enumerate_paths
 from delannoy.schwartz import (MU1, MU2, PermMatrix, compose, identity, trace,
                                transpose)
@@ -55,7 +56,76 @@ def test_hom_space_basis_and_coords():
     # basis elements are fixed by the double cut
     cut = compose(y.idem, compose(h, x.idem, MU2), MU2)
     assert cut == h
-    assert coords_in_basis(h.scale(Fraction(5)), hs.basis) == [Fraction(5)]
+    assert coords_in_basis(h.scale(Fraction(5)), hs) == [Fraction(5)]
+
+
+def hom_space_objects(field):
+    """Indecomposables and tensor objects, the sources and targets of the
+    hom spaces `yoneda` and `tor_bmod` build."""
+    simple = [indecomposable(lam, MU2, field)
+              for lam in ("", "b", "w", "bw", "wb", "bb")]
+    b, w = simple[1], simple[2]
+    return simple + [tensor_objects(b, b), tensor_objects(b, w),
+                     tensor_objects(w, simple[3])]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=repr)
+def test_hom_space_basis_is_invertible_on_its_pivots(field):
+    objects = hom_space_objects(field)
+    for x in objects:
+        for y in objects:
+            hs = hom_space(x, y)
+            assert hs.dim == len(hs.basis) == len(hs.pivots) == hom_dim(x, y)
+            minor = [[b.get(*k) for b in hs.basis] for k in hs.pivots]
+            assert rank(minor, field) == hs.dim, (x.ambient, y.ambient)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_coords_in_basis_round_trips_and_rejects(field):
+    rng = random.Random(11)
+    objects = hom_space_objects(field)
+    outside = 0
+    for x in objects:
+        for y in objects:
+            hs = hom_space(x, y)
+            coeffs = [field.of_int(rng.randint(-3, 3)) for _ in hs.basis]
+            h = PermMatrix(x.ambient, y.ambient, {}, field)
+            for c, b in zip(coeffs, hs.basis):
+                h = h + b.scale(c)
+            assert coords_in_basis(h, hs) == coeffs
+            # a key matrix the cut moves lies outside the hom space, which
+            # is the image of the cut
+            for k in _span_keys(x, y):
+                key = PermMatrix(x.ambient, y.ambient, {k: field.one}, field)
+                if _apply_cut(key, x, y) != key:
+                    outside += 1
+                    with pytest.raises(ValueError, match="not in span"):
+                        coords_in_basis(h + key, hs)
+                    break
+    assert outside > 0
+
+
+def test_hom_space_falls_back_after_one_scan(monkeypatch):
+    x = indecomposable("bw")
+    y = tensor_objects(indecomposable("b"), indecomposable("w"))
+    expected = hom_space(x, y)
+    assert 0 < expected.dim < len(_span_keys(x, y))
+    calls = []
+
+    def counting_compose(b, a, measure):
+        calls.append(1)
+        return compose(b, a, measure)
+
+    monkeypatch.setattr(acat, "compose", counting_compose)
+    monkeypatch.setattr(ModSpan, "insert", lambda self, vec: False)
+    with pytest.warns(RuntimeWarning, match="missed dimension"):
+        hs = hom_space(x, y)
+    assert hs.basis == expected.basis
+    minor = [[b.get(*k) for b in hs.basis] for k in hs.pivots]
+    assert rank(minor) == hs.dim
+    # each key is cut once (two compositions); no key is composed again
+    assert len(calls) == 2 * len(_span_keys(x, y))
 
 
 def test_generator_maps():

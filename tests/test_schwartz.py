@@ -132,7 +132,7 @@ def test_transpose_is_involutive_antihomomorphism():
     assert transpose(transpose(a)) == a
     for mu in MEASURES:
         lhs = transpose(compose(b, a, mu))
-        rhs = compose(transpose(a), transpose(b), MIRROR[mu])
+        rhs = compose(transpose(a), transpose(b), mu)
         assert lhs == rhs, mu
 
 
@@ -162,6 +162,28 @@ def test_transpose_is_an_antihomomorphism_property(data, field):
     for mu in MEASURES:
         assert transpose(compose(b, a, mu)) == compose(
             transpose(a), transpose(b), mu), mu
+
+
+def reverse_paths(amat):
+    """The image of a matrix under reflecting the line (x -> -x): every
+    configuration reverses its order, so every path is read backwards."""
+    return PermMatrix(amat.source, amat.target,
+                      {(ti, si, p[::-1]): c
+                       for (ti, si, p), c in amat.entries.items()},
+                      amat.field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([QQ, PrimeField(3)]))
+def test_reflecting_the_line_mirrors_the_measure(data, field):
+    src, mid, tgt = (data.draw(small_objects) for _ in range(3))
+    a = data.draw(small_matrices(src, mid, field))
+    b = data.draw(small_matrices(mid, tgt, field))
+    # rev(B o_mu A) = rev(B) o_mirror(mu) rev(A): reflecting the line swaps
+    # the half-lines bounded above and below, so mu2 and mu3 trade places
+    for mu in MEASURES:
+        assert reverse_paths(compose(b, a, mu)) == compose(
+            reverse_paths(b), reverse_paths(a), MIRROR[mu]), mu
 
 
 factor_objects = st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple)
@@ -299,6 +321,15 @@ def test_equality_and_hash_respect_the_field():
     assert two3 == PermMatrix((1,), (1,), {(0, 0, "D"): 5}, gf3)
     assert one_q == PermMatrix((1,), (1,), {(0, 0, "D"): 1})
     assert hash(one_q) == hash(identity((1,)))
+
+
+def test_unreduced_prime_field_entries_hash_like_their_residues():
+    gf3 = PrimeField(3)
+    x = PermMatrix((1,), (1,), {(0, 0, "D"): 5, (0, 0, "UR"): -1}, gf3)
+    y = PermMatrix((1,), (1,), {(0, 0, "D"): 2, (0, 0, "UR"): 2}, gf3)
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y}) == 1
+    assert x.entries == {(0, 0, "D"): 2, (0, 0, "UR"): 2}
 
 
 def test_shape_validation():
