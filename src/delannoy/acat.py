@@ -15,12 +15,14 @@ hom dimension is the same over Q and over every F_p.
 Hom spaces also take one route: `hom_space` scans the cut images once into
 one span (mod p over Q, exact over F_p) and keeps the span's pivot keys with
 the basis, and `coords_in_basis` solves the square system on those keys and
-checks the residual exactly.
+checks the residual exactly.  The scan takes first the keys on which the
+cut's diagonal is nonzero, read off the same structure constants as the
+trace, so a key is composed only when it is likely to join the basis.
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -54,6 +56,18 @@ class AObject:
 
     def is_identity_cut(self):
         return self.idem == identity(self.ambient, self.idem.field)
+
+    @cached_property
+    def lifted(self):
+        """The idempotent lifted to integers, once per object: (entries,
+        diag) with entries {key: int} (see `_integer_entries`) and diag[part]
+        the [(path, int)] of its diagonal part-block."""
+        entries = _integer_entries(self.idem)
+        diag = {}
+        for (tp, sp, path), c in entries.items():
+            if tp == sp:
+                diag.setdefault(tp, []).append((path, c))
+        return entries, diag
 
 
 @dataclass
@@ -253,14 +267,7 @@ def hom_dim(x, y):
     mu = x.measure
     if x.is_identity_cut() and y.is_identity_cut():
         return len(keys)
-    x_int, y_int = _integer_entries(x.idem), _integer_entries(y.idem)
-    x_diag, y_diag = {}, {}
-    for (sp, smid, alpha), c in x_int.items():
-        if sp == smid:
-            x_diag.setdefault(sp, []).append((alpha, c))
-    for (tp, tmid, beta), c in y_int.items():
-        if tp == tmid:
-            y_diag.setdefault(tp, []).append((beta, c))
+    (x_int, x_diag), (y_int, y_diag) = x.lifted, y.lifted
     total = 0
     for tp, s_t in enumerate(y.ambient):
         betas = y_diag.get(tp)
@@ -289,6 +296,76 @@ def hom_dim(x, y):
     return total
 
 
+def _block_diagonal(s_t, s_src, betas, alphas, mu):
+    """The diagonal of the cut on one part block, indexed by path id delta.
+
+    For the key C_delta from the size-s_src part to the size-s_t part, the
+    coefficient of C_delta in idem_y o C_delta o idem_x, with betas and
+    alphas the [(path, int)] diagonal blocks of idem_y and idem_x, is
+    sum_gamma (sum_beta y_beta c(gamma; beta, delta))
+              * (sum_alpha x_alpha c(delta; gamma, alpha)),
+    the per-key term of the trace `hom_dim` sums.  It reads the two
+    `_pair_arrays` `_trace_table` joins: the first side's rows of the betas
+    (rows are sorted by beta) and the second side's rows of the alphas,
+    summed per (delta, gamma) and looked up from the first.  The sums are
+    exact: int64 under a bound on every partial sum, Python ints otherwise.
+    """
+    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src)
+    gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src)
+    n_span = delannoy(s_src, s_t)
+    b_pos, a_pos = _path_pos(s_t, s_t), _path_pos(s_src, s_src)
+    b_ids = np.array([b_pos[b] for b, _ in betas], dtype=np.int64)
+    lo = np.searchsorted(beta, b_ids, "left")
+    n = np.searchsorted(beta, b_ids, "right") - lo
+    rows1 = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
+    a_ids = [a_pos[a] for a, _ in alphas]
+    a_used = np.zeros(delannoy(s_src, s_src), dtype=bool)
+    a_used[a_ids] = True
+    rows2 = np.flatnonzero(np.take(a_used, alpha))
+    if not len(rows1) or not len(rows2):
+        return np.zeros(n_span, dtype=np.int64)
+    # |P_kk| <= rows1 * max|y c1| * rows2 * max|x c2|
+    bound = (len(rows1) * max(abs(c) for _, c in betas) * _max_abs(c1)
+             * len(rows2) * max(abs(c) for _, c in alphas) * _max_abs(c2))
+    dtype = np.int64 if bound < 2 ** 63 else object
+    col = mu - 1
+    wx = np.zeros(len(a_used), dtype=dtype)
+    wx[a_ids] = [c for _, c in alphas]
+    key2 = delta2[rows2].astype(np.int64) * n_span + gamma2[rows2]
+    order = np.argsort(key2)
+    key2, rows2 = key2[order], rows2[order]
+    starts = np.flatnonzero(np.r_[True, key2[1:] != key2[:-1]])
+    sums2 = np.add.reduceat(wx[alpha[rows2]] * c2[rows2, col].astype(dtype),
+                            starts)
+    key2 = key2[starts]
+    w1 = (np.repeat(np.array([c for _, c in betas], dtype=dtype), n)
+          * c1[rows1, col].astype(dtype))
+    key1 = delta1[rows1].astype(np.int64) * n_span + gamma1[rows1]
+    at = np.minimum(np.searchsorted(key2, key1), len(key2) - 1)
+    hit = key2[at] == key1
+    out = np.zeros(n_span, dtype=dtype)
+    np.add.at(out, delta1[rows1[hit]], w1[hit] * sums2[at[hit]])
+    return out
+
+
+def _cut_diagonal(x, y):
+    """The nonzero diagonal of the cut P: H -> idem_y o H o idem_x over the
+    integer lifts, as {key: P_kk}; P_kk is the coefficient of C_key in
+    P(C_key), read off the diagonal part-blocks of both idempotents, and
+    the values sum to the trace `hom_dim` computes."""
+    (_, x_diag), (_, y_diag) = x.lifted, y.lifted
+    out = {}
+    for tp, betas in y_diag.items():
+        s_t = y.ambient[tp]
+        for sp, alphas in x_diag.items():
+            s_src = x.ambient[sp]
+            diag = _block_diagonal(s_t, s_src, betas, alphas, x.measure)
+            paths = enumerate_paths(s_src, s_t)
+            for i in np.flatnonzero(diag).tolist():
+                out[(tp, sp, paths[i])] = int(diag[i])
+    return out
+
+
 def _apply_cut(h, x, y):
     return compose(y.idem, compose(h, x.idem, x.measure), x.measure)
 
@@ -296,9 +373,15 @@ def _apply_cut(h, x, y):
 def hom_space(x, y):
     """A basis of {H : idem_y o H o idem_x = H}, with the keys it is solved on.
 
-    Candidates idem_y o C_key o idem_x are scanned once, in the deterministic
-    key order, into one span: modulo a prime over Q (independence mod p
-    implies independence over Q), exact over F_p.  The scan stops once the
+    Candidates idem_y o C_key o idem_x are scanned once into one span:
+    modulo a prime over Q (independence mod p implies independence over Q),
+    exact over F_p.  The keys whose diagonal entry P_kk (the coefficient of
+    C_key in its own image, `_cut_diagonal`) is nonzero in the field come
+    first, in key order, then every other key in key order.  P_kk != 0
+    implies a nonzero image and d = sum_k P_kk; typically exactly d keys
+    have P_kk != 0 and their images are independent, so the scan composes
+    2d times.  The order only decides which keys are cut first, never
+    whether the basis is complete.  The scan stops once the
     exactly known dimension d is reached, so the basis is certified
     complete.  The span's pivot keys are kept as `pivots`: the basis
     restricted to them is an invertible d x d matrix (a minor invertible mod
@@ -323,10 +406,14 @@ def hom_space(x, y):
             vec[key_pos[key]] = v
         return vec
 
+    lead = {k for k, v in _cut_diagonal(x, y).items()
+            if not f.is_zero(f.of_int(v))}
     prime = isinstance(f, PrimeField)
     span = SpanBuilder(len(keys), f) if prime else ModSpan(len(keys))
     images, basis = [], []
-    for k in keys:
+    order = ([k for k in keys if k in lead]
+             + [k for k in keys if k not in lead])
+    for k in order:
         h = _apply_cut(PermMatrix(x.ambient, y.ambient, {k: f.one}, f), x, y)
         if h.is_zero():
             continue

@@ -128,6 +128,86 @@ def test_hom_space_falls_back_after_one_scan(monkeypatch):
     assert len(calls) == 2 * len(_span_keys(x, y))
 
 
+def _key_image(k, x, y):
+    f = x.field
+    return _apply_cut(PermMatrix(x.ambient, y.ambient, {k: f.one}, f), x, y)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=repr)
+def test_cut_diagonal_is_the_coefficient_of_each_key_in_its_image(field):
+    objects = hom_space_objects(field)
+    for x in objects:
+        for y in objects:
+            diag = acat._cut_diagonal(x, y)
+            assert all(diag.values())
+            for k in _span_keys(x, y):
+                # an integer over the lifts: equal over Q, congruent over F_p
+                want = _key_image(k, x, y).get(*k)
+                assert field.of_int(diag.get(k, 0)) == want
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=repr)
+def test_cut_diagonal_sums_to_hom_dim(field):
+    objects = hom_space_objects(field)
+    for x in objects:
+        for y in objects:
+            total = sum(acat._cut_diagonal(x, y).values())
+            if field == QQ:
+                assert total == hom_dim(x, y)
+            else:
+                assert total % field.p == hom_dim(x, y) % field.p
+
+
+def test_cut_diagonal_is_exact_beyond_int64():
+    # cuts by 2^40 times an idempotent: every P_kk is 2^80 times the
+    # idempotent's, so int64 partial sums would wrap
+    big = QQ.of_int(2 ** 40)
+    x = indecomposable("bw")
+    y = tensor_objects(indecomposable("b"), indecomposable("w"))
+    xs, ys = (AObject(MU2, o.ambient, o.idem.scale(big)) for o in (x, y))
+    diag, small = acat._cut_diagonal(xs, ys), acat._cut_diagonal(x, y)
+    assert diag and diag == {k: v * 2 ** 80 for k, v in small.items()}
+    for k in _span_keys(x, y):
+        assert QQ.of_int(diag.get(k, 0)) == _key_image(k, xs, ys).get(*k)
+
+
+@pytest.mark.parametrize("lead", ["none", "zero images"])
+def test_hom_space_needs_no_diagonal_to_be_complete(monkeypatch, lead):
+    objects = hom_space_objects(QQ)
+    pairs = [(x, y) for x in objects for y in objects]
+    dims = [hom_dim(x, y) for x, y in pairs]
+    fake = {(x, y): {} if lead == "none" else {
+        k: 1 for k in _span_keys(x, y) if _key_image(k, x, y).is_zero()}
+        for x, y in pairs}
+    monkeypatch.setattr(acat, "_cut_diagonal", lambda x, y: fake[(x, y)])
+    for (x, y), d in zip(pairs, dims):
+        hs = hom_space(x, y)
+        assert hs.dim == len(hs.basis) == len(hs.pivots) == d
+        minor = [[b.get(*k) for b in hs.basis] for k in hs.pivots]
+        assert rank(minor) == d
+        assert all(_apply_cut(b, x, y) == b for b in hs.basis)
+
+
+def test_hom_space_composes_only_the_keys_on_the_diagonal(monkeypatch):
+    x = indecomposable("bw")
+    y = tensor_objects(indecomposable("b"), indecomposable("w"))
+    d = hom_dim(x, y)
+    assert 0 < d < len(_span_keys(x, y))
+    calls = []
+
+    def counting_compose(b, a, measure):
+        calls.append(1)
+        return compose(b, a, measure)
+
+    monkeypatch.setattr(acat, "compose", counting_compose)
+    hs = hom_space(x, y)
+    assert hs.dim == d
+    # the d keys with P_kk != 0 are cut first and are independent
+    assert len(calls) == 2 * d
+
+
 def test_generator_maps():
     for lam in enumerate_weights(2):
         d = down_map(lam)

@@ -18,7 +18,8 @@ from delannoy.fields import QQ, PrimeField
 
 SUITES = {"idempotents": {"max_len": 3}, "hom-table": {},
           "schwartz-decomp": {"max_n": 3}, "dmod-ext": {}, "kring-iso": {},
-          "tensor-rule": {}}
+          "tensor-rule": {}, "bmod-ext": {"max_len": 3, "max_i": 3},
+          "derived-functors": {}, "sod": {}, "tilting-hom": {}}
 
 
 @lru_cache(maxsize=None)
