@@ -31,9 +31,9 @@ from .linalg import ModSpan, SpanBuilder, rank_big, solve
 from .paths import delannoy, enumerate_paths, representative
 # `_pair_index` is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer rebinds it in this module.
-from .schwartz import (MU1, MU2, PermMatrix, _pair_arrays, _pair_index,  # noqa: F401
+from .schwartz import (MU2, PermMatrix, _pair_arrays, _pair_index,  # noqa: F401
                        _path_pos, compose, identity, tensor, tensor_object,
-                       trace, transpose)
+                       transpose)
 from .weights import enumerate_weights, hom_dim_pattern
 
 
@@ -576,24 +576,24 @@ def _gen_cached(kind, lam):
     raise ValueError(kind)
 
 
-def down_map(lam, field=QQ):
-    """The distinguished map M_{lam w} -> M_lam (nonzero, unique up to scalar)."""
-    m = _gen_cached("d", lam)
+def _gen_map(kind, lam, field):
+    """The cached generator map over Q, converted to `field`."""
+    m = _gen_cached(kind, lam)
     if field == QQ:
         return m
     return PermMatrix(m.source, m.target,
                       {k: field.parse(str(c)) for k, c in m.entries.items()},
                       field)
+
+
+def down_map(lam, field=QQ):
+    """The distinguished map M_{lam w} -> M_lam (nonzero, unique up to scalar)."""
+    return _gen_map("d", lam, field)
 
 
 def up_map(lam, field=QQ):
     """The distinguished map M_lam -> M_{lam b}."""
-    m = _gen_cached("u", lam)
-    if field == QQ:
-        return m
-    return PermMatrix(m.source, m.target,
-                      {k: field.parse(str(c)) for k, c in m.entries.items()},
-                      field)
+    return _gen_map("u", lam, field)
 
 
 def ud_map(lam, field=QQ):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from . import rep
 from .fields import QQ
-from .linalg import (SpanBuilder, eye, mat_is_zero, mat_mul, mat_transpose,
-                     mat_vec, rank, zeros)
+from .linalg import (SpanBuilder, eye, homology_dims, mat_is_zero, mat_mul,
+                     mat_transpose, mat_vec, rank, zeros)
 from .rep import Module, ModuleMap
 from .weights import alternating_suffixes, gen_kind, sort_key
 
@@ -286,7 +286,7 @@ def _ext_from_resolution(res, n, imax):
         for s, mu in enumerate(syms):
             idx.extend((s, mu, j) for j in range(n.dim(mu)))
         spaces.append(idx)
-    deltas = []
+    deltas = [None]  # deltas[k]: C^(k-1) -> C^k
     for k in range(imax + 1):
         src, dst = spaces[k], spaces[k + 1]
         mat = zeros(len(dst), len(src), fld)
@@ -304,14 +304,7 @@ def _ext_from_resolution(res, n, imax):
                             mat[ri][ci] = fld.add(mat[ri][ci],
                                                   fld.mul(coeff, v))
         deltas.append(mat)
-    out = []
-    prev_rank = 0
-    for i in range(imax + 1):
-        dim_i = len(spaces[i])
-        r = rank(deltas[i], fld) if deltas[i] else 0
-        out.append(dim_i - r - prev_rank)
-        prev_rank = r
-    return out
+    return homology_dims([len(s) for s in spaces], deltas, fld, imax)
 
 
 def _hom_action(n, mu, nu, kind):
@@ -359,27 +352,19 @@ def standard_filtration_failures(m, max_check_len=None):
     `max_check_len` skips positions beyond the window (for truncated
     modules, where the boundary rows are cut off mid-way).
     """
-    fld = m.field
     fails = []
     for head in _row_heads(m):
-        length = 0
+        row = []  # the row's weights head, head w, head ww, ...
         lam = head
-        while m.dim(lam) or m.dim(lam + "w") or length == 0:
+        while not row or m.dim(lam) or m.dim(lam + "w"):
             if max_check_len is not None and len(lam) > max_check_len:
                 break
-            up_out = m.up_matrix(lam)
-            if length == 0:
-                defect = m.dim(lam) - rank(up_out, fld) if m.dim(lam) else 0
-            else:
-                prev = m.up_matrix(lam[:-1])
-                ker = m.dim(lam) - rank(up_out, fld)
-                defect = ker - rank(prev, fld)
-            if defect:
-                fails.append((head, lam))
+            row.append(lam)
             lam += "w"
-            length += 1
-            if length > max(len(k) for k in m.dims) + 2:
-                break
+        defects = homology_dims([m.dim(lam) for lam in row],
+                                [None] + [m.up_matrix(lam) for lam in row],
+                                m.field)
+        fails.extend((head, lam) for lam, d in zip(row, defects) if d)
     return fails
 
 
@@ -549,15 +534,10 @@ def tor_bmod(m, n, imax, max_part=6, nu_len=None):
     for nu in enumerate_weights(nu_len):
         m_nu = indecomposable(nu, MU2, f)
         spaces = [hom_space(m_nu, z) for z in objects]
-        ranks = [0] * (imax + 2)
-        for k in range(1, imax + 2):
-            if k >= len(spaces) or not spaces[k].dim:
-                continue
-            images = [compose(diffs[k], h, MU2) for h in spaces[k].basis]
-            cols = [coords_in_basis(img, spaces[k - 1]) for img in images]
-            ranks[k] = rank([[cols[j][i] for j in range(len(cols))]
-                             for i in range(spaces[k - 1].dim)], f)
-        for i in range(imax + 1):
-            if i < len(spaces):
-                out[i] += spaces[i].dim - ranks[i] - ranks[i + 1]
+        # one row per basis map of degree k: the coordinates of its image
+        images = [None] + [
+            [coords_in_basis(compose(diffs[k], h, MU2), spaces[k - 1])
+             for h in spaces[k].basis] for k in range(1, len(spaces))]
+        dims = homology_dims([s.dim for s in spaces], images, f, imax)
+        out = [a + b for a, b in zip(out, dims)]
     return out

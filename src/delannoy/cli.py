@@ -10,7 +10,7 @@ import json
 import sys
 
 from . import acat, bmod, dmod, derived, kring, verify
-from .fields import QQ, field_from_spec
+from .fields import field_from_spec
 from .schwartz import (MU2, compose, matrix_from_json, matrix_to_json)
 from .weights import format_weight, parse_weight, sort_key, tensor_summands
 

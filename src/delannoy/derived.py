@@ -9,12 +9,9 @@ simple or tilting; functoriality of this gauge is machine-verified per window
 Homology dimensions are gauge-independent.
 """
 
-from fractions import Fraction
-
-from .bmod import FormalProjComplex, min_projective_resolution
+from .bmod import min_projective_resolution
 from .dmod import DModule, TiltComplex, identify_named_dmodule, named_dmodule
-from .fields import QQ
-from .linalg import mat_is_zero, mat_mul, rank, zeros
+from .linalg import homology_dims, mat_is_zero, mat_mul, zeros
 from .rep import ModuleMap, direct_sum, homology
 from .weights import flat, sort_key
 
@@ -80,25 +77,13 @@ def phi_on_proj(cpx):
     return out
 
 
-def _complex_homology_dims(dims, diffs, field, max_deg):
-    out = []
-    ranks = [rank(diffs[k], field) if k < len(diffs) and diffs[k] else 0
-             for k in range(len(dims) + 1)]
-    for k in range(min(max_deg + 1, len(dims))):
-        incoming = ranks[k + 1] if k + 1 < len(dims) else 0
-        out.append(dims[k] - ranks[k] - incoming)
-    while len(out) < max_deg + 1:
-        out.append(0)
-    return out
-
-
 def l_phi(m, max_deg):
     """Homology of the first derived functor: {degree: {weight: mult}}."""
     res = min_projective_resolution(m, max_deg + 1)
     per_weight = phi_on_proj(res)
     out = {}
     for nu, (dims, diffs) in per_weight.items():
-        hom = _complex_homology_dims(dims, diffs, res.field, max_deg)
+        hom = homology_dims(dims, diffs, res.field, max_deg)
         for k, d in enumerate(hom):
             if d:
                 out.setdefault(k, {})[nu] = d
@@ -200,7 +185,7 @@ def l_theta(m, max_deg):
     """Homology dims of the third derived functor: [dim in degree 0..max_deg]."""
     res = min_projective_resolution(m, max_deg + 1)
     dims, diffs = theta_on_proj(res)
-    return _complex_homology_dims(dims, diffs, res.field, max_deg)
+    return homology_dims(dims, diffs, res.field, max_deg)
 
 
 def euler_characteristics(m, max_deg):

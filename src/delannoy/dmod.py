@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import rep
 from .fields import QQ
-from .linalg import SpanBuilder, eye, mat_eq, mat_mul, mat_vec, rank
+from .linalg import SpanBuilder, eye, homology_dims, mat_eq, mat_mul, mat_vec
 from .rep import Module, ModuleMap
 from .weights import dual as dual_weight, hom_dim_pattern, is_alternating
 
@@ -355,80 +355,64 @@ def tilting_complex(kind, lam, field=QQ):
     return TiltComplex(terms, diffs, field).validate()
 
 
+def _hom_basis(x, y, n):
+    """Basis of Hom^n(x, y) as {(d, i, j): index}: the slot pairs with a
+    nonzero tilting hom x.terms[d][i] -> y.terms[d + n][j]."""
+    index = {}
+    for d, xs in x.terms.items():
+        ys = y.terms.get(d + n)
+        if ys:
+            for i, lam in enumerate(xs):
+                for j, mu in enumerate(ys):
+                    if tilting_hom_dim(lam, mu):
+                        index[(d, i, j)] = len(index)
+    return index
+
+
+def _hom_differential(x, y, n, src, dst, sign):
+    """f -> d_y f + sign * f d_x from Hom^n to Hom^(n+1), bases `src`, `dst`.
+
+    One row per basis map of `src`: its image in the coordinates of `dst`,
+    over the one-dimensional tilting homs with the composite rule
+    `tilting_composite_unit`.
+    """
+    if not dst:
+        return []
+    f = x.field
+    add = f.add if sign > 0 else f.sub
+    rows = []
+    for d, i, j in src:
+        lam, mu = x.terms[d][i], y.terms[d + n][j]
+        row = [f.zero] * len(dst)
+        for (j2, j1), c in y.diffs.get(d + n, {}).items():   # d_y o f
+            t = dst.get((d, i, j2)) if j1 == j else None
+            if t is not None and \
+                    tilting_composite_unit(lam, mu, y.terms[d + n + 1][j2]):
+                row[t] = f.add(row[t], c)
+        for (i1, i2), c in x.diffs.get(d - 1, {}).items():   # f o d_x
+            t = dst.get((d - 1, i2, j)) if i1 == i else None
+            if t is not None and \
+                    tilting_composite_unit(x.terms[d - 1][i2], lam, mu):
+                row[t] = add(row[t], c)
+        rows.append(row)
+    return rows
+
+
 def homotopy_hom_dim(x, y, shift=0):
     """dim Hom in the homotopy category of tilting complexes, Hom(x, y[shift]).
 
-    Chain maps modulo null-homotopies, computed over the one-dimensional
-    tilting hom spaces with the composite rule `tilting_composite_unit`.
+    H^0 of the Hom complex at Hom^shift: chain maps (the kernel of
+    f -> d_y f - f d_x) modulo null-homotopies (the image of
+    h -> d_y h + h d_x from Hom^(shift-1)).
     """
-    f = x.field
-    # chain map variables: per degree d, per (i in x.terms[d], j in y.terms[d+shift])
-    var_index = {}
-    for d, xs in x.terms.items():
-        ys = y.terms.get(d + shift, [])
-        for i, lam in enumerate(xs):
-            for j, mu in enumerate(ys):
-                if tilting_hom_dim(lam, mu):
-                    var_index[(d, i, j)] = len(var_index)
-    nvars = len(var_index)
-    rows = []
-    # commuting condition per degree d: d_y o f_d = f_{d+1} o d_x, as a map
-    # from x.terms[d] to y.terms[d+shift+1], expanded per canonical target hom
-    for d, xs in x.terms.items():
-        ys_next = y.terms.get(d + shift + 1, [])
-        for i, lam in enumerate(xs):
-            for j2, nu in enumerate(ys_next):
-                if not tilting_hom_dim(lam, nu):
-                    continue
-                row = [f.zero] * nvars
-                nz = False
-                for j, mu in enumerate(y.terms.get(d + shift, [])):
-                    c = y.diffs.get(d + shift, {}).get((j2, j))
-                    if c is not None and (d, i, j) in var_index and \
-                            tilting_composite_unit(lam, mu, nu):
-                        idx = var_index[(d, i, j)]
-                        row[idx] = f.add(row[idx], c)
-                        nz = True
-                for i2, mu in enumerate(x.terms.get(d + 1, [])):
-                    c = x.diffs.get(d, {}).get((i2, i))
-                    if c is not None and (d + 1, i2, j2) in var_index and \
-                            tilting_composite_unit(lam, mu, nu):
-                        idx = var_index[(d + 1, i2, j2)]
-                        row[idx] = f.sub(row[idx], c)
-                        nz = True
-                if nz:
-                    rows.append(row)
-    chain_dim = nvars - rank(rows, f) if rows else nvars
-    # homotopies: per degree d, maps x.terms[d] -> y.terms[d+shift-1];
-    # boundary h -> d_y h + h d_x lands in the chain-map space
-    h_index = {}
-    for d, xs in x.terms.items():
-        ys = y.terms.get(d + shift - 1, [])
-        for i, lam in enumerate(xs):
-            for j, mu in enumerate(ys):
-                if tilting_hom_dim(lam, mu):
-                    h_index[(d, i, j)] = len(h_index)
-    if not h_index or not var_index:
-        return chain_dim
-    boundary = [[f.zero] * len(h_index) for _ in range(nvars)]
-    for (d, i, j), col in h_index.items():
-        lam = x.terms[d][i]
-        mu = y.terms[d + shift - 1][j]
-        # d_y o h contributes at (d, i, j2)
-        for j2, nu in enumerate(y.terms.get(d + shift, [])):
-            c = y.diffs.get(d + shift - 1, {}).get((j2, j))
-            if c is not None and (d, i, j2) in var_index and \
-                    tilting_composite_unit(lam, mu, nu):
-                r = var_index[(d, i, j2)]
-                boundary[r][col] = f.add(boundary[r][col], c)
-        # h o d_x contributes at (d - 1, i2, j)
-        for i2, lam2 in enumerate(x.terms.get(d - 1, [])):
-            c = x.diffs.get(d - 1, {}).get((i, i2))
-            if c is not None and (d - 1, i2, j) in var_index and \
-                    tilting_composite_unit(lam2, lam, mu):
-                r = var_index[(d - 1, i2, j)]
-                boundary[r][col] = f.add(boundary[r][col], c)
-    return chain_dim - rank(boundary, f)
+    here = _hom_basis(x, y, shift)
+    if not here:
+        return 0
+    below, above = _hom_basis(x, y, shift - 1), _hom_basis(x, y, shift + 1)
+    diffs = [None, _hom_differential(x, y, shift - 1, below, here, 1),
+             _hom_differential(x, y, shift, here, above, -1)]
+    return homology_dims([len(below), len(here), len(above)], diffs,
+                         x.field)[1]
 
 
 def ext_dim(kind_x, lam, kind_y, mu, i, field=QQ):

@@ -9,6 +9,10 @@ reduced mod p first, and elimination runs in int64 only when (p-1)**2 + p <
 2**63, a product only when max_i |a_i|_1 * max|b| < 2**63; Python ints
 otherwise.  Over Q the modular rank is certified: independence mod p proves
 rank >= r, and exactly verified kernel vectors prove the corank.
+
+`homology_dims` is the one homology routine: Ext, Tor, the derived
+functors, the standard-filtration test and homotopy Hom all hand it the
+dimensions and differentials of a complex and read dim H_k off the ranks.
 """
 
 import warnings
@@ -43,6 +47,22 @@ def rref(rows, field=QQ):
 
 def rank(rows, field=QQ):
     return len(rref(rows, field)[1])
+
+
+def homology_dims(dims, diffs, field=QQ, max_deg=None):
+    """[dim H_k for k in 0..max_deg] of a complex of finite-dimensional spaces.
+
+    dims[k] is the dimension of term k and diffs[k] the matrix (list of rows)
+    between terms k and k-1, in either direction, since only its rank is
+    read: dim H_k = dims[k] - rank diffs[k] - rank diffs[k+1].  A missing,
+    None or empty matrix counts as zero, and so does a term past `dims`.
+    `max_deg` defaults to the last term.
+    """
+    n = len(dims) if max_deg is None else max_deg + 1
+    ranks = [rank(diffs[k], field) if k < len(diffs) and diffs[k] else 0
+             for k in range(n + 1)]
+    return [(dims[k] if k < len(dims) else 0) - ranks[k] - ranks[k + 1]
+            for k in range(n)]
 
 
 def _kernel_from_rref(red, pivots, ncols, field=QQ):

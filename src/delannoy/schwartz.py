@@ -394,23 +394,28 @@ class _PairRows(dict):
     `in` and iteration see just the rows built so far.
     """
 
-    __slots__ = ("_beta_pos", "_alpha_pos", "_gammas", "_n_alpha", "_pairs",
-                 "_gamma", "_cvec")
+    __slots__ = ("_beta_pos", "_alpha_pos", "_gammas", "_beta_start",
+                 "_alpha", "_gamma", "_cvec")
 
     def __init__(self, tgt_size, mid_size, src_size):
         super().__init__()
-        beta, alpha, self._gamma, self._cvec = _pair_arrays(
+        beta, self._alpha, self._gamma, self._cvec = _pair_arrays(
             tgt_size, mid_size, src_size)
         self._beta_pos = _path_pos(mid_size, tgt_size)
         self._alpha_pos = _path_pos(src_size, mid_size)
         self._gammas = enumerate_paths(src_size, tgt_size)
-        self._n_alpha = delannoy(src_size, mid_size)
-        self._pairs = beta.astype(np.int64) * self._n_alpha + alpha
+        # The arrays are sorted by (beta, alpha, gamma): the rows of beta id b
+        # are _beta_start[b]:_beta_start[b + 1], sorted by alpha.
+        self._beta_start = beta.searchsorted(np.arange(
+            len(self._beta_pos) + 1, dtype=beta.dtype)).tolist()
 
     def __missing__(self, key):
-        beta, alpha = key
-        pair = self._beta_pos[beta] * self._n_alpha + self._alpha_pos[alpha]
-        lo, hi = self._pairs.searchsorted((pair, pair + 1)).tolist()
+        b = self._beta_pos[key[0]]
+        lo, hi = self._beta_start[b], self._beta_start[b + 1]
+        a = self._alpha_pos[key[1]]  # int32 bounds: no cast of the column
+        i, j = self._alpha[lo:hi].searchsorted(
+            np.array((a, a + 1), np.int32)).tolist()
+        lo, hi = lo + i, lo + j
         gammas = self._gammas
         row = dict(zip([gammas[g] for g in self._gamma[lo:hi].tolist()],
                        map(tuple, self._cvec[lo:hi].tolist())))

@@ -9,19 +9,19 @@ raises is reported as one failed case naming the exception.
 import os
 import time
 import traceback
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
+from itertools import chain
 from math import comb
 
 from . import acat, bmod, derived, dmod, kring, rep
 from .fields import QQ
-from .linalg import mat_is_zero, mat_mul, rank
+from .linalg import rank
 from .paths import delannoy
 from .schwartz import (MEASURES, MU1, MU2, MU3, MU4, UNBOUNDED_ABOVE,
                        UNBOUNDED_BELOW, compose, gap_measure, identity,
                        trace, transpose)
-from .weights import (black_tail, dual as dual_weight, enumerate_weights,
-                      flat, format_weight, is_alternating, sort_key,
-                      tensor_summands)
+from .weights import (black_tail, enumerate_weights, flat, format_weight,
+                      is_alternating, sort_key, tensor_summands)
 
 
 @dataclass
@@ -459,27 +459,19 @@ def check_pqi(lam, field=QQ):
     q1 = bmod.named_bmodule("Q", lam, field)
     q2 = bmod.named_bmodule("Q", lam[:-1], field)
     i_mod = bmod.named_bmodule("I", lam, field)
-    mid, offs = rep.direct_sum([q1, q2], field)
-    for f in rep.hom(p, mid):
+    mid, _ = rep.direct_sum([q1, q2], field)
+    homs = rep.hom(p, mid)
+    # single hom basis elements may not be injective; then try +-1 pair sums
+    pair_sums = (homs[a] + homs[b].scale(sign)
+                 for a in range(len(homs)) for b in range(a + 1, len(homs))
+                 for sign in (field.one, field.neg(field.one)))
+    for f in chain(homs, pair_sums):
         if any(rank(f.component(k), field) != p.dim(k) for k in p.dims):
             continue
-        c, proj = rep.cokernel(f)
+        c, _ = rep.cokernel(f)
         if c.dims == i_mod.dims and \
                 rep.find_isomorphism(c, i_mod) is not None:
             return True
-    # single hom basis elements may not be injective; try +-1 combinations
-    homs = rep.hom(p, mid)
-    for a in range(len(homs)):
-        for b in range(a + 1, len(homs)):
-            for sign in (field.one, field.neg(field.one)):
-                f = homs[a] + homs[b].scale(sign)
-                if any(rank(f.component(k), field) != p.dim(k)
-                       for k in p.dims):
-                    continue
-                c, proj = rep.cokernel(f)
-                if c.dims == i_mod.dims and \
-                        rep.find_isomorphism(c, i_mod) is not None:
-                    return True
     return False
 
 

@@ -49,14 +49,6 @@ def is_alternating(lam):
     return all(a != b for a, b in zip(lam, lam[1:]))
 
 
-def ends_white(lam):
-    return lam.endswith(WHITE)
-
-
-def ends_black(lam):
-    return lam.endswith(BLACK)
-
-
 def sort_key(lam):
     """Length-then-lexicographic order with b < w; gives stable outputs."""
     return (len(lam), lam)

@@ -90,9 +90,9 @@ def test_gauge_independence():
             res.field)
         per = phi_on_proj(twisted)  # also re-checks d^2 = 0 under the twist
         got = {}
-        from delannoy.derived import _complex_homology_dims
+        from delannoy.linalg import homology_dims
         for nu, (dims, diffs) in per.items():
-            hom = _complex_homology_dims(dims, diffs, QQ, 4)
+            hom = homology_dims(dims, diffs, QQ, 4)
             for k, d in enumerate(hom):
                 if d:
                     got.setdefault(k, {})[nu] = d

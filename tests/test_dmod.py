@@ -3,10 +3,12 @@ import pytest
 from delannoy import rep
 from delannoy.dmod import (DModule, basic_factorization, basic_targets,
                            compose_dist, dist_hom, dist_hom_nonzero, ext_dim,
-                           identify_named_dmodule, is_basic, named_dmodule,
-                           radical_filtration, tilting_complex,
-                           tilting_hom_dim, tilting_map, truncated_projective)
-from delannoy.fields import QQ
+                           homotopy_hom_dim, identify_named_dmodule, is_basic,
+                           named_dmodule, radical_filtration, tilting_complex,
+                           tilting_composite_unit, tilting_hom_dim,
+                           tilting_map, truncated_projective)
+from delannoy.fields import QQ, PrimeField
+from delannoy.linalg import rank
 from delannoy.weights import dual, enumerate_weights, is_alternating
 
 
@@ -148,6 +150,93 @@ def test_end_of_tilting_complex():
     for lam in enumerate_weights(2):
         assert ext_dim("T", lam, "T", lam, 0) == 1
         assert ext_dim("T", lam, "T", lam, 1) == 0
+
+
+def _homotopy_hom_dim_oracle(x, y, shift=0):
+    """The hand-built homotopy Hom: chain maps from the commuting conditions,
+    minus the rank of the boundary map of the homotopies."""
+    f = x.field
+    # chain map variables: per degree d, per (i in x.terms[d], j in y.terms[d+shift])
+    var_index = {}
+    for d, xs in x.terms.items():
+        ys = y.terms.get(d + shift, [])
+        for i, lam in enumerate(xs):
+            for j, mu in enumerate(ys):
+                if tilting_hom_dim(lam, mu):
+                    var_index[(d, i, j)] = len(var_index)
+    nvars = len(var_index)
+    rows = []
+    # commuting condition per degree d: d_y o f_d = f_{d+1} o d_x, as a map
+    # from x.terms[d] to y.terms[d+shift+1], expanded per canonical target hom
+    for d, xs in x.terms.items():
+        ys_next = y.terms.get(d + shift + 1, [])
+        for i, lam in enumerate(xs):
+            for j2, nu in enumerate(ys_next):
+                if not tilting_hom_dim(lam, nu):
+                    continue
+                row = [f.zero] * nvars
+                nz = False
+                for j, mu in enumerate(y.terms.get(d + shift, [])):
+                    c = y.diffs.get(d + shift, {}).get((j2, j))
+                    if c is not None and (d, i, j) in var_index and \
+                            tilting_composite_unit(lam, mu, nu):
+                        idx = var_index[(d, i, j)]
+                        row[idx] = f.add(row[idx], c)
+                        nz = True
+                for i2, mu in enumerate(x.terms.get(d + 1, [])):
+                    c = x.diffs.get(d, {}).get((i2, i))
+                    if c is not None and (d + 1, i2, j2) in var_index and \
+                            tilting_composite_unit(lam, mu, nu):
+                        idx = var_index[(d + 1, i2, j2)]
+                        row[idx] = f.sub(row[idx], c)
+                        nz = True
+                if nz:
+                    rows.append(row)
+    chain_dim = nvars - rank(rows, f) if rows else nvars
+    # homotopies: per degree d, maps x.terms[d] -> y.terms[d+shift-1];
+    # boundary h -> d_y h + h d_x lands in the chain-map space
+    h_index = {}
+    for d, xs in x.terms.items():
+        ys = y.terms.get(d + shift - 1, [])
+        for i, lam in enumerate(xs):
+            for j, mu in enumerate(ys):
+                if tilting_hom_dim(lam, mu):
+                    h_index[(d, i, j)] = len(h_index)
+    if not h_index or not var_index:
+        return chain_dim
+    boundary = [[f.zero] * len(h_index) for _ in range(nvars)]
+    for (d, i, j), col in h_index.items():
+        lam = x.terms[d][i]
+        mu = y.terms[d + shift - 1][j]
+        # d_y o h contributes at (d, i, j2)
+        for j2, nu in enumerate(y.terms.get(d + shift, [])):
+            c = y.diffs.get(d + shift - 1, {}).get((j2, j))
+            if c is not None and (d, i, j2) in var_index and \
+                    tilting_composite_unit(lam, mu, nu):
+                r = var_index[(d, i, j2)]
+                boundary[r][col] = f.add(boundary[r][col], c)
+        # h o d_x contributes at (d - 1, i2, j)
+        for i2, lam2 in enumerate(x.terms.get(d - 1, [])):
+            c = x.diffs.get(d - 1, {}).get((i, i2))
+            if c is not None and (d - 1, i2, j) in var_index and \
+                    tilting_composite_unit(lam2, lam, mu):
+                r = var_index[(d - 1, i2, j)]
+                boundary[r][col] = f.add(boundary[r][col], c)
+    return chain_dim - rank(boundary, f)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=repr)
+def test_homotopy_hom_dim_matches_the_hand_built_oracle(field):
+    # every pair of named tilting complexes at weights of length <= 3
+    complexes = [tilting_complex(kind, lam, field)
+                 for kind in ("S", "Delta", "Nabla", "T")
+                 for lam in enumerate_weights(3)]
+    for x in complexes:
+        for y in complexes:
+            for shift in range(-2, 5):
+                assert homotopy_hom_dim(x, y, shift) == \
+                    _homotopy_hom_dim_oracle(x, y, shift), (x, y, shift)
 
 
 def test_kernel_and_homology():

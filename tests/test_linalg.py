@@ -9,8 +9,8 @@ from delannoy import linalg
 from delannoy.acat import degenerate_quotient_dim
 from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import (_MOD_PRIMES, SpanBuilder, _rat_reconstruct,
-                             _verifies, nullspace, rank, rank_big,
-                             rank_kernel_int, rref, solve)
+                             _verifies, homology_dims, nullspace, rank,
+                             rank_big, rank_kernel_int, rref, solve)
 
 
 def frac_rows(rows):
@@ -51,6 +51,32 @@ def test_span_builder_matches_rank():
     assert sb.dim == rank(rows)
     for r in rows:
         assert sb.contains(r)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=repr)
+def test_homology_dims_on_hand_built_complexes(field):
+    one, zero = field.one, field.zero
+    # exact: 0 -> k -> k^2 -> k -> 0, the maps given in both directions
+    inc = [[one], [one]]                       # term 0 -> term 1 (2 x 1)
+    proj = [[one, field.neg(one)]]             # term 1 -> term 2 (1 x 2)
+    assert homology_dims([1, 2, 1], [None, inc, proj], field) == [0, 0, 0]
+    assert homology_dims([1, 2, 1], [[], linalg.mat_transpose(inc),
+                                     linalg.mat_transpose(proj)],
+                         field) == [0, 0, 0]
+    # a rank drop: [[1, 1], [1, -1]] is invertible except in characteristic 2
+    drop = field.characteristic == 2
+    assert homology_dims([2, 2], [None, [[one, one], [one, field.neg(one)]]],
+                         field) == ([1, 1] if drop else [0, 0])
+    assert homology_dims([2, 2], [None, [[one, zero], [zero, zero]]],
+                         field) == [1, 1]
+    # missing, None and empty matrices count as zero, and so do terms past
+    # `dims` up to `max_deg`; a matrix past the last term still counts
+    assert homology_dims([3, 0, 2], [], field) == [3, 0, 2]
+    assert homology_dims([3, 0, 2], [None, [], [[], []]], field) == [3, 0, 2]
+    assert homology_dims([2], [None], field, 3) == [2, 0, 0, 0]
+    assert homology_dims([1, 1, 4], [None, [[one]]], field, 1) == [0, 0]
+    assert homology_dims([2], [None, [[one, zero]]], field) == [1]
 
 
 def test_rank_kernel_int_certified():
