@@ -4,8 +4,8 @@ Modules over the combinatorial category: resolutions and Ext
 
 A finite module is a dimension vector with up/down generator matrices whose
 rows and columns are complexes.  Minimal projective resolutions come from
-iterated projective covers; Ext is computed by homming the resolution into
-the target.
+iterated projective covers, as complexes of weight symbols in degrees
+0, -1, ...; Ext is computed by homming the resolution into the target.
 """
 
 from delannoy.bmod import (ext_table, has_standard_filtration,
@@ -19,8 +19,9 @@ print("the uniserial three-step module at the empty weight:", q)
 print("\nminimal resolutions (projective symbols by degree):")
 for kind, lam in [("S", "w"), ("Q", "b"), ("Stan", "wbb")]:
     res = min_projective_resolution(named_bmodule(kind, lam), 4)
-    pretty = [" + ".join(format_weight(w) for w in t) or "0"
-              for t in res.terms]
+    # res.terms[d] holds the symbols in degree d = 0, -1, ...
+    pretty = [" + ".join(format_weight(w) for w in res.terms[-k]) or "0"
+              for k in range(len(res.terms))]
     print(f"  {kind}_{format_weight(lam)}: " + "  <-  ".join(pretty))
 
 print("\nExt dimensions out of the simple at w (rows: target, cols: i):")

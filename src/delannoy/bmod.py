@@ -7,16 +7,19 @@ consecutive downs.  The mixed composite up o down is the action of the third
 distinguished morphism and is unconstrained.  Only the generator maps are
 stored; nothing else is imposed, by the presentation of the category.  The
 module-map linear algebra (hom, kernel, cokernel, sums, duals) is `rep`'s.
-"""
 
-from dataclasses import dataclass
+A minimal projective resolution is a `weights.WeightComplex` of projective
+symbols in degrees 0, -1, ...: each entry is a multiple of the generator map
+between two projectives, of the kind `gen_kind` names, and Ext, Tor and the
+derived functors all read it in that form.
+"""
 
 from . import rep
 from .fields import QQ
 from .linalg import (SpanBuilder, eye, homology_dims, mat_is_zero, mat_mul,
                      mat_transpose, mat_vec, rank, zeros)
 from .rep import Module, ModuleMap
-from .weights import alternating_suffixes, gen_kind, sort_key
+from .weights import WeightComplex, alternating_suffixes, gen_kind, sort_key
 
 # Names the benchmark tracer patches by attribute; they are the rep functions.
 kernel_bmap, hom_bmodules = rep.kernel, rep.hom
@@ -180,36 +183,8 @@ def projective_cover(m):
     return [mu for mu, _ in symbols], p, cover, offsets
 
 
-@dataclass
-class FormalProjComplex:
-    """Bounded complex of projective symbols with generator-typed entries.
-
-    terms[k] lists the symbols in homological degree k (complex degree -k);
-    diffs[k] maps P_k -> P_{k-1}: {(dst_slot, src_slot): (coeff, kind)}.
-    """
-
-    terms: list
-    diffs: list  # diffs[0] unused placeholder {}
-    field: object
-
-    def validate(self):
-        f = self.field
-        for k in range(2, len(self.terms)):
-            for i, mu in enumerate(self.terms[k]):
-                for j2, rho in enumerate(self.terms[k - 2]):
-                    total = f.zero
-                    for mid, sigma in enumerate(self.terms[k - 1]):
-                        e1 = self.diffs[k].get((mid, i))
-                        e2 = self.diffs[k - 1].get((j2, mid))
-                        if e1 and e2 and gen_kind(mu, rho):
-                            total = f.add(total, f.mul(e1[0], e2[0]))
-                    if not f.is_zero(total):
-                        raise ValueError("formal differential does not square to zero")
-        return self
-
-
 def _extract_blocks(symbols_src, offsets_src, symbols_dst, offsets_dst, full_map):
-    """Read generator-typed block coefficients off a concrete map of sums.
+    """Read the generator coefficients off a concrete map of sums.
 
     Every valid block between projective slots is a scalar multiple of the
     common-support generator map; anything else trips an assertion.
@@ -234,34 +209,32 @@ def _extract_blocks(symbols_src, offsets_src, symbols_dst, offsets_dst, full_map
                 elif not fld.is_zero(val):
                     raise AssertionError("nonzero entry outside a generator block")
             if kind is not None and coeff is not None and not fld.is_zero(coeff):
-                diffs[(j, i)] = (coeff, kind)
+                diffs[(j, i)] = coeff
     return diffs
 
 
 def min_projective_resolution(m, max_deg):
     """Minimal projective resolution to homological degree max_deg.
 
+    A `WeightComplex` in degrees 0, -1, ..., -max_deg (homological degree k
+    is degree -k); a resolution that ends early keeps its empty last term.
     Built by iterated projective covers; the radical of the category algebra
     cubes to zero on finite modules, so covers are genuine and every kernel
     is again finite.
     """
-    fld = m.field
-    terms, diffs = [], [{}]
-    current = m
-    incl = None  # kernel -> previous cover source
-    prev_symbols = prev_offsets = None
+    terms, diffs = {}, {}
+    current, incl = m, None  # incl: kernel -> previous cover source
     for k in range(max_deg + 1):
         symbols, _, cover, offsets = projective_cover(current)
         if k > 0:
-            full = rep.compose(incl, cover)
-            diffs.append(_extract_blocks(symbols, offsets,
-                                         prev_symbols, prev_offsets, full))
-        terms.append(list(symbols))
+            diffs[-k] = _extract_blocks(symbols, offsets, terms[1 - k],
+                                        prev_offsets, rep.compose(incl, cover))
+        terms[-k] = symbols
         if not symbols:
             break
         current, incl = rep.kernel(cover)
-        prev_symbols, prev_offsets = symbols, offsets
-    return FormalProjComplex(terms, diffs, fld)
+        prev_offsets = offsets
+    return WeightComplex(terms, diffs, m.field)
 
 
 def ext_bmod(m, n, i):
@@ -281,35 +254,34 @@ def _ext_from_resolution(res, n, imax):
     # by precomposition with the generator entries
     spaces = []
     for k in range(imax + 2):
-        syms = res.terms[k] if k < len(res.terms) else []
         idx = []
-        for s, mu in enumerate(syms):
+        for s, mu in enumerate(res.terms.get(-k, ())):
             idx.extend((s, mu, j) for j in range(n.dim(mu)))
         spaces.append(idx)
     deltas = [None]  # deltas[k]: C^(k-1) -> C^k
     for k in range(imax + 1):
         src, dst = spaces[k], spaces[k + 1]
         mat = zeros(len(dst), len(src), fld)
-        if k + 1 < len(res.diffs):
-            for (j, i2), (coeff, kind) in res.diffs[k + 1].items():
-                mu = res.terms[k + 1][i2]   # row block: symbol in P_{k+1}
-                nu = res.terms[k][j]        # column block: symbol in P_k
-                action = _hom_action(n, mu, nu, kind)
-                for r in range(n.dim(mu)):
-                    for c in range(n.dim(nu)):
-                        v = action[r][c]
-                        if not fld.is_zero(v):
-                            ri = dst.index((i2, mu, r))
-                            ci = src.index((j, nu, c))
-                            mat[ri][ci] = fld.add(mat[ri][ci],
-                                                  fld.mul(coeff, v))
+        for (j, i2), coeff in res.diffs.get(-k - 1, {}).items():
+            mu = res.terms[-k - 1][i2]   # row block: symbol in P_{k+1}
+            nu = res.terms[-k][j]        # column block: symbol in P_k
+            action = _hom_action(n, mu, nu)
+            for r in range(n.dim(mu)):
+                for c in range(n.dim(nu)):
+                    v = action[r][c]
+                    if not fld.is_zero(v):
+                        ri = dst.index((i2, mu, r))
+                        ci = src.index((j, nu, c))
+                        mat[ri][ci] = fld.add(mat[ri][ci], fld.mul(coeff, v))
         deltas.append(mat)
     return homology_dims([len(s) for s in spaces], deltas, fld, imax)
 
 
-def _hom_action(n, mu, nu, kind):
-    """Matrix of n applied to the category morphism nu -> mu of given type."""
+def _hom_action(n, mu, nu):
+    """Matrix of n applied to the category morphism nu -> mu that the
+    generator P_mu -> P_nu induces."""
     fld = n.field
+    kind = gen_kind(mu, nu)
     if kind == "id":
         return eye(n.dim(mu), fld)
     if kind == "d":      # map of projectives P_{nu w} -> P_nu: action nu -> nu w
@@ -386,24 +358,26 @@ _CHECK_PARTS = 4
 
 
 def matrix_complex(res):
-    """Realize a formal projective complex as cut objects and matrices.
+    """Realize a projective resolution as cut objects and matrices.
 
-    Degree k becomes the direct sum object with one ambient part per symbol
-    (cut by the weight idempotents); generator entries become the concrete
-    distinguished maps, whose compositions satisfy the same relations as the
-    formal generators (the mixed composite is defined as the composite).
+    Homological degree k (degree -k of `res`) becomes the direct sum object
+    with one ambient part per symbol (cut by the weight idempotents);
+    generator entries become the concrete distinguished maps, whose
+    compositions satisfy the same relations as the formal generators (the
+    mixed composite is defined as the composite).
     Returns (objects, diffs) with diffs[k]: objects[k] -> objects[k-1].
 
     The squared differential is machine-checked to vanish wherever the parts
-    stay within `_CHECK_PARTS`; beyond that the identity follows from the
-    validated formal complex plus the generator relations, which the test
+    stay within `_CHECK_PARTS`; beyond that the identity follows from
+    d o d = 0 on the symbols plus the generator relations, which the test
     suite checks concretely (compositions of the distinguished maps).
     """
     from .acat import AObject, down_map, e_lambda, ud_map, up_map
     from .schwartz import MU2, PermMatrix, compose
     f = res.field
     objects, diffs = [], [None]
-    for syms in res.terms:
+    terms = [res.terms[-k] for k in range(len(res.terms))]
+    for syms in terms:
         ambient = tuple(len(mu) for mu in syms)
         entries = {}
         for i, mu in enumerate(syms):
@@ -411,12 +385,12 @@ def matrix_complex(res):
                 entries[(i, i, key[2])] = c
         objects.append(AObject(MU2, ambient,
                                PermMatrix(ambient, ambient, entries, f)))
-    for k in range(1, len(res.terms)):
+    for k in range(1, len(terms)):
         src, dst = objects[k], objects[k - 1]
         entries = {}
-        for (j, i), (coeff, kind) in res.diffs[k].items():
-            mu = res.terms[k][i]
-            nu = res.terms[k - 1][j]
+        for (j, i), coeff in res.diffs[-k].items():
+            mu, nu = terms[k][i], terms[k - 1][j]
+            kind = gen_kind(mu, nu)
             if kind == "id":
                 block = e_lambda(mu, f)
             elif kind == "d":
@@ -517,11 +491,9 @@ def tor_bmod(m, n, imax, max_part=6, nu_len=None):
     biggest = 0
     for k in range(imax + 2):
         for a in range(k + 1):
-            b = k - a
-            if a < len(res_a.terms) and b < len(res_b.terms):
-                for mu in res_a.terms[a]:
-                    for nu in res_b.terms[b]:
-                        biggest = max(biggest, len(mu) + len(nu))
+            for mu in res_a.terms.get(-a, ()):
+                for nu in res_b.terms.get(a - k, ()):
+                    biggest = max(biggest, len(mu) + len(nu))
     if biggest > max_part:
         raise WindowExceeded(
             f"tensor parts reach {biggest} > max_part={max_part}")

@@ -57,6 +57,29 @@ def parse_dmodule_kind(text):
     raise ValueError(f"bad module literal {text!r}; want DS/DDelta/DNabla/DT")
 
 
+RINGS = {"kc": kring.KC, "ka": kring.KA, "kd": kring.KD}
+
+
+def parse_kelement(text):
+    """Ring element literal {"ring": "kc"|"ka"|"kd", "coeffs": {weight: int}};
+    ValueError names the first malformed field."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"element: expected a JSON object, got "
+                         f"{type(data).__name__}")
+    ring = data.get("ring")
+    if not isinstance(ring, str) or ring not in RINGS:
+        raise ValueError(f"'ring' must be one of {sorted(RINGS)}, got {ring!r}")
+    coeffs = data.get("coeffs")
+    if not isinstance(coeffs, dict):
+        raise ValueError("'coeffs' must be an object of weight: int")
+    for w, c in coeffs.items():
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise ValueError(f"coeffs[{w!r}] must be an int, got {c!r}")
+    return kring.KElement.make(RINGS[ring], {parse_weight(w): c
+                                             for w, c in coeffs.items()})
+
+
 def _emit(data, as_json):
     if as_json:
         print(json.dumps(data, sort_keys=True))
@@ -88,6 +111,17 @@ _GLOBAL_DEFAULTS = {"measure": "mu2", "field": "q", "max_len": 4,
                     "max_deg": 5, "json": False}
 
 
+def _count(text):
+    """argparse type of the window flags: an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _common_flags():
     # suppressed defaults let the flags appear before or after the
     # subcommand without the subparser resetting earlier values
@@ -96,8 +130,9 @@ def _common_flags():
     c.add_argument("--measure", choices=sorted(MEASURE_BY_NAME),
                    help="measure for compositions (default mu2)")
     c.add_argument("--field", help="coefficient field: q or p<prime>")
-    c.add_argument("--max-len", type=int, help="weight window (default 4)")
-    c.add_argument("--max-deg", type=int, help="homological window (default 5)")
+    c.add_argument("--max-len", type=_count, help="weight window (default 4)")
+    c.add_argument("--max-deg", type=_count,
+                   help="homological window (default 5)")
     c.add_argument("--json", action="store_true", help="machine output")
     return c
 
@@ -138,7 +173,7 @@ def build_parser():
     sp.add_argument("side", choices=["b", "d"])
     sp.add_argument("source")
     sp.add_argument("target")
-    sp.add_argument("--max-i", type=int, default=3)
+    sp.add_argument("--max-i", type=_count, default=3)
 
     sp = sub.add_parser("resolve", parents=[common],
                         help="minimal projective resolution symbols")
@@ -275,8 +310,8 @@ def main(argv=None):
             m = parse_bmodule(args.module, field)
             res = bmod.min_projective_resolution(m, args.max_deg)
             _emit({"schema": 1,
-                   "terms": [[format_weight(w) for w in t]
-                             for t in res.terms]}, args.json)
+                   "terms": [[format_weight(w) for w in res.terms[-k]]
+                             for k in range(len(res.terms))]}, args.json)
         elif cmd == "derived":
             m = parse_bmodule(args.module, field)
             values = []
@@ -306,7 +341,7 @@ def main(argv=None):
                   args.json)
         elif cmd == "kring":
             if args.kcommand == "mult":
-                ring = {"kc": kring.KC, "ka": kring.KA, "kd": kring.KD}[args.ring]
+                ring = RINGS[args.ring]
                 a = kring.basis_element(ring, parse_weight(args.lam))
                 b = kring.basis_element(ring, parse_weight(args.mu))
                 prod = kring.mult(a, b)
@@ -314,10 +349,7 @@ def main(argv=None):
                        "coeffs": {format_weight(w): c for w, c in prod.coeffs}},
                       args.json)
             else:
-                data = json.loads(args.element)
-                ring = {"kc": kring.KC, "ka": kring.KA, "kd": kring.KD}[data["ring"]]
-                coeffs = {parse_weight(w): c for w, c in data["coeffs"].items()}
-                elt = kring.KElement.make(ring, coeffs)
+                elt = parse_kelement(args.element)
                 fn = {"phi": kring.phi_map, "i": kring.i_map,
                       "j": kring.j_map}[args.which]
                 out = fn(elt)

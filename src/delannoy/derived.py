@@ -2,126 +2,110 @@
 
 On projectives the first functor sends the projective at lam to the pair of
 simples {lam, lam-flat} of the semisimple category, the second to the tilting
-module at lam, and the third to the ground field when lam is empty.  All
-three act on the distinguished generator maps with the +1 gauge on the shared
-simple or tilting; functoriality of this gauge is machine-verified per window
-(the image differentials must square to zero) rather than proved abstractly.
-Homology dimensions are gauge-independent.
+module at lam, and the third to the ground field when lam is empty.  Each
+image is one-dimensional over every weight of its support, and a generator
+map acts by the +1 gauge on the weights the two supports share.  So a minimal
+resolution, read as a complex of tilting symbols, is already its image under
+the second functor, and `pointwise_image` reads all three images off it one
+weight at a time.  Functoriality of the gauge is machine-verified per window
+and per weight for all three functors (each image differential must square
+to zero) rather than proved abstractly.  Homology dimensions are
+gauge-independent.
 """
 
 from .bmod import min_projective_resolution
-from .dmod import DModule, TiltComplex, identify_named_dmodule, named_dmodule
+from .dmod import (DModule, identify_named_dmodule, named_dmodule,
+                   tilting_support)
 from .linalg import homology_dims, mat_is_zero, mat_mul, zeros
 from .rep import ModuleMap, direct_sum, homology
 from .weights import flat, sort_key
 
 
-def _phi_simples(mu):
-    """Simples of the image of the projective at mu: {mu, mu-flat}."""
-    out = [mu]
+def phi_support(mu):
+    """Simples of the first image of the projective at mu: {mu, mu-flat}."""
     f = flat(mu)
-    if f is not None:
-        out.append(f)
+    return (mu,) if f is None else (mu, f)
+
+
+psi_support = tilting_support
+
+
+def theta_support(mu):
+    """The third image of the projective at mu: the unit weight at mu = ''."""
+    return ("",) if mu == "" else ()
+
+
+def pointwise_image(cpx, support):
+    """Per-weight scalar complexes of a functor's image of a resolution.
+
+    Slot i of homological degree k (degree -k of `cpx`) lies over kappa when
+    kappa is in support(symbol); an entry passes with its coefficient when
+    kappa is in the supports of both its slots.  Returns {kappa: (dims per
+    degree, diffs per degree)} where diffs[k] is the matrix (list of rows)
+    of the degree k -> k-1 differential between the slots over kappa.  The
+    differentials are checked to square to zero, which checks functoriality
+    of the gauge on every composable pair.
+    """
+    f = cpx.field
+    over = []  # per degree: {kappa: {slot: row over kappa}}
+    for k in range(1 - min(cpx.terms, default=0)):
+        per = {}
+        for i, mu in enumerate(cpx.terms.get(-k, ())):
+            for kappa in support(mu):
+                rows = per.setdefault(kappa, {})
+                rows[i] = len(rows)
+        over.append(per)
+    out = {}
+    for kappa in sorted(set().union(*over), key=sort_key):
+        pos = [per.get(kappa, {}) for per in over]
+        diffs = [None]
+        for k in range(1, len(pos)):
+            mat = zeros(len(pos[k - 1]), len(pos[k]), f)
+            for (j, i), coeff in cpx.diffs.get(-k, {}).items():
+                if i in pos[k] and j in pos[k - 1]:
+                    mat[pos[k - 1][j]][pos[k][i]] = coeff
+            if k > 1 and not mat_is_zero(mat_mul(diffs[-1], mat, f), f):
+                raise AssertionError(
+                    f"gauge is not functorial over {kappa!r}: d^2 != 0")
+            diffs.append(mat)
+        out[kappa] = ([len(p) for p in pos], diffs)
     return out
 
 
-def _phi_passes(kind, mu, nu):
-    """Simple weights the generator map P_mu -> P_nu acts on by the gauge +1."""
-    if kind == "id":
-        return set(_phi_simples(mu))
-    if kind == "d":      # mu = nu + w: shared simple is nu
-        return {nu}
-    if kind == "u":      # nu = mu + b: shared simple is mu
-        return {mu}
-    if kind == "ud":     # mu = kappa w, nu = kappa b: shared simple kappa
-        return {mu[:-1]}
-    raise ValueError(kind)
-
-
-def phi_on_proj(cpx):
-    """Per-simple-weight scalar complexes of the image of a formal complex.
-
-    Returns {weight: (dims per degree, diffs per degree)} where diffs[k] is
-    the matrix (list of rows) of the degree k -> k-1 differential between the
-    slots containing the weight.  Differentials are validated to square to
-    zero, which checks gauge functoriality on every composable pair.
-    """
-    f = cpx.field
-    weights = set()
-    slots = []  # per degree: {weight: [slot indices]}
-    for syms in cpx.terms:
-        per = {}
-        for i, mu in enumerate(syms):
-            for nu in _phi_simples(mu):
-                per.setdefault(nu, []).append(i)
-                weights.add(nu)
-        slots.append(per)
+def pointwise_homology(cpx, support, max_deg):
+    """Homology of `pointwise_image`: {degree: {weight: dim}}, nonzero only."""
     out = {}
-    for nu in sorted(weights, key=sort_key):
-        dims = [len(per.get(nu, [])) for per in slots]
-        diffs = [None]
-        for k in range(1, len(cpx.terms)):
-            src = slots[k].get(nu, [])
-            dst = slots[k - 1].get(nu, [])
-            mat = zeros(len(dst), len(src), f)
-            for (j, i), (coeff, kind) in cpx.diffs[k].items():
-                mu_i = cpx.terms[k][i]
-                nu_j = cpx.terms[k - 1][j]
-                if nu in _phi_passes(kind, mu_i, nu_j):
-                    mat[dst.index(j)][src.index(i)] = coeff
-            diffs.append(mat)
-        for k in range(2, len(diffs)):
-            if not mat_is_zero(mat_mul(diffs[k - 1], diffs[k], f), f):
-                raise AssertionError("gauge is not functorial: d^2 != 0")
-        out[nu] = (dims, diffs)
+    for kappa, (dims, diffs) in pointwise_image(cpx, support).items():
+        for k, d in enumerate(homology_dims(dims, diffs, cpx.field, max_deg)):
+            if d:
+                out.setdefault(k, {})[kappa] = d
     return out
 
 
 def l_phi(m, max_deg):
     """Homology of the first derived functor: {degree: {weight: mult}}."""
     res = min_projective_resolution(m, max_deg + 1)
-    per_weight = phi_on_proj(res)
-    out = {}
-    for nu, (dims, diffs) in per_weight.items():
-        hom = homology_dims(dims, diffs, res.field, max_deg)
-        for k, d in enumerate(hom):
-            if d:
-                out.setdefault(k, {})[nu] = d
-    return out
+    return pointwise_homology(res, phi_support, max_deg)
 
 
-def psi_on_proj(cpx):
-    """The tilting complex image of a formal projective complex."""
-    terms = {-k: list(syms) for k, syms in enumerate(cpx.terms) if syms}
-    diffs = {}
-    for k in range(1, len(cpx.terms)):
-        if not cpx.terms[k]:
-            continue
-        diffs[-k] = {(j, i): coeff
-                     for (j, i), (coeff, _kind) in cpx.diffs[k].items()}
-    return TiltComplex(terms, diffs, cpx.field).validate()
-
-
-def realize_psi_complex(tc):
+def realize_psi_complex(cpx):
     """Concrete modules and differential maps of the tilting complex image."""
-    f = tc.field
-    mods, offs, full = {}, {}, {}
-    for d, syms in tc.terms.items():
+    f = cpx.field
+    offs, full = {}, {}
+    for d, syms in cpx.terms.items():
         mods_d = [named_dmodule("T", lam, f) for lam in syms]
         full[d], offs[d] = direct_sum(mods_d, f) if mods_d else \
             (DModule({}, {}, f), [])
     maps = {}
-    for d, entries in tc.diffs.items():
+    for d, entries in cpx.diffs.items():
         src, dst = full[d], full.get(d + 1)
         if dst is None:
             continue
         comps = {}
         for (j, i), coeff in entries.items():
-            lam = tc.terms[d][i]
-            mu = tc.terms[d + 1][j]
-            ti = named_dmodule("T", lam, f)
-            tj = named_dmodule("T", mu, f)
-            for kappa in set(ti.dims) & set(tj.dims):
+            lam = cpx.terms[d][i]
+            mu = cpx.terms[d + 1][j]
+            for kappa in tilting_support(lam) & tilting_support(mu):
                 mat = comps.setdefault(
                     kappa, zeros(dst.dim(kappa), src.dim(kappa), f))
                 mat[offs[d + 1][j][kappa]][offs[d][i][kappa]] = \
@@ -130,62 +114,37 @@ def realize_psi_complex(tc):
     return full, maps
 
 
-def l_psi(m, max_deg, identify=True):
+def l_psi(m, max_deg):
     """Homology of the second derived functor: {degree: DModule or name}.
 
     Homological degree k holds the k-th left-derived value; identification
     returns ('S'|'Delta'|'Nabla'|'T', weight) when a verified isomorphism
-    with a named module exists, otherwise the raw module.
+    with a named module exists, otherwise the raw module.  For dimensions
+    alone, `pointwise_homology(res, psi_support, max_deg)` is enough.
     """
-    res = min_projective_resolution(m, max_deg + 1)
-    tc = psi_on_proj(res)
-    full, maps = realize_psi_complex(tc)
-    f = res.field
+    res = min_projective_resolution(m, max_deg + 1).validate()
+    full, maps = realize_psi_complex(res)
+    zero = DModule({}, {}, res.field)
     out = {}
     for k in range(max_deg + 1):
-        deg = -k
-        term = full.get(deg)
-        if term is None or term.is_zero():
+        term = full.get(-k, zero)
+        if term.is_zero():
             continue
-        d_out = maps.get(deg)
-        if d_out is None:
-            d_out = ModuleMap(term, DModule({}, {}, f), {})
-        d_in = maps.get(deg - 1)
-        if d_in is None:
-            src = full.get(deg - 1, DModule({}, {}, f))
-            d_in = ModuleMap(src, term, {})
+        d_out = maps.get(-k, ModuleMap(term, zero, {}))
+        d_in = maps.get(-k - 1, ModuleMap(full.get(-k - 1, zero), term, {}))
         h = homology(d_in, d_out)
         if h.is_zero():
             continue
-        if identify:
-            name = identify_named_dmodule(h)
-            out[k] = name if name is not None else h
-        else:
-            out[k] = h
+        name = identify_named_dmodule(h)
+        out[k] = name if name is not None else h
     return out
-
-
-def theta_on_proj(cpx):
-    """The scalar complex of unit-weight slots: (dims, diffs)."""
-    f = cpx.field
-    slots = [[i for i, mu in enumerate(syms) if mu == ""]
-             for syms in cpx.terms]
-    dims = [len(s) for s in slots]
-    diffs = [None]
-    for k in range(1, len(cpx.terms)):
-        mat = zeros(dims[k - 1], dims[k], f)
-        for (j, i), (coeff, kind) in cpx.diffs[k].items():
-            if kind == "id" and cpx.terms[k][i] == "":
-                mat[slots[k - 1].index(j)][slots[k].index(i)] = coeff
-        diffs.append(mat)
-    return dims, diffs
 
 
 def l_theta(m, max_deg):
     """Homology dims of the third derived functor: [dim in degree 0..max_deg]."""
     res = min_projective_resolution(m, max_deg + 1)
-    dims, diffs = theta_on_proj(res)
-    return homology_dims(dims, diffs, res.field, max_deg)
+    h = pointwise_homology(res, theta_support, max_deg)
+    return [h.get(k, {}).get("", 0) for k in range(max_deg + 1)]
 
 
 def euler_characteristics(m, max_deg):
@@ -195,23 +154,17 @@ def euler_characteristics(m, max_deg):
     of the alternating sums of the first / second / third derived values.
     Amplitude must die inside the window; checked via the top two degrees.
     """
-    phi = l_phi(m, max_deg)
-    psi = l_psi(m, max_deg, identify=False)
-    theta = l_theta(m, max_deg)
-    for k in (max_deg, max_deg - 1):
-        if phi.get(k) or (k in psi and not psi[k].is_zero()) or \
-                (0 <= k < len(theta) and theta[k]):
+    res = min_projective_resolution(m, max_deg + 1)
+    chis = []
+    for support in (phi_support, psi_support, theta_support):
+        h = pointwise_homology(res, support, max_deg)
+        if h.get(max_deg) or h.get(max_deg - 1):
             raise ValueError("derived window too small for a trustworthy "
                              "Euler characteristic")
-    chi_phi = {}
-    for k, mults in phi.items():
-        for nu, d in mults.items():
-            chi_phi[nu] = chi_phi.get(nu, 0) + (-1) ** k * d
-    chi_psi = {}
-    for k, h in psi.items():
-        for nu, d in h.dims.items():
-            chi_psi[nu] = chi_psi.get(nu, 0) + (-1) ** k * d
-    chi_theta = sum((-1) ** k * d for k, d in enumerate(theta))
-    return ({k: v for k, v in chi_phi.items() if v},
-            {k: v for k, v in chi_psi.items() if v},
-            chi_theta)
+        chi = {}
+        for k, dims in h.items():
+            for nu, d in dims.items():
+                chi[nu] = chi.get(nu, 0) + (-1) ** k * d
+        chis.append({nu: c for nu, c in chi.items() if c})
+    chi_phi, chi_psi, chi_theta = chis
+    return chi_phi, chi_psi, chi_theta.get("", 0)

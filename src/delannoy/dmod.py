@@ -7,6 +7,11 @@ morphisms compose to the distinguished morphism when it exists and to zero
 otherwise.  A finite module stores one matrix per nonzero distinguished
 morphism between supported weights; the only relations are composition
 consistency, which is validated by a direct scan.
+
+The tilting module at lam is the full module on `tilting_support(lam)`.
+Tilting complexes are `weights.WeightComplex`es of tilting symbols, the class
+`bmod` uses for projective resolutions: Hom between tiltings is spanned by
+the canonical map, and canonical maps compose by the same generator rule.
 """
 
 from dataclasses import dataclass
@@ -15,7 +20,8 @@ from . import rep
 from .fields import QQ
 from .linalg import SpanBuilder, eye, homology_dims, mat_eq, mat_mul, mat_vec
 from .rep import Module, ModuleMap
-from .weights import dual as dual_weight, hom_dim_pattern, is_alternating
+from .weights import (WeightComplex, composite_unit, dual as dual_weight,
+                      hom_dim_pattern, is_alternating)
 
 # Names the benchmark tracer patches by attribute; they are the rep functions.
 hom_dmodules, find_isomorphism_d = rep.hom, rep.find_isomorphism
@@ -177,6 +183,12 @@ def _prefixes_with_tail(lam, final):
     return out
 
 
+def tilting_support(lam):
+    """Weights of the tilting module at lam: lam and every prefix of lam
+    whose complement is alternating."""
+    return frozenset((lam, *_prefixes_with_tail(lam, None)))
+
+
 def named_dmodule(kind, lam, field=QQ):
     """The named modules: S (simple), Delta, Nabla, T (tilting)."""
     if kind == "S":
@@ -186,7 +198,7 @@ def named_dmodule(kind, lam, field=QQ):
     elif kind == "Nabla":
         supp = {lam, *_prefixes_with_tail(lam, "w")}
     elif kind == "T":
-        supp = {lam, *_prefixes_with_tail(lam, None)}
+        supp = tilting_support(lam)
     else:
         raise ValueError(f"unknown module kind {kind!r}")
     return DModule.full(supp, field)
@@ -261,16 +273,10 @@ def radical_filtration(m):
 tilting_hom_dim = hom_dim_pattern
 
 
-def tilting_composite_unit(lam, mu, nu):
-    """Coefficient of the canonical map in t(mu,nu) o t(lam,mu): 0 or 1.
-
-    The canonical generators are common-support identity maps; their
-    composite is the canonical map exactly when all three hom spaces are
-    nonzero, and zero otherwise (machine-checked in the tests).
-    """
-    if tilting_hom_dim(lam, nu) == 0:
-        return 0
-    return int(tilting_hom_dim(lam, mu) != 0 and tilting_hom_dim(mu, nu) != 0)
+# The canonical generators between tilting modules are common-support
+# identity maps; they compose by the generator rule of the projectives
+# (machine-checked on the modules in the tests).
+tilting_composite_unit = composite_unit
 
 
 def tilting_map(lam, mu, field=QQ):
@@ -283,41 +289,6 @@ def tilting_map(lam, mu, field=QQ):
     return ModuleMap(src, dst, comps)
 
 
-@dataclass
-class TiltComplex:
-    """Bounded complex of tilting symbols with scalar differentials.
-
-    terms maps degree -> list of weights; diffs[d] is the differential from
-    degree d to degree d+1 as {(dst_slot, src_slot): coeff}.
-    """
-
-    terms: dict
-    diffs: dict
-    field: object
-
-    def degrees(self):
-        return sorted(self.terms)
-
-    def validate(self):
-        f = self.field
-        for d in self.degrees():
-            if d + 2 not in self.terms:
-                continue
-            for i, lam in enumerate(self.terms[d]):
-                for j, nu in enumerate(self.terms[d + 2]):
-                    total = f.zero
-                    for k, mu in enumerate(self.terms[d + 1]):
-                        e1 = self.diffs.get(d, {}).get((k, i))
-                        e2 = self.diffs.get(d + 1, {}).get((j, k))
-                        if e1 is not None and e2 is not None:
-                            unit = tilting_composite_unit(lam, mu, nu)
-                            if unit:
-                                total = f.add(total, f.mul(e1, e2))
-                    if not f.is_zero(total):
-                        raise ValueError("tilting differential does not square to zero")
-        return self
-
-
 def tilting_complex(kind, lam, field=QQ):
     """A bounded tilting complex representing the named module.
 
@@ -327,13 +298,13 @@ def tilting_complex(kind, lam, field=QQ):
     if kind == "T" or \
             (kind == "Delta" and (lam == "" or lam.endswith("b"))) or \
             (kind == "Nabla" and (lam == "" or lam.endswith("w"))):
-        return TiltComplex({0: [lam]}, {}, field)
+        return WeightComplex({0: [lam]}, {}, field)
     if kind in ("Delta", "Nabla"):
         return tilting_complex("S", lam, field)
     if kind != "S":
         raise ValueError(f"unknown complex kind {kind!r}")
     if lam == "":
-        return TiltComplex({0: [""]}, {}, field)
+        return WeightComplex({0: [""]}, {}, field)
     if lam.endswith("b"):
         # kappa b^i resolves by T_kappa -> ... -> T_lam in degrees -i..0
         i = 0
@@ -343,7 +314,7 @@ def tilting_complex(kind, lam, field=QQ):
             i += 1
         terms = {-k: [kappa + "b" * (i - k)] for k in range(i + 1)}
         diffs = {-k: {(0, 0): field.one} for k in range(1, i + 1)}
-        return TiltComplex(terms, diffs, field).validate()
+        return WeightComplex(terms, diffs, field).validate()
     # lam ends white: coresolution T_lam -> T_{kappa w^{i-1}} -> ... -> T_kappa
     i = 0
     kappa = lam
@@ -352,7 +323,7 @@ def tilting_complex(kind, lam, field=QQ):
         i += 1
     terms = {k: [kappa + "w" * (i - k)] for k in range(i + 1)}
     diffs = {k: {(0, 0): field.one} for k in range(i)}
-    return TiltComplex(terms, diffs, field).validate()
+    return WeightComplex(terms, diffs, field).validate()
 
 
 def _hom_basis(x, y, n):

@@ -11,7 +11,7 @@ Euler-characteristic triple of the three derived functors.
 from dataclasses import dataclass
 
 from .weights import flat, sort_key, tensor_summands
-from .dmod import named_dmodule
+from .dmod import tilting_support
 
 KC, KA, KD = "kc", "ka", "kd"
 
@@ -76,7 +76,7 @@ def _convolve(a_coeffs, b_coeffs, restricted):
 
 def tilting_class(lam):
     """[T_lam] expanded in the simple basis of KD (multiplicity free)."""
-    return KElement.make(KD, {mu: 1 for mu in named_dmodule("T", lam).dims})
+    return KElement.make(KD, {mu: 1 for mu in tilting_support(lam)})
 
 
 def i_map(a):
@@ -89,17 +89,24 @@ def i_map(a):
     return out
 
 
+def _back_substitute(x, image):
+    """The KA element a with image(a) = x, for a map that is unitriangular
+    on the basis (image of [lam] is [lam] plus shorter weights): peel off the
+    longest weight first."""
+    rest = x
+    out = {}
+    while not rest.is_zero():
+        lam, c = rest.coeffs[-1]  # coeffs are sorted by sort_key
+        out[lam] = out.get(lam, 0) + c
+        rest = rest - image(basis_element(KA, lam, c))
+    return KElement.make(KA, out)
+
+
 def i_inverse(d):
     """KD -> KA by unitriangular back-substitution on the tilting classes."""
     if d.ring != KD:
         raise ValueError("i^-1 is defined on the KD ring")
-    rest = d
-    out = {}
-    while not rest.is_zero():
-        lam, c = max(rest.coeffs, key=lambda wc: sort_key(wc[0]))
-        out[lam] = out.get(lam, 0) + c
-        rest = rest - tilting_class(lam).scale(c)
-    return KElement.make(KA, out)
+    return _back_substitute(d, i_map)
 
 
 def phi_map(a):
@@ -119,13 +126,7 @@ def phi_inverse(x):
     """KC -> KA by unitriangular back-substitution, longest weight first."""
     if x.ring != KC:
         raise ValueError("phi^-1 is defined on the KC ring")
-    rest = x
-    out = {}
-    while not rest.is_zero():
-        lam, c = max(rest.coeffs, key=lambda wc: sort_key(wc[0]))
-        out[lam] = out.get(lam, 0) + c
-        rest = rest - phi_map(basis_element(KA, lam, c))
-    return KElement.make(KA, out)
+    return _back_substitute(x, phi_map)
 
 
 def j_map(d):

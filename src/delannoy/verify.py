@@ -252,23 +252,22 @@ def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
     # index in the source table is off by one flat; see the ledger)
     run_table("Stan", "B-ext-f",
               lambda lam, nu, i: 1 if (i == 0 and lam == nu) else 0)
-    # resolution shapes
+    # resolution shapes, as symbol lists by homological degree
+    def shape(kind, lam, max_deg):
+        res = bmod.min_projective_resolution(
+            bmod.named_bmodule(kind, lam, field), max_deg)
+        return [res.terms[-k] for k in range(len(res.terms))]
+
     for lam in weights:
         if lam == "" or lam.endswith("w"):
-            res = bmod.min_projective_resolution(
-                bmod.named_bmodule("S", lam, field), 3)
             _case(cases, f"resLD[{_wfmt(lam)}]",
-                  [[lam + "w" * k] for k in range(4)], res.terms[:4])
-        res = bmod.min_projective_resolution(
-            bmod.named_bmodule("Q", lam, field), 3)
+                  [[lam + "w" * k] for k in range(4)], shape("S", lam, 3)[:4])
         _case(cases, f"resQP[{_wfmt(lam)}]",
-              [[lam + "b" + "w" * k] for k in range(4)], res.terms[:4])
+              [[lam + "b" + "w" * k] for k in range(4)], shape("Q", lam, 3)[:4])
         mu, n = black_tail(lam)
-        res = bmod.min_projective_resolution(
-            bmod.named_bmodule("Stan", lam, field), n + 1)
         want = [[mu + "b" * (n - k)] for k in range(n + 1)] + [[]]
         _case(cases, f"resDP[{_wfmt(lam)}]", want,
-              res.terms[:n + 2])
+              shape("Stan", lam, n + 1)[:n + 2])
     return cases, {"max_len": max_len, "max_i": max_i}
 
 
@@ -425,8 +424,9 @@ def suite_derived_functors(max_len=4, max_deg=6, psi_i_len=3, field=QQ):
               psi_q == {})
         # amplitude: no derived value in degrees >= 2 for any of the four
         for kind in ("S", "Stan", "Cost", "Q"):
-            psi = derived.l_psi(bmod.named_bmodule(kind, lam, field), 4,
-                                identify=False)
+            res = bmod.min_projective_resolution(
+                bmod.named_bmodule(kind, lam, field), 5)
+            psi = derived.pointwise_homology(res, derived.psi_support, 4)
             _case(cases, f"LPsi-amplitude-{kind}[{_wfmt(lam)}]", True,
                   all(k < 2 for k in psi))
     for lam in enumerate_weights(psi_i_len):

@@ -115,13 +115,17 @@ def test_projective_cover_of_simple():
 
 
 def test_min_resolution_shapes():
+    # res.terms[d] holds the symbols in degree d = 0, -1, ...
     res = min_projective_resolution(named_bmodule("S", "w"), 3)
-    assert res.terms[:4] == [["w"], ["ww"], ["www"], ["wwww"]]
+    assert [res.terms[-k] for k in range(4)] == [["w"], ["ww"], ["www"],
+                                                 ["wwww"]]
     res.validate()
     res = min_projective_resolution(named_bmodule("Q", "w"), 3)
-    assert res.terms[:4] == [["wb"], ["wbw"], ["wbww"], ["wbwww"]]
+    assert [res.terms[-k] for k in range(4)] == [["wb"], ["wbw"], ["wbww"],
+                                                 ["wbwww"]]
     res = min_projective_resolution(named_bmodule("Stan", "wbb"), 4)
-    assert res.terms == [["wbb"], ["wb"], ["w"], []]
+    assert [res.terms[-k] for k in range(len(res.terms))] == \
+        [["wbb"], ["wb"], ["w"], []]
 
 
 def test_gen_kind():

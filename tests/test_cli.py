@@ -121,6 +121,34 @@ def test_compose_rejects_malformed_matrix(tmp_path, capsys, text, field):
     assert err.startswith(f"error: {p}: ") and field in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ("[]", "element"),
+    ('{"coeffs": {"b": 1}}', "'ring'"),
+    ('{"ring": "kx", "coeffs": {"b": 1}}', "'ring'"),
+    ('{"ring": "ka", "coeffs": [1]}', "'coeffs'"),
+    ('{"ring": "ka", "coeffs": {"b": "x"}}', "coeffs['b']"),
+    ('{"ring": "ka", "coeffs": {"b": 1.5}}', "coeffs['b']"),
+    ('{"ring": "ka", "coeffs": {"b": true}}', "coeffs['b']"),
+])
+def test_kring_map_rejects_malformed_element(capsys, text, field):
+    code = main(["kring", "map", "phi", text])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "idempotents", "--max-len", "-1"],
+    ["resolve", "S:w", "--max-deg", "-1"],
+    ["ext", "b", "S:w", "S:e", "--max-i", "-1"],
+])
+def test_negative_windows_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "hom-table", "--field", "p2147483647", "--json"],
     ["verify", "degenerate-ideal", "--max-len", "3", "--field", "p4294967311",

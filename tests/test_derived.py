@@ -1,18 +1,24 @@
 import random
+from types import SimpleNamespace
+
+import pytest
 
 from delannoy import rep
 from delannoy.bmod import min_projective_resolution, named_bmodule
 from delannoy.derived import (euler_characteristics, l_phi, l_psi, l_theta,
-                              phi_on_proj, psi_on_proj, theta_on_proj)
-from delannoy.dmod import named_dmodule
-from delannoy.fields import QQ
-from delannoy.linalg import rank
-from delannoy.weights import enumerate_weights
+                              phi_support, pointwise_homology,
+                              pointwise_image, psi_support,
+                              realize_psi_complex, theta_support)
+from delannoy.dmod import DModule, named_dmodule
+from delannoy.fields import QQ, PrimeField
+from delannoy.linalg import mat_is_zero, mat_mul, zeros
+from delannoy.weights import (WeightComplex, enumerate_weights, flat,
+                              gen_kind, sort_key)
 
 
 def test_phi_on_projectives():
     res = min_projective_resolution(named_bmodule("P", "bw"), 0)
-    per = phi_on_proj(res)
+    per = pointwise_image(res, phi_support)
     assert set(per) == {"bw", "b"}
     assert per["bw"][0] == [1] and per["b"][0] == [1]
 
@@ -54,7 +60,8 @@ def test_l_psi_tables_small():
 def test_psi_amplitude():
     for lam in enumerate_weights(2):
         for kind in ("S", "Stan", "Cost", "Q"):
-            psi = l_psi(named_bmodule(kind, lam), 4, identify=False)
+            res = min_projective_resolution(named_bmodule(kind, lam), 5)
+            psi = pointwise_homology(res, psi_support, 4)
             assert all(k < 2 for k in psi), (kind, lam)
 
 
@@ -80,23 +87,22 @@ def test_gauge_independence():
                 return cu[mu]
             return QQ.mul(cu[mu[:-1]], cd[mu[:-1]])
 
-        twisted = res.__class__(
+        def twisted_entry(d, j, i, c):
+            mu, nu = res.terms[d][i], res.terms[d + 1][j]
+            return QQ.mul(c, twist(gen_kind(mu, nu), mu, nu))
+
+        twisted = WeightComplex(
             res.terms,
-            [{} if k == 0 else
-             {key: (QQ.mul(c, twist(kindg, res.terms[k][key[1]],
-                                    res.terms[k - 1][key[0]])), kindg)
-              for key, (c, kindg) in res.diffs[k].items()}
-             for k in range(len(res.diffs))],
+            {d: {(j, i): twisted_entry(d, j, i, c)
+                 for (j, i), c in entries.items()}
+             for d, entries in res.diffs.items()},
             res.field)
-        per = phi_on_proj(twisted)  # also re-checks d^2 = 0 under the twist
-        got = {}
-        from delannoy.linalg import homology_dims
-        for nu, (dims, diffs) in per.items():
-            hom = homology_dims(dims, diffs, QQ, 4)
-            for k, d in enumerate(hom):
-                if d:
-                    got.setdefault(k, {})[nu] = d
+        # also re-checks d^2 = 0 under the twist
+        got = pointwise_homology(twisted, phi_support, 4)
         assert got == base, (kind, lam)
+        for support in (psi_support, theta_support):
+            assert pointwise_homology(twisted, support, 4) == \
+                pointwise_homology(res, support, 4), (kind, lam, support)
 
 
 def test_euler_characteristics_on_generators():
@@ -134,3 +140,159 @@ def test_white_middle_homology_detection():
         assert killed == (set(h.dims) <= {""}), (trial, h.dims)
         checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the per-functor image routines the pointwise image replaced, kept
+# verbatim.  They read a resolution as terms[k] in homological degree k and
+# diffs[k] = {(dst, src): (coeff, kind)} from degree k to k - 1.
+# ---------------------------------------------------------------------------
+
+def _phi_simples(mu):
+    """Simples of the image of the projective at mu: {mu, mu-flat}."""
+    out = [mu]
+    f = flat(mu)
+    if f is not None:
+        out.append(f)
+    return out
+
+
+def _phi_passes(kind, mu, nu):
+    """Simple weights the generator map P_mu -> P_nu acts on by the gauge +1."""
+    if kind == "id":
+        return set(_phi_simples(mu))
+    if kind == "d":      # mu = nu + w: shared simple is nu
+        return {nu}
+    if kind == "u":      # nu = mu + b: shared simple is mu
+        return {mu}
+    if kind == "ud":     # mu = kappa w, nu = kappa b: shared simple kappa
+        return {mu[:-1]}
+    raise ValueError(kind)
+
+
+def phi_on_proj(cpx):
+    """Per-simple-weight scalar complexes of the image of a formal complex.
+
+    Returns {weight: (dims per degree, diffs per degree)} where diffs[k] is
+    the matrix (list of rows) of the degree k -> k-1 differential between the
+    slots containing the weight.  Differentials are validated to square to
+    zero, which checks gauge functoriality on every composable pair.
+    """
+    f = cpx.field
+    weights = set()
+    slots = []  # per degree: {weight: [slot indices]}
+    for syms in cpx.terms:
+        per = {}
+        for i, mu in enumerate(syms):
+            for nu in _phi_simples(mu):
+                per.setdefault(nu, []).append(i)
+                weights.add(nu)
+        slots.append(per)
+    out = {}
+    for nu in sorted(weights, key=sort_key):
+        dims = [len(per.get(nu, [])) for per in slots]
+        diffs = [None]
+        for k in range(1, len(cpx.terms)):
+            src = slots[k].get(nu, [])
+            dst = slots[k - 1].get(nu, [])
+            mat = zeros(len(dst), len(src), f)
+            for (j, i), (coeff, kind) in cpx.diffs[k].items():
+                mu_i = cpx.terms[k][i]
+                nu_j = cpx.terms[k - 1][j]
+                if nu in _phi_passes(kind, mu_i, nu_j):
+                    mat[dst.index(j)][src.index(i)] = coeff
+            diffs.append(mat)
+        for k in range(2, len(diffs)):
+            if not mat_is_zero(mat_mul(diffs[k - 1], diffs[k], f), f):
+                raise AssertionError("gauge is not functorial: d^2 != 0")
+        out[nu] = (dims, diffs)
+    return out
+
+
+def theta_on_proj(cpx):
+    """The scalar complex of unit-weight slots: (dims, diffs)."""
+    f = cpx.field
+    slots = [[i for i, mu in enumerate(syms) if mu == ""]
+             for syms in cpx.terms]
+    dims = [len(s) for s in slots]
+    diffs = [None]
+    for k in range(1, len(cpx.terms)):
+        mat = zeros(dims[k - 1], dims[k], f)
+        for (j, i), (coeff, kind) in cpx.diffs[k].items():
+            if kind == "id" and cpx.terms[k][i] == "":
+                mat[slots[k - 1].index(j)][slots[k].index(i)] = coeff
+        diffs.append(mat)
+    return dims, diffs
+
+
+def _formal(res):
+    """A resolution in the layout the oracles read."""
+    terms = [res.terms[-k] for k in range(len(res.terms))]
+    diffs = [{}] + [{(j, i): (c, gen_kind(terms[k][i], terms[k - 1][j]))
+                     for (j, i), c in res.diffs[-k].items()}
+                    for k in range(1, len(terms))]
+    return SimpleNamespace(terms=terms, diffs=diffs, field=res.field)
+
+
+def _psi_module_dims(res, max_deg):
+    """{degree: {weight: dim}} of the realized tilting complex, by module
+    homology."""
+    full, maps = realize_psi_complex(res)
+    zero = DModule({}, {}, res.field)
+    out = {}
+    for k in range(max_deg + 1):
+        term = full.get(-k, zero)
+        d_out = maps.get(-k, rep.ModuleMap(term, zero, {}))
+        d_in = maps.get(-k - 1,
+                        rep.ModuleMap(full.get(-k - 1, zero), term, {}))
+        dims = {w: d for w, d in rep.homology(d_in, d_out).dims.items() if d}
+        if dims:
+            out[k] = dims
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
+                         ids=["QQ", "GF2", "GF3"])
+def test_pointwise_image_against_oracles(field):
+    # S, Stan, Cost, Q, I and P at every weight of length <= 4, windows 4
+    # and 6: Phi and Theta matrix for matrix, Psi dims against the module
+    # homology of the realized tilting complex
+    checked = 0
+    for kind in ("S", "Stan", "Cost", "Q", "I", "P"):
+        for lam in enumerate_weights(4):
+            m = named_bmodule(kind, lam, field)
+            for max_deg in (4, 6):
+                res = min_projective_resolution(m, max_deg + 1)
+                old = _formal(res)
+                assert pointwise_image(res, phi_support) == \
+                    phi_on_proj(old), (kind, lam, max_deg)
+                dims, diffs = theta_on_proj(old)
+                per = pointwise_image(res, theta_support)
+                if "" in per:
+                    assert per[""] == (dims, diffs), (kind, lam, max_deg)
+                else:
+                    assert not any(dims), (kind, lam, max_deg)
+                assert pointwise_homology(res, psi_support, max_deg) == \
+                    _psi_module_dims(res, max_deg), (kind, lam, max_deg)
+                checked += 1
+    assert checked == 372
+
+
+@pytest.mark.parametrize("degrees", [(-2, -1, 0), (0, 1, 2)])
+def test_validate_rejects_nonzero_square(degrees):
+    a, b, c = degrees
+    one = QQ.one
+    # w -> e -> b composes to the generator w -> b: d o d = 1
+    bad = WeightComplex({a: ["w"], b: [""], c: ["b"]},
+                        {a: {(0, 0): one}, b: {(0, 0): one}}, QQ)
+    with pytest.raises(ValueError, match=f"degree {a}"):
+        bad.validate()
+    # ww -> w -> e composes to zero: ww -> e is no generator
+    good = WeightComplex({a: ["ww"], b: ["w"], c: [""]},
+                         {a: {(0, 0): one}, b: {(0, 0): one}}, QQ)
+    assert good.validate() is good
+    # w -> (e, w) -> b: the two paths to the generator w -> b cancel
+    good = WeightComplex({a: ["w"], b: ["", "w"], c: ["b"]},
+                         {a: {(0, 0): one, (1, 0): one},
+                          b: {(0, 0): one, (0, 1): QQ.neg(one)}}, QQ)
+    assert good.validate() is good
