@@ -12,7 +12,16 @@ A minimal projective resolution is a `weights.WeightComplex` of projective
 symbols in degrees 0, -1, ...: each entry is a multiple of the generator map
 between two projectives, of the kind `gen_kind` names, and Ext, Tor and the
 derived functors all read it in that form.
+
+Each module is resolved once per process.  A bounded memo keeps one
+resolution per module, keyed by the module's class, field, dims and arrow
+matrices; a deeper request resumes from the last cover, a shallower one gets
+a truncated copy.  Equal keys mean identical input to a deterministic
+construction, so a hit returns exactly what a fresh resolution would.
 """
+
+from functools import lru_cache
+from itertools import accumulate
 
 from . import rep
 from .fields import QQ
@@ -213,6 +222,48 @@ def _extract_blocks(symbols_src, offsets_src, symbols_dst, offsets_dst, full_map
     return diffs
 
 
+class _Resolution:
+    """One module's minimal resolution as far as it has been built.
+
+    `cover` and `offsets` belong to the last term's projective cover; its
+    kernel is the next module to cover, and both are dropped once a term
+    comes out empty (the resolution has ended).
+    """
+
+    def __init__(self):
+        self.terms, self.diffs = {}, {}
+        self.cover = self.offsets = None
+
+    def extend(self, m, max_deg):
+        """Cover up to homological degree max_deg, unless the resolution ended."""
+        while len(self.terms) <= max_deg and \
+                (self.cover is not None or not self.terms):
+            k = len(self.terms)
+            current, incl = (m, None) if k == 0 else rep.kernel(self.cover)
+            symbols, _, cover, offsets = projective_cover(current)
+            if k > 0:
+                self.diffs[-k] = _extract_blocks(
+                    symbols, offsets, self.terms[1 - k], self.offsets,
+                    rep.compose(incl, cover))
+            self.terms[-k] = symbols
+            self.cover, self.offsets = (cover, offsets) if symbols else \
+                (None, None)
+
+
+def _module_key(m):
+    """The whole input of a resolution: class, field, dims, arrow matrices."""
+    return (type(m), m.field, tuple(sorted(m.dims.items())),
+            tuple(sorted((pair, tuple(map(tuple, mat)))
+                         for pair, mat in m.arrows.items())))
+
+
+# The acceptance windows of bmod-ext, derived-functors, sod and kring-iso
+# together resolve 286 modules.
+@lru_cache(maxsize=1024)
+def _resolution_memo(key):
+    return _Resolution()
+
+
 def min_projective_resolution(m, max_deg):
     """Minimal projective resolution to homological degree max_deg.
 
@@ -221,20 +272,23 @@ def min_projective_resolution(m, max_deg):
     Built by iterated projective covers; the radical of the category algebra
     cubes to zero on finite modules, so covers are genuine and every kernel
     is again finite.
+
+    The covers are memoized per module (`_resolution_memo`, bounded, least
+    recently used first out), keyed by `_module_key`: the module's class,
+    field, sorted dims and sorted arrow matrices.  Equal keys are identical
+    input to a deterministic construction, so a hit cannot change an answer;
+    two isomorphic modules written in different bases only miss.  A deeper
+    request resumes from the last cover, and every cover (with its
+    surjectivity check and the block assertions of `_extract_blocks`) runs
+    once per module and degree.  The caller gets fresh term lists and diff
+    dicts.
     """
-    terms, diffs = {}, {}
-    current, incl = m, None  # incl: kernel -> previous cover source
-    for k in range(max_deg + 1):
-        symbols, _, cover, offsets = projective_cover(current)
-        if k > 0:
-            diffs[-k] = _extract_blocks(symbols, offsets, terms[1 - k],
-                                        prev_offsets, rep.compose(incl, cover))
-        terms[-k] = symbols
-        if not symbols:
-            break
-        current, incl = rep.kernel(cover)
-        prev_offsets = offsets
-    return WeightComplex(terms, diffs, m.field)
+    memo = _resolution_memo(_module_key(m))
+    memo.extend(m, max_deg)
+    depth = min(max_deg, len(memo.terms) - 1)
+    return WeightComplex({-k: list(memo.terms[-k]) for k in range(depth + 1)},
+                         {-k: dict(memo.diffs[-k])
+                          for k in range(1, depth + 1)}, m.field)
 
 
 def ext_bmod(m, n, i):
@@ -249,32 +303,34 @@ def ext_table(m, n, imax):
 
 
 def _ext_from_resolution(res, n, imax):
-    fld = n.field
-    # cochain spaces: C^k = + over symbols mu of n(mu); differentials induced
-    # by precomposition with the generator entries
-    spaces = []
-    for k in range(imax + 2):
-        idx = []
-        for s, mu in enumerate(res.terms.get(-k, ())):
-            idx.extend((s, mu, j) for j in range(n.dim(mu)))
-        spaces.append(idx)
-    deltas = [None]  # deltas[k]: C^(k-1) -> C^k
+    fld, dim = n.field, n.dims.get
+    # cochain spaces: C^k = + over the symbols mu of P_k of n(mu);
+    # differentials induced by precomposition with the generator entries
+    dims = [[dim(mu, 0) for mu in res.terms.get(-k, ())]
+            for k in range(imax + 2)]
+    sizes = [sum(d) for d in dims]
+    deltas = [None]  # deltas[k]: C^(k-1) -> C^k, None when either is zero
     for k in range(imax + 1):
-        src, dst = spaces[k], spaces[k + 1]
-        mat = zeros(len(dst), len(src), fld)
+        if not (sizes[k] and sizes[k + 1]):
+            deltas.append(None)
+            continue
+        # slot s of C^(k+1) starts at row_starts[s], of C^k at col_starts[s]
+        row_starts = list(accumulate(dims[k + 1], initial=0))
+        col_starts = list(accumulate(dims[k], initial=0))
+        mat = zeros(sizes[k + 1], sizes[k], fld)
         for (j, i2), coeff in res.diffs.get(-k - 1, {}).items():
+            if not (dims[k + 1][i2] and dims[k][j]):
+                continue
             mu = res.terms[-k - 1][i2]   # row block: symbol in P_{k+1}
             nu = res.terms[-k][j]        # column block: symbol in P_k
-            action = _hom_action(n, mu, nu)
-            for r in range(n.dim(mu)):
-                for c in range(n.dim(nu)):
-                    v = action[r][c]
+            r0, c0 = row_starts[i2], col_starts[j]
+            for r, row in enumerate(_hom_action(n, mu, nu)):
+                out = mat[r0 + r]
+                for c, v in enumerate(row):
                     if not fld.is_zero(v):
-                        ri = dst.index((i2, mu, r))
-                        ci = src.index((j, nu, c))
-                        mat[ri][ci] = fld.add(mat[ri][ci], fld.mul(coeff, v))
+                        out[c0 + c] = fld.add(out[c0 + c], fld.mul(coeff, v))
         deltas.append(mat)
-    return homology_dims([len(s) for s in spaces], deltas, fld, imax)
+    return homology_dims(sizes, deltas, fld, imax)
 
 
 def _hom_action(n, mu, nu):

@@ -358,12 +358,14 @@ def main(argv=None):
                       args.json)
         elif cmd == "verify":
             names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
-            reports = [verify.run_suite(n, f"delannoy verify {n}{given}",
-                                        **_suite_kwargs(n, args))
-                       for n in names]
-            for rep in reports:
+            ok = True
+            for n in names:  # each report is out before the next suite runs
+                rep = verify.run_suite(n, f"delannoy verify {n}{given}",
+                                       **_suite_kwargs(n, args))
                 _print_report(rep, args.json)
-            return 0 if all(rep.ok for rep in reports) else 1
+                sys.stdout.flush()
+                ok = ok and rep.ok
+            return 0 if ok else 1
         return 0
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -699,7 +699,8 @@ SUITES = {
 
 def run_suite(name, repro=None, **kwargs):
     """Run one suite; every failed case carries `repro`, the command that
-    replays the run (default `delannoy verify <name>`)."""
+    replays the run (default `delannoy verify <name>`), and over a prime
+    field the report's window names the field ("field": "p2")."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     t0 = time.perf_counter()
@@ -711,6 +712,9 @@ def run_suite(name, repro=None, **kwargs):
                       f"{type(exc).__name__}: {exc} (raised at "
                       f"{os.path.basename(where.filename)}:{where.lineno})")]
         window = {}
+    field = kwargs.get("field", QQ)
+    if field != QQ:  # a report over a prime field names it
+        window = {**window, "field": field.name}
     for c in cases:
         if c.status == "fail":
             c.repro = repro or f"delannoy verify {name}"

@@ -231,3 +231,34 @@ def test_a_failed_case_replays_with_the_flags_of_its_run(capsys, monkeypatch):
     # over Q nothing fails, and a passing report carries no repro
     code, out = run_cli(capsys, "verify", "measures", "--json")
     assert code == 0 and "repro" not in out
+
+
+def test_verify_all_prints_each_report_as_its_suite_returns(capsys,
+                                                            monkeypatch):
+    from delannoy import verify
+
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "SUITES", {
+        "measures": verify.SUITES["measures"], "tor": interrupted})
+    with pytest.raises(KeyboardInterrupt):
+        main(["verify", "all", "--json"])
+    [line] = capsys.readouterr().out.splitlines()
+    report = json.loads(line)
+    assert report["suite"] == "measures"
+    assert report["counts"] == {"pass": 2, "fail": 0, "inconclusive": 0}
+
+
+def test_verify_json_window_names_a_prime_field(capsys):
+    code, out = run_cli(capsys, "verify", "tensor-rule", "--field", "p2",
+                        "--json")
+    assert code == 0
+    assert json.loads(out)["window"] == {"field": "p2", "kring_sum": 6,
+                                         "max_sum": 3}
+    # over Q the window is as before
+    code, out = run_cli(capsys, "verify", "tensor-rule", "--json")
+    assert json.loads(out)["window"] == {"kring_sum": 6, "max_sum": 3}
+    code, out = run_cli(capsys, "verify", "measures", "--field", "p3",
+                        "--json")
+    assert json.loads(out)["window"] == {"field": "p3"}
