@@ -4,7 +4,9 @@ Delannoy paths, orbit representatives, and ruffles
 
 Paths with unit up, right and diagonal steps index the orbits of pairs of
 increasing tuples; weights (words in b/w) index everything else.  Marked
-ruffles of two weights compute both tensor product rules.
+ruffles of two weights compute both tensor product rules; a ruffle is itself
+a Delannoy path, interleaving the letters of the two weights with a diagonal
+step for each collision.
 """
 
 from delannoy.paths import (delannoy, enumerate_paths, is_quasi_diagonal,

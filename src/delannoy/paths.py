@@ -5,6 +5,10 @@ An (m, n) Delannoy path is a word over the steps U (up), R (right), D
 orbits of order-preserving bijections of the line acting on pairs of
 increasing tuples: walking the line, a target point steps up, a source point
 steps right, and a shared point steps diagonally.
+
+Read the other way, a path interleaves two sequences with collisions
+(`interleavings`): the steps of two orbit paths in the tensor product of
+matrices, and the letters of two weights in a (marked) ruffle.
 """
 
 from functools import lru_cache
@@ -16,12 +20,12 @@ DIAG = "D"
 
 def path_m(path):
     """Number of source points (right + diagonal steps)."""
-    return sum(1 for s in path if s in "RD")
+    return path.count(RIGHT) + path.count(DIAG)
 
 
 def path_n(path):
     """Number of target points (up + diagonal steps)."""
-    return sum(1 for s in path if s in "UD")
+    return path.count(UP) + path.count(DIAG)
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +53,20 @@ def enumerate_paths(m, n):
     if m > 0 and n > 0:
         out.extend(DIAG + p for p in enumerate_paths(m - 1, n - 1))
     return tuple(out)
+
+
+def interleavings(a, b):
+    """Every interleaving of the sequences a and b, collisions allowed.
+
+    One per (len(b), len(a)) Delannoy path, in `enumerate_paths` order: the
+    list of its steps as pairs (x, y), where an up step takes the next item
+    of a as x, a right step the next item of b as y, a diagonal step both,
+    and a side that takes nothing reads "".
+    """
+    for path in enumerate_paths(len(b), len(a)):
+        next_a, next_b = iter(a).__next__, iter(b).__next__
+        yield [("" if s == RIGHT else next_a(), "" if s == UP else next_b())
+               for s in path]
 
 
 def path_of_pair(y, x):
@@ -108,6 +126,7 @@ def visited_vertices(path):
             v += 1
         pts.add((h, v))
     return pts
+
 
 def is_quasi_diagonal(path):
     """True iff an (n, n) path passes through every diagonal vertex (j, j)."""

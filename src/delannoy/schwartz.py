@@ -16,6 +16,11 @@ builds them once as numpy arrays over path ids (indexes into
 `enumerate_paths`); `_pair_index` serves them as rows (beta, alpha) ->
 {gamma: 4-vector}, each built on first use, so callers index it with `[]`.
 
+The tensor product needs no coordinates: a joint orbit of two entries is an
+interleaving of their paths' steps (`paths.interleavings`), and the table
+`_STEP` maps each interleaving step to its letters in the target orbit, the
+source orbit and the joint path.
+
 A `PermMatrix` is immutable once built; it groups its entries for
 `compose` on first use and keeps them (`PermMatrix._operands`), so a matrix
 composed many times converts its coefficients once.
@@ -26,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import QQ, PrimeField
-from .paths import (delannoy, enumerate_paths, path_m, path_n, path_of_pair,
-                    reflect, representative)
+from .paths import (DIAG, RIGHT, UP, delannoy, enumerate_paths, interleavings,
+                    path_m, path_n, reflect, representative)
 
 MU1, MU2, MU3, MU4 = 1, 2, 3, 4
 MEASURES = (MU1, MU2, MU3, MU4)
@@ -519,16 +524,26 @@ def tensor_object(obj_a, obj_b):
     return tuple(parts), index
 
 
-def _relabel(tup, mapping):
-    return tuple(mapping[v] for v in tup)
+# _LETTER[t][s]: the step of a point in the target (t) and/or source (s) tuple.
+_LETTER = (("", RIGHT), (UP, DIAG))
+_TGT, _SRC = {UP, DIAG}, {RIGHT, DIAG}
+_POINT = ("", UP, RIGHT, DIAG)  # "": that path has no point at this step
+
+# Step (p, q) of an interleaving of two entry paths -> its point's letters in
+# dt (a- against b-targets), ds (a- against b-sources) and gamma (all targets
+# against all sources).
+_STEP = {(p, q): (_LETTER[p in _TGT][q in _TGT], _LETTER[p in _SRC][q in _SRC],
+                  _LETTER[p in _TGT or q in _TGT][p in _SRC or q in _SRC])
+         for p in _POINT for q in _POINT}
 
 
 def tensor(amat, bmat):
     """Kronecker product, re-expanded over orbit parts of the product objects.
 
-    Measure-independent.  An entry of the result at a joint orbit is the
-    product of the two component entries at the reconstructed component
-    configurations.
+    Measure-independent.  Each step of an entry path is one point (U target,
+    R source, D both), so the joint orbits of two entries are the
+    interleavings of their steps, read off by `_STEP`; the entry at each is
+    the product of the two coefficients.
     """
     if amat.field != bmat.field:
         raise ValueError("field mismatch")
@@ -537,31 +552,12 @@ def tensor(amat, bmat):
     tgt_parts, tgt_index = tensor_object(amat.target, bmat.target)
     entries = {}
     for (ta, sa, pa), ca in amat.entries.items():
-        ya, xa = representative(pa)
-        pts_a = sorted(set(ya) | set(xa))
-        la = len(pts_a)
         for (tb, sb, pb), cb in bmat.entries.items():
-            yb, xb = representative(pb)
-            pts_b = sorted(set(yb) | set(xb))
-            lb = len(pts_b)
             coeff = f.mul(ca, cb)
-            # every relative interleaving of the a-points with the b-points
-            for walk in enumerate_paths(lb, la):
-                map_a, map_b = {}, {}
-                ia = ib = 0
-                for pos, step in enumerate(walk, start=1):
-                    if step in ("U", "D"):
-                        map_a[pts_a[ia]] = pos
-                        ia += 1
-                    if step in ("R", "D"):
-                        map_b[pts_b[ib]] = pos
-                        ib += 1
-                ya2, xa2 = _relabel(ya, map_a), _relabel(xa, map_a)
-                yb2, xb2 = _relabel(yb, map_b), _relabel(xb, map_b)
-                dt = path_of_pair(ya2, yb2)
-                ds = path_of_pair(xa2, xb2)
-                gamma = path_of_pair(tuple(sorted(set(ya2) | set(yb2))),
-                                     tuple(sorted(set(xa2) | set(xb2))))
+            for walk in interleavings(pa, pb):
+                # the leading ("", "", "") keeps the empty walk unpackable
+                dt, ds, gamma = map("".join, zip(("", "", ""),
+                                                 *map(_STEP.__getitem__, walk)))
                 key = (tgt_index[(ta, tb, dt)], src_index[(sa, sb, ds)], gamma)
                 entries[key] = coeff
     return PermMatrix(src_parts, tgt_parts, entries, f)

@@ -6,12 +6,15 @@ simple, indecomposable, standard, costandard, projective, injective and
 tilting objects throughout the engine.  This module also provides the
 generator rule between them, the complexes of weight symbols built on it
 (projective resolutions and tilting complexes alike), and the (marked)
-ruffle enumeration that underlies both tensor product rules.
+ruffle enumeration that underlies both tensor product rules: a ruffle is a
+Delannoy path interleaving the letters of two weights.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+
+from .paths import interleavings
 
 BLACK = "b"
 WHITE = "w"
@@ -197,53 +200,32 @@ def ruffle_weight(rho, lam, mu):
 def marked_ruffles(lam, mu, restricted=False):
     """All marked ruffles of lam and mu with their output weights.
 
-    Ruffles correspond to interleavings of the two words where positions can
-    collide; equal-letter collisions keep their letter, neutral ones take
-    each of the three marks.  With `restricted` a neutral collision in the
-    final position may not take the empty mark (this is the variant that
-    computes tensor products of indecomposables rather than simples).
+    Ruffles are the interleavings of the two words (`paths.interleavings`),
+    a diagonal step being a collision; equal-letter collisions keep their
+    letter, neutral ones take each of the three marks.  With `restricted` a
+    neutral collision in the final position may not take the empty mark
+    (this is the variant that computes tensor products of indecomposables
+    rather than simples).
     """
-    m, n = len(lam), len(mu)
     out = []
-
-    def rec(a, b, pos, rho1, rho2, rho3, letters):
-        if a == m and b == n:
-            if restricted and rho3 and rho3[-1][0] == pos and rho3[-1][1] == EMPTY_MARK:
-                return
-            rho = MarkedRuffle(tuple(rho1), tuple(rho2), tuple(rho3))
-            out.append((rho, "".join(letters)))
-            return
-        p = pos + 1
-        if a < m:
-            rho1.append(p)
-            letters.append(lam[a])
-            rec(a + 1, b, p, rho1, rho2, rho3, letters)
-            letters.pop()
-            rho1.pop()
-        if b < n:
-            rho2.append(p)
-            letters.append(mu[b])
-            rec(a, b + 1, p, rho1, rho2, rho3, letters)
-            letters.pop()
-            rho2.pop()
-        if a < m and b < n:
-            rho1.append(p)
-            rho2.append(p)
-            if lam[a] == mu[b]:
-                letters.append(lam[a])
-                rec(a + 1, b + 1, p, rho1, rho2, rho3, letters)
-                letters.pop()
-            else:
-                for mark in (BLACK, WHITE, EMPTY_MARK):
-                    rho3.append((p, mark))
-                    letters.append(mark)
-                    rec(a + 1, b + 1, p, rho1, rho2, rho3, letters)
-                    letters.pop()
-                    rho3.pop()
-            rho1.pop()
-            rho2.pop()
-
-    rec(0, 0, 0, [], [], [], [])
+    for walk in interleavings(lam, mu):
+        rho1, rho2, neutral, letters = [], [], [], []
+        for p, (x, y) in enumerate(walk, 1):
+            if x:
+                rho1.append(p)
+            if y:
+                rho2.append(p)
+                if x and x != y:
+                    neutral.append(p)
+            letters.append(x or y)
+        rho1, rho2 = tuple(rho1), tuple(rho2)
+        marks = [(BLACK, WHITE) if restricted and p == len(walk)
+                 else (BLACK, WHITE, EMPTY_MARK) for p in neutral]
+        for marking in product(*marks):
+            for p, mark in zip(neutral, marking):
+                letters[p - 1] = mark
+            out.append((MarkedRuffle(rho1, rho2, tuple(zip(neutral, marking))),
+                        "".join(letters)))
     return out
 
 
