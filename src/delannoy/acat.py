@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .fields import QQ, PrimeField
-from .linalg import ModSpan, SpanBuilder, rank_big, solve
+from .linalg import ModSpan, SpanBuilder, _max_abs, rank_big, solve
 from .paths import delannoy, enumerate_paths, representative
 # `_pair_index` is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer rebinds it in this module.
@@ -163,10 +163,6 @@ def _check_same_setting(x, y):
 
 # Join rows of the expanded trace table accumulated at once.
 _JOIN_CHUNK = 1 << 16
-
-
-def _max_abs(a):
-    return max(-int(a.min()), int(a.max()))
 
 
 @lru_cache(maxsize=None)

@@ -147,22 +147,6 @@ def top_lifts(m):
     return out
 
 
-def _generator_action(m, mu, kappa, v):
-    """Image of v in V(kappa) under the category morphism mu -> kappa."""
-    fld = m.field
-    if kappa == mu:
-        return v
-    if kappa == mu + "w":
-        return mat_vec(m.up_matrix(mu), v, fld)
-    if mu.endswith("b") and kappa == mu[:-1]:
-        return mat_vec(m.down_matrix(mu[:-1]), v, fld)
-    if mu.endswith("b") and kappa == mu[:-1] + "w":
-        base = mu[:-1]
-        return mat_vec(m.up_matrix(base),
-                       mat_vec(m.down_matrix(base), v, fld), fld)
-    raise ValueError(f"no morphism {mu!r} -> {kappa!r}")
-
-
 def projective_cover(m):
     """(symbols, P, cover map P -> m, slot offsets of P); minimal by
     construction."""
@@ -178,8 +162,10 @@ def projective_cover(m):
     comps = {}
     for slot, (mu, v) in enumerate(symbols):
         for kappa in projective_support(mu):
-            w = _generator_action(m, mu, kappa, v) if m.dim(kappa) else None
-            if w is None or all(fld.is_zero(x) for x in w):
+            if not m.dim(kappa):
+                continue
+            w = mat_vec(_hom_action(m, kappa, mu), v, fld)
+            if all(fld.is_zero(x) for x in w):
                 continue
             mat = comps.setdefault(kappa, zeros(m.dim(kappa), p.dim(kappa), fld))
             c0 = offsets[slot][kappa]

@@ -189,19 +189,22 @@ def tilting_support(lam):
     return frozenset((lam, *_prefixes_with_tail(lam, None)))
 
 
-def named_dmodule(kind, lam, field=QQ):
-    """The named modules: S (simple), Delta, Nabla, T (tilting)."""
+def named_support(kind, lam):
+    """The support of a named module: S (simple), Delta, Nabla, T (tilting)."""
     if kind == "S":
-        supp = {lam}
-    elif kind == "Delta":
-        supp = {lam, *_prefixes_with_tail(lam, "b")}
-    elif kind == "Nabla":
-        supp = {lam, *_prefixes_with_tail(lam, "w")}
-    elif kind == "T":
-        supp = tilting_support(lam)
-    else:
-        raise ValueError(f"unknown module kind {kind!r}")
-    return DModule.full(supp, field)
+        return frozenset((lam,))
+    if kind == "Delta":
+        return frozenset((lam, *_prefixes_with_tail(lam, "b")))
+    if kind == "Nabla":
+        return frozenset((lam, *_prefixes_with_tail(lam, "w")))
+    if kind == "T":
+        return tilting_support(lam)
+    raise ValueError(f"unknown module kind {kind!r}")
+
+
+def named_dmodule(kind, lam, field=QQ):
+    """The named module of a kind at lam: the full module on its support."""
+    return DModule.full(named_support(kind, lam), field)
 
 
 def truncated_projective(lam, max_len, field=QQ):
@@ -218,17 +221,20 @@ def truncated_projective(lam, max_len, field=QQ):
 # Identification and radical filtrations.
 # ---------------------------------------------------------------------------
 
-def identify_named_dmodule(m, seed=0):
+def identify_named_dmodule(m):
     """('S'|'Delta'|'Nabla'|'T', lam) if m is isomorphic to a named module,
-    else None.  Identification requires a verified invertible hom."""
-    if m.is_zero():
-        return None
+    else None.
+
+    Named modules are full, so they are equal exactly when their supports
+    are: the first name with m's support is the only candidate, and one
+    exact isomorphism test decides.
+    """
+    supp = set(m.dims)
     for lam in m.support:
         for kind in ("S", "Delta", "Nabla", "T"):
-            cand = named_dmodule(kind, lam, m.field)
-            if cand.dims == m.dims and \
-                    rep.find_isomorphism(m, cand, seed=seed) is not None:
-                return (kind, lam)
+            if named_support(kind, lam) == supp:
+                iso = rep.find_isomorphism(m, DModule.full(supp, m.field))
+                return (kind, lam) if iso is not None else None
     return None
 
 

@@ -6,16 +6,15 @@ as arrows[(lam, mu)] with shape dim(mu) x dim(lam).  A category is a
 subclass saying which pairs of weights are arrows (`is_arrow`) and which
 relations the matrices satisfy (`check_relations`).  Everything else is the
 same linear algebra for every category and lives here: module maps, hom
-spaces, kernels, images, cokernels, direct sums, duals, homology and the
-isomorphism search.
+spaces, kernels, images, cokernels, direct sums, duals, homology, and an exact
+decision of isomorphism onto a full module.
 """
 
-import random
 from dataclasses import dataclass
 
 from .fields import QQ
 from .linalg import (column_space_basis, mat_eq, mat_is_zero, mat_mul,
-                     mat_transpose, mat_vec, nullspace, rank, solve, zeros)
+                     mat_transpose, mat_vec, nullspace, solve, zeros)
 from .weights import dual as dual_weight, sort_key
 
 
@@ -296,33 +295,40 @@ def homology(d_in, d_out):
     return cokernel(lift_through_inclusion(d_in, incl))[0]
 
 
-def find_isomorphism(m, n, tries=25, seed=0):
-    """An invertible module map m -> n, or None.
+def find_isomorphism(m, n):
+    """An isomorphism m -> n onto a full module n, or None when none exists.
 
-    Searches small linear combinations of a hom basis; no fuzzy matching:
-    either a verified isomorphism is produced or None is returned.
+    Such a map is one nonzero scalar phi[lam] per weight with
+    m(lam -> mu) = phi[lam] / phi[mu] on every arrow: the scalars are read
+    off along the arrows from one root per connected piece of the support,
+    and the squares are then checked, so the answer is decided exactly.
+    Raises ValueError unless n is `full` on its support.
     """
+    if n != type(n).full(n.support, n.field):
+        raise ValueError("find_isomorphism needs a full target module")
     if m.dims != n.dims:
         return None
-    if m.is_zero():
-        return ModuleMap(m, n, {})
     fld = m.field
-    homs = hom(m, n)
-    if not homs:
+    ratios = {lam: [] for lam in n.dims}  # lam -> [(mu, phi[mu] / phi[lam])]
+    for lam, mu in n.pairs(n.support):
+        a = m.matrix(lam, mu)[0][0]
+        if fld.is_zero(a):
+            return None
+        ratios[lam].append((mu, fld.inv(a)))
+        ratios[mu].append((lam, a))
+    phi = {}
+    for root in n.support:
+        if root in phi:
+            continue
+        phi[root], todo = fld.one, [root]
+        while todo:
+            lam = todo.pop()
+            for mu, r in ratios[lam]:
+                if mu not in phi:
+                    phi[mu] = fld.mul(r, phi[lam])
+                    todo.append(mu)
+    iso = ModuleMap(m, n, {lam: [[x]] for lam, x in phi.items()})
+    try:
+        return iso.validate()
+    except ValueError:
         return None
-    rng = random.Random(seed)
-
-    def invertible(h):
-        return all(rank(h.component(lam), fld) == m.dim(lam) for lam in m.dims)
-
-    for h in homs:
-        if invertible(h):
-            return h
-    for _ in range(tries):
-        cand = None
-        for h in homs:
-            part = h.scale(fld.of_int(rng.randint(-3, 3)))
-            cand = part if cand is None else cand + part
-        if invertible(cand):
-            return cand
-    return None

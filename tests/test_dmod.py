@@ -256,6 +256,18 @@ def test_identify_named():
     assert identify_named_dmodule(DModule({}, {})) is None
 
 
+@pytest.mark.parametrize("field", [PrimeField(2), PrimeField(3)], ids=repr)
+def test_identify_named_decides_over_small_fields(field):
+    for lam in enumerate_weights(3):
+        for kind in ("S", "Delta", "Nabla", "T"):
+            m = named_dmodule(kind, lam, field)
+            name = identify_named_dmodule(m)
+            assert name is not None and named_dmodule(*name, field) == m
+    # a zeroed arrow leaves the support of a named module but no isomorphism
+    m = DModule({"": 1, "w": 1}, {}, field)
+    assert identify_named_dmodule(m) is None
+
+
 def test_triangular_factorization_dimension_count():
     # composition upward-after-downward spans every hom space
     def hom_plus(rho, mu):  # length non-increasing side
