@@ -7,17 +7,17 @@ image is one-dimensional over every weight of its support, and a generator
 map acts by the +1 gauge on the weights the two supports share.  So a minimal
 resolution, read as a complex of tilting symbols, is already its image under
 the second functor, and `pointwise_image` reads all three images off it one
-weight at a time.  Functoriality of the gauge is machine-verified per window
-and per weight for all three functors (each image differential must square
-to zero) rather than proved abstractly.  Homology dimensions are
+weight at a time; `l_psi` reads the arrows of the second functor's values
+off the same image.  Functoriality of the gauge is machine-verified per
+window and per weight for all three functors (each image differential must
+square to zero) rather than proved abstractly.  Homology dimensions are
 gauge-independent.
 """
 
 from .bmod import min_projective_resolution
-from .dmod import (DModule, identify_named_dmodule, named_dmodule,
-                   tilting_support)
-from .linalg import homology_dims, mat_is_zero, mat_mul, zeros
-from .rep import ModuleMap, direct_sum, homology
+from .dmod import DModule, identify_named_dmodule, tilting_support
+from .linalg import (SpanBuilder, homology_dims, mat_is_zero, mat_mul,
+                     mat_transpose, nullspace, solve, zeros)
 from .weights import flat, sort_key
 
 
@@ -35,19 +35,10 @@ def theta_support(mu):
     return ("",) if mu == "" else ()
 
 
-def pointwise_image(cpx, support):
-    """Per-weight scalar complexes of a functor's image of a resolution.
-
-    Slot i of homological degree k (degree -k of `cpx`) lies over kappa when
-    kappa is in support(symbol); an entry passes with its coefficient when
-    kappa is in the supports of both its slots.  Returns {kappa: (dims per
-    degree, diffs per degree)} where diffs[k] is the matrix (list of rows)
-    of the degree k -> k-1 differential between the slots over kappa.  The
-    differentials are checked to square to zero, which checks functoriality
-    of the gauge on every composable pair.
-    """
-    f = cpx.field
-    over = []  # per degree: {kappa: {slot: row over kappa}}
+def _slots(cpx, support):
+    """Per homological degree k (degree -k of `cpx`): {kappa: {slot: row}},
+    the slots i whose support(symbol) holds kappa, numbered in slot order."""
+    over = []
     for k in range(1 - min(cpx.terms, default=0)):
         per = {}
         for i, mu in enumerate(cpx.terms.get(-k, ())):
@@ -55,6 +46,26 @@ def pointwise_image(cpx, support):
                 rows = per.setdefault(kappa, {})
                 rows[i] = len(rows)
         over.append(per)
+    return over
+
+
+def pointwise_image(cpx, support):
+    """Per-weight scalar complexes of a functor's image of a resolution.
+
+    Slot i of homological degree k lies over kappa when kappa is in
+    support(symbol), numbered as in `_slots`; an entry passes with its
+    coefficient when kappa is in the supports of both its slots.  Returns
+    {kappa: (dims per degree, diffs per degree)} where diffs[k] is the matrix
+    (list of rows) of the degree k -> k-1 differential between the slots
+    over kappa.  The differentials are checked to square to zero, which
+    checks functoriality of the gauge on every composable pair.
+    """
+    return _image(cpx, _slots(cpx, support))
+
+
+def _image(cpx, over):
+    """`pointwise_image` over the slot numbering `over` of `_slots`."""
+    f = cpx.field
     out = {}
     for kappa in sorted(set().union(*over), key=sort_key):
         pos = [per.get(kappa, {}) for per in over]
@@ -88,55 +99,48 @@ def l_phi(m, max_deg):
     return pointwise_homology(res, phi_support, max_deg)
 
 
-def realize_psi_complex(cpx):
-    """Concrete modules and differential maps of the tilting complex image."""
-    f = cpx.field
-    offs, full = {}, {}
-    for d, syms in cpx.terms.items():
-        mods_d = [named_dmodule("T", lam, f) for lam in syms]
-        full[d], offs[d] = direct_sum(mods_d, f) if mods_d else \
-            (DModule({}, {}, f), [])
-    maps = {}
-    for d, entries in cpx.diffs.items():
-        src, dst = full[d], full.get(d + 1)
-        if dst is None:
-            continue
-        comps = {}
-        for (j, i), coeff in entries.items():
-            lam = cpx.terms[d][i]
-            mu = cpx.terms[d + 1][j]
-            for kappa in tilting_support(lam) & tilting_support(mu):
-                mat = comps.setdefault(
-                    kappa, zeros(dst.dim(kappa), src.dim(kappa), f))
-                mat[offs[d + 1][j][kappa]][offs[d][i][kappa]] = \
-                    f.add(mat[offs[d + 1][j][kappa]][offs[d][i][kappa]], coeff)
-        maps[d] = ModuleMap(src, dst, comps)
-    return full, maps
-
-
 def l_psi(m, max_deg):
     """Homology of the second derived functor: {degree: DModule or name}.
 
     Homological degree k holds the k-th left-derived value; identification
     returns ('S'|'Delta'|'Nabla'|'T', weight) when a verified isomorphism
-    with a named module exists, otherwise the raw module.  For dimensions
-    alone, `pointwise_homology(res, psi_support, max_deg)` is enough.
+    with a named module exists, otherwise the raw module.  Over each weight
+    the cycles that grow the span of the boundaries are a basis of H_k
+    there.  Every tilting module is full on its support, so an arrow
+    lam -> mu sends slot i over lam to slot i over mu when mu lies in slot
+    i's support and to zero otherwise; one solve against the boundaries and
+    the basis over mu gives the arrow's matrix.  For dimensions alone,
+    `pointwise_homology(res, psi_support, max_deg)` is enough.
     """
     res = min_projective_resolution(m, max_deg + 1).validate()
-    full, maps = realize_psi_complex(res)
-    zero = DModule({}, {}, res.field)
+    f = res.field
+    over = _slots(res, psi_support)
+    image = _image(res, over)
     out = {}
-    for k in range(max_deg + 1):
-        term = full.get(-k, zero)
-        if term.is_zero():
-            continue
-        d_out = maps.get(-k, ModuleMap(term, zero, {}))
-        d_in = maps.get(-k - 1, ModuleMap(full.get(-k - 1, zero), term, {}))
-        h = homology(d_in, d_out)
-        if h.is_zero():
-            continue
-        name = identify_named_dmodule(h)
-        out[k] = name if name is not None else h
+    for k in range(min(max_deg + 1, len(over))):
+        bounds, basis = {}, {}
+        for kappa, (dims, diffs) in image.items():
+            if not dims[k]:
+                continue
+            span = SpanBuilder(dims[k], f)
+            cols = mat_transpose(diffs[k + 1], ncols=dims[k + 1]) \
+                if k + 1 < len(dims) else []
+            bounds[kappa] = [b for b in cols if span.insert(b)]
+            basis[kappa] = [z for z in nullspace(diffs[k] or [], dims[k], f)
+                            if span.insert(z)]
+        sizes = {kappa: len(zs) for kappa, zs in basis.items() if zs}
+        arrows = {}
+        for lam, mu in DModule.pairs(sorted(sizes, key=sort_key)):
+            src, dst = over[k][lam], over[k][mu]
+            cols = [[z[src[i]] if i in src else f.zero for i in dst]
+                    for z in basis[lam]]
+            sols = solve(mat_transpose(bounds[mu] + basis[mu]), cols, f)
+            arrows[(lam, mu)] = mat_transpose(
+                [x[len(bounds[mu]):] for x in sols], ncols=sizes[mu])
+        if sizes:
+            h = DModule(sizes, arrows, f)
+            name = identify_named_dmodule(h)
+            out[k] = name if name is not None else h
     return out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import rep
 from .fields import QQ
 from .linalg import SpanBuilder, eye, homology_dims, mat_eq, mat_mul, mat_vec
-from .rep import Module, ModuleMap
+from .rep import Module
 from .weights import (WeightComplex, composite_unit, dual as dual_weight,
                       hom_dim_pattern, is_alternating)
 
@@ -289,10 +289,8 @@ def tilting_map(lam, mu, field=QQ):
     """The canonical map T_lam -> T_mu (common-support identity)."""
     if tilting_hom_dim(lam, mu) == 0:
         raise ValueError(f"zero hom space {lam!r} -> {mu!r}")
-    src = named_dmodule("T", lam, field)
-    dst = named_dmodule("T", mu, field)
-    comps = {kappa: [[field.one]] for kappa in set(src.dims) & set(dst.dims)}
-    return ModuleMap(src, dst, comps)
+    return rep.full_map(named_dmodule("T", lam, field),
+                        named_dmodule("T", mu, field))
 
 
 def tilting_complex(kind, lam, field=QQ):

@@ -142,6 +142,12 @@ def compose(g, f):
     return ModuleMap(f.src, g.dst, comps)
 
 
+def full_map(src, dst):
+    """The identity on every weight two full modules share (validated)."""
+    comps = {lam: [[src.field.one]] for lam in set(src.dims) & set(dst.dims)}
+    return ModuleMap(src, dst, comps).validate()
+
+
 def dual(m):
     """Pointwise dual: V*(lam) = V(dual lam)^t; an exact involution."""
     return type(m)({dual_weight(lam): d for lam, d in m.dims.items()},

@@ -5,13 +5,14 @@ import pytest
 
 from delannoy import rep
 from delannoy.bmod import min_projective_resolution, named_bmodule
-from delannoy.derived import (euler_characteristics, l_phi, l_psi, l_theta,
-                              phi_support, pointwise_homology,
-                              pointwise_image, psi_support,
-                              realize_psi_complex, theta_support)
-from delannoy.dmod import DModule, named_dmodule
+from delannoy.derived import (_slots, euler_characteristics, l_phi, l_psi,
+                              l_theta, phi_support, pointwise_homology,
+                              pointwise_image, psi_support, theta_support)
+from delannoy.dmod import (DModule, identify_named_dmodule, named_dmodule,
+                           tilting_support)
 from delannoy.fields import QQ, PrimeField
-from delannoy.linalg import mat_is_zero, mat_mul, zeros
+from delannoy.linalg import mat_is_zero, mat_mul, rank, zeros
+from delannoy.rep import ModuleMap, direct_sum, homology
 from delannoy.weights import (WeightComplex, enumerate_weights, flat,
                               gen_kind, sort_key)
 
@@ -234,6 +235,53 @@ def _formal(res):
     return SimpleNamespace(terms=terms, diffs=diffs, field=res.field)
 
 
+def realize_psi_complex(cpx):
+    """Concrete modules and differential maps of the tilting complex image."""
+    f = cpx.field
+    offs, full = {}, {}
+    for d, syms in cpx.terms.items():
+        mods_d = [named_dmodule("T", lam, f) for lam in syms]
+        full[d], offs[d] = direct_sum(mods_d, f) if mods_d else \
+            (DModule({}, {}, f), [])
+    maps = {}
+    for d, entries in cpx.diffs.items():
+        src, dst = full[d], full.get(d + 1)
+        if dst is None:
+            continue
+        comps = {}
+        for (j, i), coeff in entries.items():
+            lam = cpx.terms[d][i]
+            mu = cpx.terms[d + 1][j]
+            for kappa in tilting_support(lam) & tilting_support(mu):
+                mat = comps.setdefault(
+                    kappa, zeros(dst.dim(kappa), src.dim(kappa), f))
+                mat[offs[d + 1][j][kappa]][offs[d][i][kappa]] = \
+                    f.add(mat[offs[d + 1][j][kappa]][offs[d][i][kappa]], coeff)
+        maps[d] = ModuleMap(src, dst, comps)
+    return full, maps
+
+
+def l_psi_oracle(m, max_deg):
+    """The module route `l_psi` replaced: homology of the realized tilting
+    complex by kernel, lift and cokernel, then identification."""
+    res = min_projective_resolution(m, max_deg + 1).validate()
+    full, maps = realize_psi_complex(res)
+    zero = DModule({}, {}, res.field)
+    out = {}
+    for k in range(max_deg + 1):
+        term = full.get(-k, zero)
+        if term.is_zero():
+            continue
+        d_out = maps.get(-k, ModuleMap(term, zero, {}))
+        d_in = maps.get(-k - 1, ModuleMap(full.get(-k - 1, zero), term, {}))
+        h = homology(d_in, d_out)
+        if h.is_zero():
+            continue
+        name = identify_named_dmodule(h)
+        out[k] = name if name is not None else h
+    return out
+
+
 def _psi_module_dims(res, max_deg):
     """{degree: {weight: dim}} of the realized tilting complex, by module
     homology."""
@@ -242,10 +290,9 @@ def _psi_module_dims(res, max_deg):
     out = {}
     for k in range(max_deg + 1):
         term = full.get(-k, zero)
-        d_out = maps.get(-k, rep.ModuleMap(term, zero, {}))
-        d_in = maps.get(-k - 1,
-                        rep.ModuleMap(full.get(-k - 1, zero), term, {}))
-        dims = {w: d for w, d in rep.homology(d_in, d_out).dims.items() if d}
+        d_out = maps.get(-k, ModuleMap(term, zero, {}))
+        d_in = maps.get(-k - 1, ModuleMap(full.get(-k - 1, zero), term, {}))
+        dims = {w: d for w, d in homology(d_in, d_out).dims.items() if d}
         if dims:
             out[k] = dims
     return out
@@ -296,3 +343,114 @@ def test_validate_rejects_nonzero_square(degrees):
                          {a: {(0, 0): one, (1, 0): one},
                           b: {(0, 0): one, (0, 1): QQ.neg(one)}}, QQ)
     assert good.validate() is good
+
+
+# ---------------------------------------------------------------------------
+# l_psi against the module route it replaced.
+# ---------------------------------------------------------------------------
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+FIELD_IDS = ["QQ", "GF2", "GF3"]
+
+
+def _same_raw(a, b):
+    """Invariants of an unnamed value: dims, the rank of every arrow matrix,
+    and dim Hom(a, b) = dim End(a) = dim End(b)."""
+    f = a.field
+    return a.dims == b.dims and \
+        all(rank(a.matrix(*p), f) == rank(b.matrix(*p), f)
+            for p in a.pairs(a.support)) and \
+        len(rep.hom(a, b)) == len(rep.hom(a, a)) == len(rep.hom(b, b))
+
+
+def _assert_same_values(new, old, ctx):
+    assert set(new) == set(old), ctx
+    for k, value in old.items():
+        if isinstance(value, tuple):
+            assert new[k] == value, (ctx, k)
+        else:
+            assert not isinstance(new[k], tuple), (ctx, k)
+            assert _same_raw(new[k], value), (ctx, k)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_l_psi_against_module_homology(field):
+    # S, Stan, Cost, Q, I and P at every weight of length <= 4, max_deg 3
+    # and 5: the same names, and the same invariants for unnamed values
+    checked = 0
+    for kind in ("S", "Stan", "Cost", "Q", "I", "P"):
+        for lam in enumerate_weights(4):
+            m = named_bmodule(kind, lam, field)
+            for max_deg in (3, 5):
+                _assert_same_values(l_psi(m, max_deg),
+                                    l_psi_oracle(m, max_deg),
+                                    (kind, lam, max_deg))
+                checked += 1
+    assert checked == 372
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("parts", [(("S", "w"), ("Stan", "w")),
+                                   (("S", "wb"), ("I", "w")),
+                                   (("S", "w"), ("S", "w"))],
+                         ids=["S_w+Stan_w", "S_wb+I_w", "S_w+S_w"])
+def test_l_psi_of_direct_sums_is_unnamed(field, parts):
+    m, _ = direct_sum([named_bmodule(kind, lam, field) for kind, lam in parts],
+                      field)
+    new = l_psi(m, 3)
+    assert new and not any(isinstance(v, tuple) for v in new.values())
+    _assert_same_values(new, l_psi_oracle(m, 3), parts)
+
+
+def test_l_psi_direct_sum_arrows():
+    # Psi(S_w + Stan_w) = Delta_e + Nabla_w: one rank-one arrow e -> w
+    value = l_psi(direct_sum([named_bmodule("S", "w"),
+                              named_bmodule("Stan", "w")])[0], 3)[0]
+    assert value.dims == {"": 2, "w": 1}
+    assert list(value.arrows) == [("", "w")]
+    assert rank(value.arrows[("", "w")]) == 1
+
+
+# Kernels and cokernels of the first hom basis map between named modules.
+# They reach two corners named modules miss: a weight where H_k and the
+# boundaries are both nonzero, so cycles are read modulo boundaries, and an
+# arrow lam -> mu of H_k with a slot over mu but not over lam, whose
+# coordinate must be zero.
+HOM_CASES = [("coker", ("Stan", "w"), ("I", "w")),
+             ("coker", ("Stan", "ww"), ("I", "ww")),
+             ("coker", ("Stan", "b"), ("I", "bw")),
+             ("coker", ("P", "b"), ("I", "bw")),
+             ("coker", ("Stan", "w"), ("I", "ww")),
+             ("ker", ("P", "b"), ("Cost", "b")),
+             ("ker", ("P", "bb"), ("I", "bb"))]
+
+
+def _hom_case(case, field=QQ):
+    op, src, dst = case
+    h = rep.hom(named_bmodule(*src, field), named_bmodule(*dst, field))[0]
+    return (rep.cokernel if op == "coker" else rep.kernel)(h)[0]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("case", HOM_CASES,
+                         ids=lambda c: f"{c[0]}_{'_'.join(c[1] + c[2])}")
+def test_l_psi_on_kernels_and_cokernels(field, case):
+    m = _hom_case(case, field)
+    _assert_same_values(l_psi(m, 3), l_psi_oracle(m, 3), case)
+
+
+def test_kernel_and_cokernel_cases_reach_both_corners():
+    modulo_boundaries = entering_slot = 0
+    for case in HOM_CASES:
+        res = min_projective_resolution(_hom_case(case), 4)
+        over = _slots(res, psi_support)
+        h = pointwise_homology(res, psi_support, 3)
+        for dims, diffs in pointwise_image(res, psi_support).values():
+            if len(diffs) > 2 and diffs[2] and \
+                    dims[1] - (rank(diffs[1]) if diffs[1] else 0) > \
+                    rank(diffs[2]) > 0:
+                modulo_boundaries += 1
+        for k, value in h.items():
+            for lam, mu in DModule.pairs(sorted(value, key=sort_key)):
+                entering_slot += bool(set(over[k][mu]) - set(over[k][lam]))
+    assert modulo_boundaries and entering_slot

@@ -119,6 +119,23 @@ def test_tilting_composites():
     assert comp.is_zero() or tilting_hom_dim("ww", "wb") == 1
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["QQ", "GF2"])
+def test_every_tilting_map_validates(field):
+    # tilting_map builds the common-support identity with rep.full_map,
+    # which checks every square: 156 maps between weights of length <= 5
+    count = 0
+    for a in enumerate_weights(5):
+        for b in enumerate_weights(5):
+            if tilting_hom_dim(a, b):
+                f = tilting_map(a, b, field)
+                assert set(f.comps) == set(f.src.dims) & set(f.dst.dims)
+                count += 1
+            else:
+                with pytest.raises(ValueError, match="zero hom space"):
+                    tilting_map(a, b, field)
+    assert count == 156
+
+
 def test_tilting_complex_shapes():
     c = tilting_complex("S", "wbb")
     assert c.terms == {0: ["wbb"], -1: ["wb"], -2: ["w"]}

@@ -193,3 +193,16 @@ def test_find_isomorphism_agrees_with_brute_force(data, case, fld):
     assert (iso is not None) == _brute_force_isomorphic(m, full)
     if fld.p == 2:  # the only unit is 1
         assert (iso is not None) == (m == full)
+
+
+@pytest.mark.parametrize("fld", [QQ, PrimeField(2)], ids=["QQ", "GF2"])
+def test_full_map_is_the_common_support_identity(fld):
+    s_w = named_bmodule("S", "w", fld)
+    q_e, i_e = named_bmodule("Q", "", fld), named_bmodule("I", "", fld)
+    assert rep.full_map(s_w, q_e).comps == {"w": [[fld.one]]}
+    assert rep.full_map(q_e, i_e).comps == {"": [[fld.one]], "b": [[fld.one]]}
+    # the simple at e is a quotient of the projective at e, not a submodule
+    p_e, s_e = named_bmodule("P", "", fld), named_bmodule("S", "", fld)
+    assert rep.full_map(p_e, s_e).comps == {"": [[fld.one]]}
+    with pytest.raises(ValueError, match="square fails at '' -> 'w'"):
+        rep.full_map(s_e, p_e)

@@ -1,0 +1,49 @@
+"""Helpers of the verification suites, checked on their own."""
+
+import pytest
+
+from delannoy import dmod, rep, verify
+from delannoy.fields import QQ, PrimeField
+from delannoy.weights import enumerate_weights, is_alternating
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+FIELD_IDS = ["QQ", "GF2", "GF3"]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_pqi_sequence_is_exact(field):
+    # 0 -> P_lam -> Q_lam + Q_flat -> I_lam -> 0 at every nonempty weight
+    # of length <= 4
+    for lam in enumerate_weights(4):
+        if lam:
+            assert verify.check_pqi(lam, field), lam
+
+
+def test_check_pqi_builds_its_maps_without_a_hom_search(monkeypatch):
+    def no_hom(m, n):
+        raise AssertionError("check_pqi must not search a hom space")
+
+    monkeypatch.setattr(rep, "hom", no_hom)
+    assert all(verify.check_pqi(lam) for lam in ("w", "b", "wb", "bww"))
+
+
+def _tilt_pattern(lam, mu):
+    """The expected dim Hom(T_lam, T_mu) of the tilting-hom suite as it was
+    written out before the suite called `dmod.dist_hom_nonzero(mu, lam)`."""
+    if lam == mu:
+        return 1
+    if len(mu) > len(lam) and mu.startswith(lam):
+        tail = mu[len(lam):]
+        return int(tail.endswith("b") and is_alternating(tail))
+    if len(lam) > len(mu) and lam.startswith(mu):
+        tail = lam[len(mu):]
+        return int(tail.endswith("w") and is_alternating(tail))
+    return 0
+
+
+def test_tilting_hom_pattern_is_the_reversed_distinguished_rule():
+    weights = enumerate_weights(6)
+    for lam in weights:
+        for mu in weights:
+            assert int(dmod.dist_hom_nonzero(mu, lam)) == \
+                _tilt_pattern(lam, mu), (lam, mu)
