@@ -7,9 +7,8 @@ morphism factors uniquely into basic ones, and the bounded homotopy category
 of tiltings computes all Ext groups between the named modules.
 """
 
-from delannoy.dmod import (basic_factorization, dist_hom, ext_dim,
-                           named_dmodule, radical_filtration,
-                           tilting_complex)
+from delannoy.dmod import (basic_factorization, ext_dim, named_dmodule,
+                           radical_filtration, tilting_complex)
 from delannoy.weights import format_weight
 
 
@@ -19,7 +18,7 @@ def pretty(lam):
 
 print("basic factorizations:")
 for src, dst in [("wb", "w"), ("wbwb", "wbw"), ("", "bw")]:
-    steps = basic_factorization(dist_hom(src, dst))
+    steps = basic_factorization(src, dst)
     chain = " -> ".join([pretty(src)] + [pretty(b) for _, b in steps])
     print(f"  {pretty(src)} => {pretty(dst)}:   {chain}")
 

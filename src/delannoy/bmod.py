@@ -6,7 +6,7 @@ rows and columns being complexes: two consecutive ups vanish, as do two
 consecutive downs.  The mixed composite up o down is the action of the third
 distinguished morphism and is unconstrained.  Only the generator maps are
 stored; nothing else is imposed, by the presentation of the category.  The
-module-map linear algebra (hom, kernel, cokernel, sums, duals) is `rep`'s.
+module-map linear algebra (hom, kernel, sums, duals) is `rep`'s.
 
 A minimal projective resolution is a `weights.WeightComplex` of projective
 symbols in degrees 0, -1, ...: each entry is a multiple of the generator map

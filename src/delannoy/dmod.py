@@ -11,10 +11,10 @@ consistency, which is validated by a direct scan.
 The tilting module at lam is the full module on `tilting_support(lam)`.
 Tilting complexes are `weights.WeightComplex`es of tilting symbols, the class
 `bmod` uses for projective resolutions: Hom between tiltings is spanned by
-the canonical map, and canonical maps compose by the same generator rule.
+the canonical map (dimension `weights.hom_dim_pattern`), and canonical maps
+compose by the projectives' generator rule (`weights.composite_unit`); both
+are machine-checked on the modules in the tests.
 """
-
-from dataclasses import dataclass
 
 from . import rep
 from .fields import QQ
@@ -38,31 +38,6 @@ def dist_hom_nonzero(lam, mu):
         tail = lam[len(mu):]
         return tail.endswith("b") and is_alternating(tail)
     return False
-
-
-@dataclass(frozen=True)
-class DistHom:
-    src: str
-    dst: str
-
-    @property
-    def nonzero(self):
-        return dist_hom_nonzero(self.src, self.dst)
-
-
-def dist_hom(lam, mu):
-    return DistHom(lam, mu)
-
-
-def compose_dist(f, g):
-    """The composite of distinguished morphisms f then g (dst(f) = src(g)).
-
-    Returns the distinguished morphism src(f) -> dst(g); it is the zero
-    morphism of that pair exactly when its `nonzero` flag is False.
-    """
-    if f.dst != g.src:
-        raise ValueError("non-composable distinguished morphisms")
-    return DistHom(f.src, g.dst)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +79,15 @@ def _factor_up(lam, alpha):
     return [(lam, lam[:-1])] + _factor_up(lam[:-1], "b" + alpha)
 
 
-def basic_factorization(f):
-    """The unique factorization of a nonzero morphism into basic morphisms.
+def basic_factorization(lam, mu):
+    """The unique factorization of the nonzero morphism lam -> mu into basic
+    morphisms.
 
     Returns the list of (src, dst) basic steps; empty for an identity.  The
     downward case is obtained from the upward one by duality.
     """
-    if not f.nonzero:
+    if not dist_hom_nonzero(lam, mu):
         raise ValueError("cannot factor the zero morphism")
-    lam, mu = f.src, f.dst
     if lam == mu:
         return []
     if len(mu) > len(lam):
@@ -274,20 +249,9 @@ def radical_filtration(m):
 # Tilting complexes and homotopy homs.
 # ---------------------------------------------------------------------------
 
-# dim Hom between tilting modules of the given weights (0 or 1): tiltings
-# are equivalent to the indecomposables of the matrix category.
-tilting_hom_dim = hom_dim_pattern
-
-
-# The canonical generators between tilting modules are common-support
-# identity maps; they compose by the generator rule of the projectives
-# (machine-checked on the modules in the tests).
-tilting_composite_unit = composite_unit
-
-
 def tilting_map(lam, mu, field=QQ):
     """The canonical map T_lam -> T_mu (common-support identity)."""
-    if tilting_hom_dim(lam, mu) == 0:
+    if hom_dim_pattern(lam, mu) == 0:
         raise ValueError(f"zero hom space {lam!r} -> {mu!r}")
     return rep.full_map(named_dmodule("T", lam, field),
                         named_dmodule("T", mu, field))
@@ -339,7 +303,7 @@ def _hom_basis(x, y, n):
         if ys:
             for i, lam in enumerate(xs):
                 for j, mu in enumerate(ys):
-                    if tilting_hom_dim(lam, mu):
+                    if hom_dim_pattern(lam, mu):
                         index[(d, i, j)] = len(index)
     return index
 
@@ -349,7 +313,7 @@ def _hom_differential(x, y, n, src, dst, sign):
 
     One row per basis map of `src`: its image in the coordinates of `dst`,
     over the one-dimensional tilting homs with the composite rule
-    `tilting_composite_unit`.
+    `weights.composite_unit`.
     """
     if not dst:
         return []
@@ -362,12 +326,12 @@ def _hom_differential(x, y, n, src, dst, sign):
         for (j2, j1), c in y.diffs.get(d + n, {}).items():   # d_y o f
             t = dst.get((d, i, j2)) if j1 == j else None
             if t is not None and \
-                    tilting_composite_unit(lam, mu, y.terms[d + n + 1][j2]):
+                    composite_unit(lam, mu, y.terms[d + n + 1][j2]):
                 row[t] = f.add(row[t], c)
         for (i1, i2), c in x.diffs.get(d - 1, {}).items():   # f o d_x
             t = dst.get((d - 1, i2, j)) if i1 == i else None
             if t is not None and \
-                    tilting_composite_unit(x.terms[d - 1][i2], lam, mu):
+                    composite_unit(x.terms[d - 1][i2], lam, mu):
                 row[t] = add(row[t], c)
         rows.append(row)
     return rows

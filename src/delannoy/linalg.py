@@ -366,12 +366,6 @@ def mat_eq(a, b, field=QQ):
                for ra, rb in zip(a, b))
 
 
-def column_space_basis(a, field=QQ):
-    """Basis of the column space, as a list of columns."""
-    span = SpanBuilder(len(a), field)
-    return [c for c in mat_transpose(a) if span.insert(c)]
-
-
 def frac_mod(x, p):
     """Image of a Fraction (or int) in Z/p; None if the denominator dies."""
     if isinstance(x, Fraction):

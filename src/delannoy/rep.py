@@ -5,16 +5,17 @@ matrix to each generating arrow lam -> mu between supported weights, stored
 as arrows[(lam, mu)] with shape dim(mu) x dim(lam).  A category is a
 subclass saying which pairs of weights are arrows (`is_arrow`) and which
 relations the matrices satisfy (`check_relations`).  Everything else is the
-same linear algebra for every category and lives here: module maps, hom
-spaces, kernels, images, cokernels, direct sums, duals, homology, and an exact
-decision of isomorphism onto a full module.
+same linear algebra for every category and lives here: module maps and
+their composites, the identity between full modules, hom spaces, kernels
+(the resolutions' covers), direct sums, duals, and an exact decision of
+isomorphism onto a full module.
 """
 
 from dataclasses import dataclass
 
 from .fields import QQ
-from .linalg import (column_space_basis, mat_eq, mat_is_zero, mat_mul,
-                     mat_transpose, mat_vec, nullspace, solve, zeros)
+from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_transpose, mat_vec,
+                     nullspace, solve, zeros)
 from .weights import dual as dual_weight, sort_key
 
 
@@ -115,21 +116,6 @@ class ModuleMap:
                 raise ValueError(f"square fails at {lam!r} -> {mu!r}")
         return self
 
-    def scale(self, c):
-        f = self.src.field
-        return ModuleMap(self.src, self.dst,
-                         {lam: [[f.mul(c, x) for x in row] for row in m]
-                          for lam, m in self.comps.items()})
-
-    def __add__(self, other):
-        f = self.src.field
-        out = {}
-        for lam in set(self.comps) | set(other.comps):
-            a, b = self.component(lam), other.component(lam)
-            out[lam] = [[f.add(x, y) for x, y in zip(ra, rb)]
-                        for ra, rb in zip(a, b)]
-        return ModuleMap(self.src, self.dst, out)
-
 
 def compose(g, f):
     """g o f for module maps with matching middle."""
@@ -154,13 +140,6 @@ def dual(m):
                    {(dual_weight(mu), dual_weight(lam)):
                     mat_transpose(mat, ncols=m.dim(lam))
                     for (lam, mu), mat in m.arrows.items()}, m.field)
-
-
-def dual_map(f):
-    """The dual map between the dual modules (contravariant)."""
-    comps = {dual_weight(lam): mat_transpose(m, ncols=f.src.dim(lam))
-             for lam, m in f.comps.items()}
-    return ModuleMap(dual(f.dst), dual(f.src), comps)
 
 
 def direct_sum(modules, field=QQ):
@@ -264,41 +243,6 @@ def kernel(f):
     m = f.src
     return _submodule(m, {lam: nullspace(f.component(lam), m.dim(lam), m.field)
                           for lam in m.dims})
-
-
-def image(f):
-    """(I, incl into dst) with I the pointwise image as a submodule."""
-    return _submodule(f.dst, {lam: column_space_basis(f.component(lam),
-                                                      f.src.field)
-                              for lam in f.comps})
-
-
-def cokernel(f):
-    """(C, proj) computed as the dual of the kernel of the dual map."""
-    _, incl = kernel(dual_map(f))
-    proj = dual_map(incl)
-    return proj.dst, ModuleMap(f.dst, proj.dst, proj.comps)
-
-
-def lift_through_inclusion(f, incl):
-    """The map g with incl o g = f, for f landing inside the submodule."""
-    fld = f.src.field
-    comps = {}
-    for lam in f.comps:
-        cols = mat_transpose(f.component(lam), ncols=f.src.dim(lam))
-        basis = mat_transpose(incl.component(lam), ncols=incl.src.dim(lam))
-        mat = mat_transpose(in_basis(basis, cols, fld), ncols=incl.src.dim(lam))
-        if not mat_is_zero(mat, fld):
-            comps[lam] = mat
-    return ModuleMap(f.src, incl.src, comps)
-
-
-def homology(d_in, d_out):
-    """ker(d_out) / im(d_in) for composable module maps with zero composite."""
-    if not compose(d_out, d_in).is_zero():
-        raise ValueError("maps do not compose to zero")
-    _, incl = kernel(d_out)
-    return cokernel(lift_through_inclusion(d_in, incl))[0]
 
 
 def find_isomorphism(m, n):

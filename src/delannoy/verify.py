@@ -20,7 +20,7 @@ from .schwartz import (MEASURES, MU1, MU2, MU3, MU4, UNBOUNDED_ABOVE,
                        UNBOUNDED_BELOW, compose, gap_measure, identity,
                        trace, transpose)
 from .weights import (black_tail, enumerate_weights, flat, format_weight,
-                      sort_key, tensor_summands)
+                      hom_dim_pattern, sort_key, tensor_summands)
 
 
 @dataclass
@@ -283,9 +283,15 @@ def _d_ses_exact(sub, mid, quot):
 def suite_dmod_ext(max_len=4, max_i=4, uniserial_len=5, field=QQ):
     cases = []
     weights = enumerate_weights(max_len)
+    cx_delta = {lam: dmod.tilting_complex("Delta", lam, field)
+                for lam in weights}
+    cx_nabla = {lam: dmod.tilting_complex("Nabla", lam, field)
+                for lam in weights}
+    cx_s = {lam: dmod.tilting_complex("S", lam, field)
+            for lam in enumerate_weights(max_len + 2)}
     for lam in weights:
         for mu in weights:
-            got = [dmod.ext_dim("Delta", lam, "Nabla", mu, i, field)
+            got = [dmod.homotopy_hom_dim(cx_delta[lam], cx_nabla[mu], i)
                    for i in range(max_i + 1)]
             want = [1 if (i == 0 and lam == mu) else 0
                     for i in range(max_i + 1)]
@@ -294,16 +300,16 @@ def suite_dmod_ext(max_len=4, max_i=4, uniserial_len=5, field=QQ):
     for lam in weights:
         arrows = {mu for mu in dmod.basic_targets(lam)
                   if len(mu) <= max_len + 2}
-        got = {mu for mu in enumerate_weights(max_len + 2)
-               if dmod.ext_dim("S", lam, "S", mu, 1, field) == 1}
+        got = {mu for mu, cx in cx_s.items()
+               if dmod.homotopy_hom_dim(cx_s[lam], cx, 1) == 1}
         _case(cases, f"Ext1-quiver[{_wfmt(lam)}]",
               sorted(arrows, key=sort_key), sorted(got, key=sort_key))
+    tilt = {lam: dmod.named_dmodule("T", lam, field) for lam in weights}
     for lam in weights:
         for mu in weights:
-            got = len(rep.hom(dmod.named_dmodule("T", lam, field),
-                                        dmod.named_dmodule("T", mu, field)))
+            got = len(rep.hom(tilt[lam], tilt[mu]))
             _case(cases, f"homT[{_wfmt(lam)},{_wfmt(mu)}]",
-                  dmod.tilting_hom_dim(lam, mu), got)
+                  hom_dim_pattern(lam, mu), got)
     for lam in enumerate_weights(max_len - 1):
         comp = rep.compose(dmod.tilting_map(lam, lam + "b", field),
                                   dmod.tilting_map(lam + "w", lam, field))
@@ -345,7 +351,7 @@ def suite_dmod_ext(max_len=4, max_i=4, uniserial_len=5, field=QQ):
         delta = dmod.named_dmodule("Delta", lam, field)
         want = {}
         for mu in delta.dims:
-            steps = dmod.basic_factorization(dmod.dist_hom(lam, mu))
+            steps = dmod.basic_factorization(lam, mu)
             want.setdefault(len(steps), {})[mu] = 1
         want_layers = [want[i] for i in sorted(want)]
         got = dmod.radical_filtration(delta)

@@ -12,9 +12,10 @@ from delannoy.dmod import (DModule, identify_named_dmodule, named_dmodule,
                            tilting_support)
 from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import mat_is_zero, mat_mul, rank, zeros
-from delannoy.rep import ModuleMap, direct_sum, homology
+from delannoy.rep import ModuleMap, direct_sum
 from delannoy.weights import (WeightComplex, enumerate_weights, flat,
                               gen_kind, sort_key)
+from module_oracle import cokernel, homology
 
 
 def test_phi_on_projectives():
@@ -136,7 +137,7 @@ def test_white_middle_homology_detection():
         if not gs:
             continue
         g = gs[rng.randrange(len(gs))]
-        h = rep.homology(f, g)
+        h = homology(f, g)
         killed = l_phi(h, 3) == {}
         assert killed == (set(h.dims) <= {""}), (trial, h.dims)
         checked += 1
@@ -428,7 +429,7 @@ HOM_CASES = [("coker", ("Stan", "w"), ("I", "w")),
 def _hom_case(case, field=QQ):
     op, src, dst = case
     h = rep.hom(named_bmodule(*src, field), named_bmodule(*dst, field))[0]
-    return (rep.cokernel if op == "coker" else rep.kernel)(h)[0]
+    return (cokernel if op == "coker" else rep.kernel)(h)[0]
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

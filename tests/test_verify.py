@@ -1,5 +1,7 @@
 """Helpers of the verification suites, checked on their own."""
 
+from collections import Counter
+
 import pytest
 
 from delannoy import dmod, rep, verify
@@ -47,3 +49,31 @@ def test_tilting_hom_pattern_is_the_reversed_distinguished_rule():
         for mu in weights:
             assert int(dmod.dist_hom_nonzero(mu, lam)) == \
                 _tilt_pattern(lam, mu), (lam, mu)
+
+
+def test_dmod_ext_builds_each_module_and_complex_once(monkeypatch):
+    # the homT loop used to build T for both ends of every pair, and the
+    # HomExt and Ext1-quiver loops both tilting complexes of every case
+    built_t, built_cx = Counter(), Counter()
+    named, complex_ = dmod.named_dmodule, dmod.tilting_complex
+
+    def spy_named(kind, lam, field=QQ):
+        if kind == "T":
+            built_t[lam] += 1
+        return named(kind, lam, field)
+
+    def spy_complex(kind, lam, field=QQ):
+        built_cx[(kind, lam)] += 1
+        return complex_(kind, lam, field)
+
+    monkeypatch.setattr(dmod, "named_dmodule", spy_named)
+    monkeypatch.setattr(dmod, "tilting_complex", spy_complex)
+    report = verify.run_suite("dmod-ext", max_len=3, max_i=2,
+                              uniserial_len=3)
+    assert report.to_json()["counts"] == \
+        {"pass": 612, "fail": 0, "inconclusive": 0}
+    # 15 for homT, the rest for the tilting maps, the corestriction
+    # sequences and the tilting quotients
+    assert sum(built_t.values()) <= 136
+    # S_lam for white-ending lam comes once directly, once via Delta_lam
+    assert max(built_cx.values()) <= 2
