@@ -34,7 +34,8 @@ from .paths import delannoy, enumerate_paths, representative
 from .schwartz import (MU2, PermMatrix, _pair_arrays, _pair_index,  # noqa: F401
                        _path_pos, compose, identity, tensor, tensor_object,
                        transpose)
-from .weights import enumerate_weights, hom_dim_pattern
+from .weights import (BLACK, WHITE, black_tail, enumerate_weights,
+                      hom_dim_pattern)
 
 
 @dataclass(frozen=True)
@@ -250,19 +251,21 @@ def hom_dim(x, y):
     to integer entries) against a cached structure table.  Over Q the trace
     is the rank.  Over F_p it is certified one of two ways:
 
-    * p > len(keys): rank = trace mod p, as rank and trace agree mod p
-      and 0 <= rank <= len(keys) < p;
-    * p <= len(keys): both lifts are idempotent over Z, so P is an integer
+    * p > n_keys: rank = trace mod p, as rank and trace agree mod p and
+      0 <= rank <= n_keys < p, where n_keys = sum of D(s_src, s_t) over the
+      part pairs is the dimension of the path span;
+    * p <= n_keys: both lifts are idempotent over Z, so P is an integer
       idempotent, Z^n = im P + ker P, and its rank is the same over F_p as
       over Q.  Otherwise ValueError.
     """
     _check_same_setting(x, y)
-    keys = _span_keys(x, y)
-    if not keys:
+    n_keys = sum(delannoy(s_src, s_t) for s_t in y.ambient
+                 for s_src in x.ambient)
+    if not n_keys:
         return 0
     mu = x.measure
     if x.is_identity_cut() and y.is_identity_cut():
-        return len(keys)
+        return n_keys
     (x_int, x_diag), (y_int, y_diag) = x.lifted, y.lifted
     total = 0
     for tp, s_t in enumerate(y.ambient):
@@ -282,7 +285,7 @@ def hom_dim(x, y):
     f = x.field
     if not isinstance(f, PrimeField):
         return total
-    if f.p > len(keys):
+    if f.p > n_keys:
         return total % f.p
     for obj, ent in ((x, x_int), (y, y_int)):
         if not (obj.is_identity_cut() or _idempotent_over_z(
@@ -457,39 +460,67 @@ def coords_in_basis(h, space):
 # Krull-Schmidt multiplicities.
 # ---------------------------------------------------------------------------
 
+def _pattern_sources(nu, max_len):
+    """The weights lam of length <= max_len with Hom(M_lam, M_nu) != 0: the
+    at most four nonzeros of row nu of the hom-dimension pattern, one per
+    kind of `gen_kind` (nu, nu w, and for nu = kappa b also kappa, kappa w)."""
+    cands = {nu, nu + WHITE}
+    if nu:
+        cands |= {nu[:-1], nu[:-1] + WHITE}
+    return [lam for lam in cands
+            if len(lam) <= max_len and hom_dim_pattern(lam, nu)]
+
+
+def _pattern_inverse(h, max_len):
+    """The c with A c = h in the closed form of `multiplicities`; h maps
+    every weight of length <= max_len to an integer."""
+    out = {}
+    for lam in h:
+        kappa, n = black_tail(lam)
+        out[lam] = (sum((-1) ** (n - i) * h[kappa + BLACK * i]
+                        for i in range(n + 1))
+                    + sum((-1) ** k * h[lam + WHITE * k]
+                          for k in range(1, max_len - len(lam) + 1)))
+    return out
+
+
 def multiplicities(x, check=True):
     """The multiset of indecomposable summands of x (weights -> counts).
 
-    Solves, over Q, the linear system pairing the known hom-dimension
-    pattern of the indecomposables against the integer dim Hom(x, M_nu), so
-    no count wraps modulo the characteristic; with `check`, cross-checks the
-    solution against dim Hom(M_nu, x).
+    On the weights of length <= L = max(x.ambient) the counts c solve
+    A c = h, with h(nu) = dim Hom(x, M_nu) and A[nu][lam] =
+    `hom_dim_pattern(lam, nu)`.  A is unimodular and its inverse has a
+    closed form: for lam = kappa b^n (`black_tail`),
+
+        c_lam = sum_{i=0..n} (-1)^(n-i) h(kappa b^i)
+                + sum_{k=1..L-|lam|} (-1)^k h(lam w^k)
+
+    (`_pattern_inverse`).  The hom dimensions are integers over every field,
+    so no count wraps modulo the characteristic.  A c = h is checked exactly
+    on every call (each row of A has at most four nonzeros,
+    `_pattern_sources`), and a negative count raises; with `check`, the
+    counts are also cross-checked against dim Hom(M_nu, x).
     """
     if x.measure != MU2:
         raise ValueError("multiplicities are computed in the second category")
     if not x.ambient:
         return {}
     max_len = max(x.ambient)
-    weights = enumerate_weights(max_len)
     f = x.field
-    h = [QQ.of_int(hom_dim(x, indecomposable(nu, MU2, f))) for nu in weights]
-    rows = [[QQ.of_int(hom_dim_pattern(lam, nu)) for lam in weights]
-            for nu in weights]
-    sol = solve(rows, h, QQ)
-    if sol is None:
-        raise ValueError("inconsistent hom system (upstream bug)")
-    out = {}
-    for lam, c in zip(weights, sol):
-        if c:
-            if c.denominator != 1:
-                raise ValueError("non-integral multiplicity (upstream bug)")
-            if c < 0:
-                raise ValueError("negative multiplicity (upstream bug)")
-            out[lam] = int(c)
+    h = {nu: hom_dim(x, indecomposable(nu, MU2, f))
+         for nu in enumerate_weights(max_len)}
+    counts = _pattern_inverse(h, max_len)
+    for nu, h_nu in h.items():
+        row = sum(counts[lam] for lam in _pattern_sources(nu, max_len))
+        if row != h_nu:
+            raise ValueError(f"hom system not solved at {nu!r} (upstream bug)")
+    if any(c < 0 for c in counts.values()):
+        raise ValueError("negative multiplicity (upstream bug)")
+    out = {lam: c for lam, c in counts.items() if c}
     if check:
-        for nu in weights:
-            expect = sum(out.get(lam, 0) * hom_dim_pattern(nu, lam)
-                         for lam in weights)
+        for nu in h:
+            expect = sum(c * hom_dim_pattern(nu, lam)
+                         for lam, c in out.items())
             got = hom_dim(indecomposable(nu, MU2, f), x)
             if got != expect:
                 raise ValueError(f"hom cross-check failed at {nu!r}")

@@ -10,7 +10,7 @@ Euler-characteristic triple of the three derived functors.
 
 from dataclasses import dataclass
 
-from .weights import flat, sort_key, tensor_summands
+from .weights import flat, ruffle_counts, sort_key
 from .dmod import tilting_support
 
 KC, KA, KD = "kc", "ka", "kd"
@@ -69,8 +69,8 @@ def _convolve(a_coeffs, b_coeffs, restricted):
     out = {}
     for la, ca in a_coeffs:
         for mu, cb in b_coeffs:
-            for w in tensor_summands(la, mu, restricted):
-                out[w] = out.get(w, 0) + ca * cb
+            for w, n in ruffle_counts(la, mu, restricted).items():
+                out[w] = out.get(w, 0) + n * ca * cb
     return out
 
 

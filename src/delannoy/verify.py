@@ -20,7 +20,7 @@ from .schwartz import (MEASURES, MU1, MU2, MU3, MU4, UNBOUNDED_ABOVE,
                        UNBOUNDED_BELOW, compose, gap_measure, identity,
                        trace, transpose)
 from .weights import (black_tail, enumerate_weights, flat, format_weight,
-                      hom_dim_pattern, sort_key, tensor_summands)
+                      hom_dim_pattern, ruffle_counts, sort_key)
 
 
 @dataclass
@@ -183,11 +183,10 @@ def suite_tensor_rule(max_sum=3, kring_sum=6, field=QQ):
         for b in enumerate_weights(max_sum - len(a)):
             x = acat.tensor_objects(acat.indecomposable(a, MU2, field),
                                     acat.indecomposable(b, MU2, field))
-            expected = {}
-            for w in tensor_summands(a, b, True):
-                expected[w] = expected.get(w, 0) + 1
+            counts = ruffle_counts(a, b, True)
             _case(cases, f"matrix[{_wfmt(a)},{_wfmt(b)}]",
-                  expected, acat.multiplicities(x))
+                  {w: counts[w] for w in sorted(counts, key=sort_key)},
+                  acat.multiplicities(x))
     for a in enumerate_weights(kring_sum):
         for b in enumerate_weights(kring_sum - len(a)):
             xa = kring.basis_element(kring.KA, a)

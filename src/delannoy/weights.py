@@ -6,13 +6,17 @@ simple, indecomposable, standard, costandard, projective, injective and
 tilting objects throughout the engine.  This module also provides the
 generator rule between them, the complexes of weight symbols built on it
 (projective resolutions and tilting complexes alike), and the (marked)
-ruffle enumeration that underlies both tensor product rules: a ruffle is a
-Delannoy path interleaving the letters of two weights.
+ruffles that underlie both tensor product rules: a ruffle is a Delannoy
+path interleaving the letters of two weights.  `marked_ruffles` lists them,
+as the definition; the tensor rules only need how many ruffles have each
+output weight, and `ruffle_counts` counts them by a recursion on the last
+letters, with no ruffle built.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from types import MappingProxyType
 
 from .paths import interleavings
 
@@ -229,8 +233,51 @@ def marked_ruffles(lam, mu, restricted=False):
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
+def _ruffle_counts(lam, mu):
+    """{output weight: number of marked ruffles of lam and mu}, read-only.
+
+    Counted by the last step of the walk, with a = lam[-1] and b = mu[-1]:
+    a alone (the ruffles of lam[:-1] and mu, then a), b alone (of lam and
+    mu[:-1], then b), or a collision (of lam[:-1] and mu[:-1], then a when
+    a = b, else each of the marks 'b', 'w' and '').
+    """
+    if not lam or not mu:
+        return MappingProxyType({lam + mu: 1})
+    a, b = lam[-1], mu[-1]
+    steps = [(_ruffle_counts(lam[:-1], mu), a),
+             (_ruffle_counts(lam, mu[:-1]), b)]
+    steps += [(_ruffle_counts(lam[:-1], mu[:-1]), m)
+              for m in ((a,) if a == b else (BLACK, WHITE, EMPTY_MARK))]
+    out = {}
+    for counts, letter in steps:
+        for w, c in counts.items():
+            w += letter
+            out[w] = out.get(w, 0) + c
+    return MappingProxyType(out)
+
+
+def ruffle_counts(lam, mu, restricted=False):
+    """{output weight: number of marked ruffles of lam and mu}, counted
+    rather than listed: `Counter` of the weights of `marked_ruffles`.
+
+    The restricted ruffles are all of them except the walks that end in a
+    neutral collision (a != b) marked '': those are the ruffles of lam[:-1]
+    and mu[:-1] with nothing appended, and are subtracted.
+    """
+    counts = _ruffle_counts(lam, mu)
+    if not (restricted and lam and mu and lam[-1] != mu[-1]):
+        return counts
+    out = dict(counts)
+    for w, c in _ruffle_counts(lam[:-1], mu[:-1]).items():
+        out[w] -= c
+        if not out[w]:
+            del out[w]
+    return out
+
+
 def tensor_summands(lam, mu, restricted):
     """Multiset (sorted tuple) of output weights of the (marked) ruffles."""
-    return tuple(sorted((w for _, w in marked_ruffles(lam, mu, restricted)),
-                        key=sort_key))
+    counts = ruffle_counts(lam, mu, restricted)
+    return tuple(w for w in sorted(counts, key=sort_key)
+                 for _ in range(counts[w]))

@@ -35,8 +35,6 @@ ALLOWED = {
         "one structure-constant table per size triple",
     ("schwartz", "_pair_index"):
         "one row index per size triple, over `_pair_arrays`",
-    ("weights", "tensor_summands"):
-        "one summand tuple per (weight, weight, restricted) asked for",
 }
 
 
