@@ -38,6 +38,10 @@ from .weights import (BLACK, WHITE, black_tail, enumerate_weights,
                       hom_dim_pattern)
 
 
+# Integer contractions run in int64 only under a proven bound below this.
+_INT64_LIMIT = 2 ** 63
+
+
 @dataclass(frozen=True)
 class AObject:
     """A summand of a formal sum of Schwartz spaces, cut by an idempotent."""
@@ -56,19 +60,50 @@ class AObject:
         return self
 
     def is_identity_cut(self):
+        return self._identity_cut
+
+    @cached_property
+    def _identity_cut(self):
+        """Whether the cut is the identity, decided once per object."""
         return self.idem == identity(self.ambient, self.idem.field)
 
     @cached_property
     def lifted(self):
-        """The idempotent lifted to integers, once per object: (entries,
-        diag) with entries {key: int} (see `_integer_entries`) and diag[part]
-        the [(path, int)] of its diagonal part-block."""
-        entries = _integer_entries(self.idem)
-        diag = {}
-        for (tp, sp, path), c in entries.items():
+        """The idempotent lifted to integers, {key: int} (see
+        `_integer_entries`); once per object, so once per weight and field
+        for the interned `indecomposable`s."""
+        return _integer_entries(self.idem)
+
+    @cached_property
+    def diag_blocks(self):
+        """The diagonal part-blocks of the lifted idempotent, once per object:
+        diag_blocks[part] = (ids, coeffs, norm), with ids the int64 path ids
+        (`_path_pos`) of the block's nonzero entries, coeffs their integer
+        values (int64, or Python ints when one does not fit) and norm the
+        sum of their absolute values."""
+        parts = {}
+        for (tp, sp, path), c in self.lifted.items():
             if tp == sp:
-                diag.setdefault(tp, []).append((path, c))
-        return entries, diag
+                parts.setdefault(tp, []).append((path, c))
+        out = {}
+        for part, items in parts.items():
+            pos = _path_pos(self.ambient[part], self.ambient[part])
+            values = [c for _, c in items]
+            norm = sum(map(abs, values))
+            out[part] = (np.array([pos[path] for path, _ in items],
+                                  dtype=np.int64),
+                         np.array(values, dtype=np.int64
+                                  if max(map(abs, values)) < _INT64_LIMIT
+                                  else object),
+                         norm)
+        return out
+
+    @cached_property
+    def lifts_over_z(self):
+        """Whether the integer lift of the idempotent is idempotent over Z,
+        decided once per object (`_idempotent_over_z`)."""
+        return self._identity_cut or _idempotent_over_z(
+            self.measure, self.ambient, self.lifted.items())
 
 
 @dataclass
@@ -81,8 +116,7 @@ class HomSpace:
     pivots: list
 
 
-@lru_cache(maxsize=None)
-def _e_lambda_cached(lam):
+def _e_lambda_entries(lam):
     n = len(lam)
     entries = {}
     for p in enumerate_paths(n, n):
@@ -105,19 +139,26 @@ def _e_lambda_cached(lam):
     return entries
 
 
+@lru_cache(maxsize=1024)
 def e_lambda(lam, field=QQ):
     """The idempotent cutting the weight-lam summand out of S(R^(n)).
 
     Indicator of the configurations with y_i <= x_i at black letters,
     x_i <= y_i at white letters, and interlacing y_i < x_{i+1}, x_i < y_{i+1};
-    membership is decided on orbit representatives.
+    membership is decided on orbit representatives.  Built once per
+    (weight, field) and shared, as a matrix is immutable.
     """
-    entries = {k: field.of_int(v) for k, v in _e_lambda_cached(lam).items()}
+    entries = {k: field.of_int(v) for k, v in _e_lambda_entries(lam).items()}
     return PermMatrix((len(lam),), (len(lam),), entries, field)
 
 
+@lru_cache(maxsize=1024)
 def indecomposable(lam, measure=MU2, field=QQ):
-    """The indecomposable object cut out of S(R^(l(lam))) by e_lambda."""
+    """The indecomposable object cut out of S(R^(l(lam))) by e_lambda.
+
+    Built once per (weight, measure, field) and shared, so its identity
+    flag, integer lift and diagonal blocks are computed once per process.
+    """
     return AObject(measure, (len(lam),), e_lambda(lam, field))
 
 
@@ -219,6 +260,12 @@ def _trace_table(s_t, s_src):
     return table, _path_pos(s_t, s_t), _path_pos(s_src, s_src)
 
 
+@lru_cache(maxsize=1024)
+def _table_max(s_t, s_src):
+    """The largest |entry| of `_trace_table(s_t, s_src)` over every measure."""
+    return _max_abs(_trace_table(s_t, s_src)[0])
+
+
 def _integer_entries(m):
     """The entries of m as Python ints: a prime-field entry c as its
     symmetric residue (c - p when 2c > p), a rational one only if integral."""
@@ -230,10 +277,9 @@ def _integer_entries(m):
     return {k: c.numerator for k, c in m.entries.items()}
 
 
-@lru_cache(maxsize=256)
 def _idempotent_over_z(measure, ambient, entries):
     """Whether the integer matrix with these (key, value) entries is
-    idempotent over Z; `multiplicities` asks this of one object per weight."""
+    idempotent over Z; each object asks this once (`AObject.lifts_over_z`)."""
     lift = PermMatrix(ambient, ambient,
                       {k: QQ.of_int(c) for k, c in entries}, QQ)
     try:
@@ -248,8 +294,11 @@ def hom_dim(x, y):
 
     One route for every field.  P is idempotent, so its rank is its trace,
     an integer contraction of the idempotents' diagonal part-blocks (lifted
-    to integer entries) against a cached structure table.  Over Q the trace
-    is the rank.  Over F_p it is certified one of two ways:
+    to integer entries, `AObject.diag_blocks`) against a cached structure
+    table: yc @ table[rows, cols, mu - 1] @ xc per pair of parts, in int64
+    when sum|yc| * sum|xc| * max|table| < 2**63 bounds every partial sum,
+    in Python ints otherwise.  Over Q the trace is the rank.  Over F_p it is
+    certified one of two ways:
 
     * p > n_keys: rank = trace mod p, as rank and trace agree mod p and
       0 <= rank <= n_keys < p, where n_keys = sum of D(s_src, s_t) over the
@@ -263,44 +312,38 @@ def hom_dim(x, y):
                  for s_src in x.ambient)
     if not n_keys:
         return 0
-    mu = x.measure
+    col = x.measure - 1
     if x.is_identity_cut() and y.is_identity_cut():
         return n_keys
-    (x_int, x_diag), (y_int, y_diag) = x.lifted, y.lifted
+    x_diag, y_diag = x.diag_blocks, y.diag_blocks
     total = 0
-    for tp, s_t in enumerate(y.ambient):
-        betas = y_diag.get(tp)
-        if betas is None:
-            continue
-        for sp, s_src in enumerate(x.ambient):
-            alphas = x_diag.get(sp)
-            if alphas is None:
-                continue
-            table, beta_pos, alpha_pos = _trace_table(s_t, s_src)
-            rows = [beta_pos[b] for b, _ in betas]
-            cols = [alpha_pos[a] for a, _ in alphas]
-            block = table[:, :, mu - 1][np.ix_(rows, cols)]
-            for (_, cb), row in zip(betas, block.tolist()):
-                total += cb * sum(ca * v for (_, ca), v in zip(alphas, row))
+    for tp, (rows, yc, y_norm) in y_diag.items():
+        for sp, (cols, xc, x_norm) in x_diag.items():
+            sizes = y.ambient[tp], x.ambient[sp]
+            block = _trace_table(*sizes)[0][rows[:, None], cols, col]
+            if y_norm * x_norm * _table_max(*sizes) < _INT64_LIMIT:
+                total += int(yc @ block @ xc)
+            else:
+                total += int(yc.astype(object) @ block.astype(object)
+                             @ xc.astype(object))
     f = x.field
     if not isinstance(f, PrimeField):
         return total
     if f.p > n_keys:
         return total % f.p
-    for obj, ent in ((x, x_int), (y, y_int)):
-        if not (obj.is_identity_cut() or _idempotent_over_z(
-                mu, obj.ambient, frozenset(ent.items()))):
-            raise ValueError(f"hom dimension over GF({f.p}) is not certified: "
-                             "an idempotent does not lift to one over Z")
+    if not (x.lifts_over_z and y.lifts_over_z):
+        raise ValueError(f"hom dimension over GF({f.p}) is not certified: "
+                         "an idempotent does not lift to one over Z")
     return total
 
 
-def _block_diagonal(s_t, s_src, betas, alphas, mu):
+def _block_diagonal(s_t, s_src, y_block, x_block, mu):
     """The diagonal of the cut on one part block, indexed by path id delta.
 
     For the key C_delta from the size-s_src part to the size-s_t part, the
-    coefficient of C_delta in idem_y o C_delta o idem_x, with betas and
-    alphas the [(path, int)] diagonal blocks of idem_y and idem_x, is
+    coefficient of C_delta in idem_y o C_delta o idem_x, with y_block and
+    x_block the (ids, coeffs, norm) diagonal blocks of idem_y and idem_x
+    (`AObject.diag_blocks`), is
     sum_gamma (sum_beta y_beta c(gamma; beta, delta))
               * (sum_alpha x_alpha c(delta; gamma, alpha)),
     the per-key term of the trace `hom_dim` sums.  It reads the two
@@ -312,24 +355,23 @@ def _block_diagonal(s_t, s_src, betas, alphas, mu):
     beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src)
     gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src)
     n_span = delannoy(s_src, s_t)
-    b_pos, a_pos = _path_pos(s_t, s_t), _path_pos(s_src, s_src)
-    b_ids = np.array([b_pos[b] for b, _ in betas], dtype=np.int64)
+    b_ids, b_coeffs, _ = y_block
+    a_ids, a_coeffs, _ = x_block
     lo = np.searchsorted(beta, b_ids, "left")
     n = np.searchsorted(beta, b_ids, "right") - lo
     rows1 = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
-    a_ids = [a_pos[a] for a, _ in alphas]
     a_used = np.zeros(delannoy(s_src, s_src), dtype=bool)
     a_used[a_ids] = True
     rows2 = np.flatnonzero(np.take(a_used, alpha))
     if not len(rows1) or not len(rows2):
         return np.zeros(n_span, dtype=np.int64)
     # |P_kk| <= rows1 * max|y c1| * rows2 * max|x c2|
-    bound = (len(rows1) * max(abs(c) for _, c in betas) * _max_abs(c1)
-             * len(rows2) * max(abs(c) for _, c in alphas) * _max_abs(c2))
-    dtype = np.int64 if bound < 2 ** 63 else object
+    bound = (len(rows1) * _max_abs(b_coeffs) * _max_abs(c1)
+             * len(rows2) * _max_abs(a_coeffs) * _max_abs(c2))
+    dtype = np.int64 if bound < _INT64_LIMIT else object
     col = mu - 1
     wx = np.zeros(len(a_used), dtype=dtype)
-    wx[a_ids] = [c for _, c in alphas]
+    wx[a_ids] = a_coeffs
     key2 = delta2[rows2].astype(np.int64) * n_span + gamma2[rows2]
     order = np.argsort(key2)
     key2, rows2 = key2[order], rows2[order]
@@ -337,8 +379,7 @@ def _block_diagonal(s_t, s_src, betas, alphas, mu):
     sums2 = np.add.reduceat(wx[alpha[rows2]] * c2[rows2, col].astype(dtype),
                             starts)
     key2 = key2[starts]
-    w1 = (np.repeat(np.array([c for _, c in betas], dtype=dtype), n)
-          * c1[rows1, col].astype(dtype))
+    w1 = np.repeat(b_coeffs.astype(dtype), n) * c1[rows1, col].astype(dtype)
     key1 = delta1[rows1].astype(np.int64) * n_span + gamma1[rows1]
     at = np.minimum(np.searchsorted(key2, key1), len(key2) - 1)
     hit = key2[at] == key1
@@ -352,13 +393,12 @@ def _cut_diagonal(x, y):
     integer lifts, as {key: P_kk}; P_kk is the coefficient of C_key in
     P(C_key), read off the diagonal part-blocks of both idempotents, and
     the values sum to the trace `hom_dim` computes."""
-    (_, x_diag), (_, y_diag) = x.lifted, y.lifted
     out = {}
-    for tp, betas in y_diag.items():
+    for tp, y_block in y.diag_blocks.items():
         s_t = y.ambient[tp]
-        for sp, alphas in x_diag.items():
+        for sp, x_block in x.diag_blocks.items():
             s_src = x.ambient[sp]
-            diag = _block_diagonal(s_t, s_src, betas, alphas, x.measure)
+            diag = _block_diagonal(s_t, s_src, y_block, x_block, x.measure)
             paths = enumerate_paths(s_src, s_t)
             for i in np.flatnonzero(diag).tolist():
                 out[(tp, sp, paths[i])] = int(diag[i])

@@ -8,6 +8,7 @@ output is deterministic: fixed case ordering and sorted keys, schema 1.
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import acat, bmod, dmod, derived, kring, verify
 from .fields import field_from_spec
@@ -137,7 +138,10 @@ def _common_flags():
     return c
 
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process.  `parse_args` returns a
+    fresh namespace on every call, so no flag carries over between calls."""
     common = _common_flags()
     p = argparse.ArgumentParser(
         prog="delannoy", parents=[common],

@@ -12,6 +12,7 @@ isomorphism onto a full module.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fields import QQ
 from .linalg import (mat_eq, mat_is_zero, mat_mul, mat_transpose, mat_vec,
@@ -53,11 +54,13 @@ class Module:
     def full(cls, support, field=QQ):
         """The full module on a support: dims 1, identity on every arrow.
 
-        Validation rejects supports on which the identities break a relation.
+        A full module is fixed by its class, support and field, so it is
+        built and validated once per process and then shared (`_full`):
+        nothing changes a module after construction.  Validation rejects
+        supports on which the identities break a relation; a rejected
+        support is not remembered.
         """
-        supp = sorted(support, key=sort_key)
-        return cls({lam: 1 for lam in supp},
-                   {a: [[field.one]] for a in cls.pairs(supp)}, field)
+        return _full(cls, frozenset(support), field)
 
     def dim(self, lam):
         return self.dims.get(lam, 0)
@@ -76,6 +79,8 @@ class Module:
                                              self.field)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         if self.dims != other.dims or self.field != other.field:
@@ -87,6 +92,13 @@ class Module:
         parts = ", ".join(f"{lam or 'e'}:{d}" for lam, d in
                           sorted(self.dims.items(), key=lambda kv: sort_key(kv[0])))
         return f"{type(self).__name__}({{{parts}}})"
+
+
+@lru_cache(maxsize=4096)
+def _full(cls, support, field):
+    supp = sorted(support, key=sort_key)
+    return cls({lam: 1 for lam in supp},
+               {a: [[field.one]] for a in cls.pairs(supp)}, field)
 
 
 @dataclass

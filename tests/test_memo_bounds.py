@@ -15,8 +15,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "delannoy"
 
 ALLOWED = {
-    ("acat", "_e_lambda_cached"):
-        "one cut idempotent per weight asked for",
     ("acat", "_trace_table"):
         "one table per pair of part sizes asked for",
     ("acat", "_gen_cached"):
