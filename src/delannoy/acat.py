@@ -18,17 +18,23 @@ the basis, and `coords_in_basis` solves the square system on those keys and
 checks the residual exactly.  The scan takes first the keys on which the
 cut's diagonal is nonzero, read off the same structure constants as the
 trace, so a key is composed only when it is likely to join the basis.
+
+e_lambda is written down as path words, one block per letter (D or UR at b,
+D or RU at w), and down_map, up_map and ud_map as e_lambda's words followed
+by R, by U, or by one of UR, RU, D.  Every coefficient is 1 over every
+field, so no path scan and no composition builds them.
 """
 
 import warnings
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import product
 
 import numpy as np
 
 from .fields import QQ, PrimeField
 from .linalg import ModSpan, SpanBuilder, _max_abs, rank_big, solve
-from .paths import delannoy, enumerate_paths, representative
+from .paths import delannoy, enumerate_paths, path_m, path_n
 # `_pair_index` is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer rebinds it in this module.
 from .schwartz import (MU2, PermMatrix, _pair_arrays, _pair_index,  # noqa: F401
@@ -116,27 +122,20 @@ class HomSpace:
     pivots: list
 
 
-def _e_lambda_entries(lam):
-    n = len(lam)
-    entries = {}
-    for p in enumerate_paths(n, n):
-        y, x = representative(p)
-        ok = True
-        for i, letter in enumerate(lam):
-            if letter == "b" and not y[i] <= x[i]:
-                ok = False
-                break
-            if letter == "w" and not x[i] <= y[i]:
-                ok = False
-                break
-        if ok:
-            for i in range(n - 1):
-                if not (y[i] < x[i + 1] and x[i] < y[i + 1]):
-                    ok = False
-                    break
-        if ok:
-            entries[(0, 0, p)] = 1
-    return entries
+# The path-word block of one weight letter: the pair (y_i, x_i) is shared
+# (D) or consecutive, y first at a black letter (UR), x first at a white one.
+_BLOCKS = {BLACK: ("UR", "D"), WHITE: ("RU", "D")}
+
+
+def _cut_matrix(lam, field, last=("",)):
+    """The one-part matrix with coefficient 1 on each path word of e_lambda
+    (one `_BLOCKS` block per letter) followed by each step in `last`; its
+    keys come in `enumerate_paths` order when `last` does."""
+    words = ["".join(blocks) + step
+             for blocks in product(*(_BLOCKS[c] for c in lam))
+             for step in last]
+    return PermMatrix((path_m(words[0]),), (path_n(words[0]),),
+                      {(0, 0, w): field.one for w in words}, field)
 
 
 @lru_cache(maxsize=1024)
@@ -144,12 +143,13 @@ def e_lambda(lam, field=QQ):
     """The idempotent cutting the weight-lam summand out of S(R^(n)).
 
     Indicator of the configurations with y_i <= x_i at black letters,
-    x_i <= y_i at white letters, and interlacing y_i < x_{i+1}, x_i < y_{i+1};
-    membership is decided on orbit representatives.  Built once per
-    (weight, field) and shared, as a matrix is immutable.
+    x_i <= y_i at white letters, and interlacing y_i < x_{i+1}, x_i < y_{i+1}.
+    The interlacing puts pair i below pair i + 1, so each pair is
+    consecutive on the line and its path block is D, or UR (black) or RU
+    (white): 2^|lam| words (`_cut_matrix`).  Built once per (weight, field)
+    and shared, as a matrix is immutable.
     """
-    entries = {k: field.of_int(v) for k, v in _e_lambda_entries(lam).items()}
-    return PermMatrix((len(lam),), (len(lam),), entries, field)
+    return _cut_matrix(lam, field)
 
 
 @lru_cache(maxsize=1024)
@@ -627,45 +627,29 @@ def degenerate_quotient_dim(n, measure=MU2, field=QQ):
 # Generator maps between indecomposables.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _gen_cached(kind, lam):
-    from .schwartz import projection_matrices
-    f = QQ
-    n = len(lam)
-    if kind == "d":  # M_{lam w} -> M_lam
-        push, _ = projection_matrices(n + 1, n + 1, f)
-        return compose(e_lambda(lam, f),
-                       compose(push, e_lambda(lam + "w", f), MU2), MU2)
-    if kind == "u":  # M_lam -> M_{lam b}
-        _, pull = projection_matrices(n + 1, n + 1, f)
-        return compose(e_lambda(lam + "b", f),
-                       compose(pull, e_lambda(lam, f), MU2), MU2)
-    raise ValueError(kind)
-
-
-def _gen_map(kind, lam, field):
-    """The cached generator map over Q, converted to `field`."""
-    m = _gen_cached(kind, lam)
-    if field == QQ:
-        return m
-    return PermMatrix(m.source, m.target,
-                      {k: field.parse(str(c)) for k, c in m.entries.items()},
-                      field)
-
+# down_map(lam) = e_lam o push o e_{lam w} and up_map(lam) = e_{lam b} o pull
+# o e_lam, with push and pull omitting the last coordinate.  Under mu2 the
+# middle point left free by the omission ranges over the closed ray up from
+# the other side's last point; the open ray, unbounded above, has measure 0,
+# so the point sits on that last point, above all the others.  The other
+# middle points integrate to 1 exactly on e_lam's pattern.
 
 def down_map(lam, field=QQ):
-    """The distinguished map M_{lam w} -> M_lam (nonzero, unique up to scalar)."""
-    return _gen_map("d", lam, field)
+    """The distinguished map M_{lam w} -> M_lam (nonzero, unique up to scalar):
+    e_lambda's words followed by R, the source's last point."""
+    return _cut_matrix(lam, field, ("R",))
 
 
 def up_map(lam, field=QQ):
-    """The distinguished map M_lam -> M_{lam b}."""
-    return _gen_map("u", lam, field)
+    """The distinguished map M_lam -> M_{lam b}: e_lambda's words followed
+    by U, the target's last point."""
+    return _cut_matrix(lam, field, ("U",))
 
 
 def ud_map(lam, field=QQ):
-    """The composite M_{lam w} -> M_lam -> M_{lam b}."""
-    return compose(up_map(lam, field), down_map(lam, field), MU2)
+    """The composite M_{lam w} -> M_lam -> M_{lam b}: e_lambda's words
+    followed by the two last points in either order or shared."""
+    return _cut_matrix(lam, field, ("UR", "RU", "D"))
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def _print_report(report, as_json):
     if as_json:
         print(json.dumps(report.to_json(), sort_keys=True))
         return
-    counts = report.to_json()["counts"]
+    counts = report.counts
     print(f"suite {report.suite}: {counts['pass']} pass, "
           f"{counts['fail']} fail, {counts['inconclusive']} inconclusive "
           f"({report.elapsed:.1f}s)")

@@ -48,6 +48,12 @@ class VerifyReport:
         return [c for c in self.cases if c.status == "inconclusive"]
 
     @property
+    def counts(self):
+        return {"pass": sum(c.status == "pass" for c in self.cases),
+                "fail": len(self.failed),
+                "inconclusive": len(self.inconclusive)}
+
+    @property
     def ok(self):
         return not self.failed
 
@@ -60,9 +66,7 @@ class VerifyReport:
                        "expected": repr(c.expected), "actual": repr(c.actual),
                        **({"repro": c.repro} if c.repro else {})}
                       for c in self.cases],
-            "counts": {"pass": sum(c.status == "pass" for c in self.cases),
-                       "fail": len(self.failed),
-                       "inconclusive": len(self.inconclusive)},
+            "counts": self.counts,
             "elapsed_s": round(self.elapsed, 3),
         }
 
@@ -74,10 +78,6 @@ def _case(cases, cid, expected, actual):
 
 def _skip(cases, cid, note):
     cases.append(Case(cid, "inconclusive", note, None))
-
-
-def _wfmt(lam):
-    return format_weight(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -124,19 +124,19 @@ def suite_idempotents(max_len=4, field=QQ):
     cases = []
     for lam in enumerate_weights(max_len):
         e = acat.e_lambda(lam, field)
-        _case(cases, f"E^2=E[{_wfmt(lam)},mu1]", True,
+        _case(cases, f"E^2=E[{format_weight(lam)},mu1]", True,
               compose(e, e, MU1) == e)
-        _case(cases, f"E^2=E[{_wfmt(lam)},mu2]", True,
+        _case(cases, f"E^2=E[{format_weight(lam)},mu2]", True,
               compose(e, e, MU2) == e)
     for lam in enumerate_weights(max_len):
         m = acat.indecomposable(lam, MU2, field)
-        _case(cases, f"dimEnd[{_wfmt(lam)}]", 1,
+        _case(cases, f"dimEnd[{format_weight(lam)}]", 1,
               acat.hom_dim(m, m))
         e = acat.e_lambda(lam, field)
         if lam:
-            _case(cases, f"trace-mu2[{_wfmt(lam)}]",
+            _case(cases, f"trace-mu2[{format_weight(lam)}]",
                   field.zero, trace(e, MU2))
-        _case(cases, f"trace-mu1[{_wfmt(lam)}]",
+        _case(cases, f"trace-mu1[{format_weight(lam)}]",
               field.of_int((-1) ** len(lam)), trace(e, MU1))
     return cases, {"max_len": max_len}
 
@@ -147,10 +147,10 @@ def suite_hom_table(max_len=3, field=QQ):
         for b in enumerate_weights(max_len):
             got = acat.hom_dim(acat.indecomposable(a, MU2, field),
                                acat.indecomposable(b, MU2, field))
-            _case(cases, f"hom[{_wfmt(a)},{_wfmt(b)}]",
+            _case(cases, f"hom[{format_weight(a)},{format_weight(b)}]",
                   acat.hom_dim_pattern(a, b), got)
     for lam in enumerate_weights(max_len - 1):
-        _case(cases, f"ud-nonzero[{_wfmt(lam)}]", True,
+        _case(cases, f"ud-nonzero[{format_weight(lam)}]", True,
               not acat.ud_map(lam, field).is_zero())
     return cases, {"max_len": max_len}
 
@@ -184,7 +184,7 @@ def suite_tensor_rule(max_sum=3, kring_sum=6, field=QQ):
             x = acat.tensor_objects(acat.indecomposable(a, MU2, field),
                                     acat.indecomposable(b, MU2, field))
             counts = ruffle_counts(a, b, True)
-            _case(cases, f"matrix[{_wfmt(a)},{_wfmt(b)}]",
+            _case(cases, f"matrix[{format_weight(a)},{format_weight(b)}]",
                   {w: counts[w] for w in sorted(counts, key=sort_key)},
                   acat.multiplicities(x))
     for a in enumerate_weights(kring_sum):
@@ -193,7 +193,7 @@ def suite_tensor_rule(max_sum=3, kring_sum=6, field=QQ):
             xb = kring.basis_element(kring.KA, b)
             lhs = kring.phi_map(kring.mult(xa, xb))
             rhs = kring.mult(kring.phi_map(xa), kring.phi_map(xb))
-            _case(cases, f"phi-hom[{_wfmt(a)},{_wfmt(b)}]",
+            _case(cases, f"phi-hom[{format_weight(a)},{format_weight(b)}]",
                   True, lhs == rhs)
     return cases, {"max_sum": max_sum, "kring_sum": kring_sum}
 
@@ -217,7 +217,8 @@ def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
                 got = [0] * (max_i + 1) if symbols.isdisjoint(n.dims) \
                     else bmod._ext_from_resolution(res, n, max_i)
                 want = [expected_fn(lam, nu, i) for i in range(max_i + 1)]
-                _case(cases, f"{cid}[{_wfmt(lam)},{_wfmt(nu)}]", want, got)
+                _case(cases, f"{cid}[{format_weight(lam)},{format_weight(nu)}]",
+                      want, got)
 
     def targets_for(cid):
         if cid in ("ExtB-a", "ExtB-b", "B-ext-f"):
@@ -249,7 +250,7 @@ def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
     for lam in weights:
         m = bmod.named_bmodule("I", lam, field)
         got = bmod.ext_table(m, bmod.named_bmodule("S", "", field), max_i)
-        _case(cases, f"B-ext-e[{_wfmt(lam)}]",
+        _case(cases, f"B-ext-e[{format_weight(lam)}]",
               [0] * (max_i + 1), got)
     # the standard/costandard pairing: delta(lam,mu) at i=0 (the printed
     # index in the source table is off by one flat; see the ledger)
@@ -263,13 +264,13 @@ def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
 
     for lam in weights:
         if lam == "" or lam.endswith("w"):
-            _case(cases, f"resLD[{_wfmt(lam)}]",
+            _case(cases, f"resLD[{format_weight(lam)}]",
                   [[lam + "w" * k] for k in range(4)], shape("S", lam, 3)[:4])
-        _case(cases, f"resQP[{_wfmt(lam)}]",
+        _case(cases, f"resQP[{format_weight(lam)}]",
               [[lam + "b" + "w" * k] for k in range(4)], shape("Q", lam, 3)[:4])
         mu, n = black_tail(lam)
         want = [[mu + "b" * (n - k)] for k in range(n + 1)] + [[]]
-        _case(cases, f"resDP[{_wfmt(lam)}]", want,
+        _case(cases, f"resDP[{format_weight(lam)}]", want,
               shape("Stan", lam, n + 1)[:n + 2])
     return cases, {"max_len": max_len, "max_i": max_i}
 
@@ -294,58 +295,58 @@ def suite_dmod_ext(max_len=4, max_i=4, uniserial_len=5, field=QQ):
                    for i in range(max_i + 1)]
             want = [1 if (i == 0 and lam == mu) else 0
                     for i in range(max_i + 1)]
-            _case(cases, f"HomExt[{_wfmt(lam)},{_wfmt(mu)}]",
+            _case(cases, f"HomExt[{format_weight(lam)},{format_weight(mu)}]",
                   want, got)
     for lam in weights:
         arrows = {mu for mu in dmod.basic_targets(lam)
                   if len(mu) <= max_len + 2}
         got = {mu for mu, cx in cx_s.items()
                if dmod.homotopy_hom_dim(cx_s[lam], cx, 1) == 1}
-        _case(cases, f"Ext1-quiver[{_wfmt(lam)}]",
+        _case(cases, f"Ext1-quiver[{format_weight(lam)}]",
               sorted(arrows, key=sort_key), sorted(got, key=sort_key))
     tilt = {lam: dmod.named_dmodule("T", lam, field) for lam in weights}
     for lam in weights:
         for mu in weights:
             got = len(rep.hom(tilt[lam], tilt[mu]))
-            _case(cases, f"homT[{_wfmt(lam)},{_wfmt(mu)}]",
+            _case(cases, f"homT[{format_weight(lam)},{format_weight(mu)}]",
                   hom_dim_pattern(lam, mu), got)
     for lam in enumerate_weights(max_len - 1):
         comp = rep.compose(dmod.tilting_map(lam, lam + "b", field),
                                   dmod.tilting_map(lam + "w", lam, field))
         want = dmod.tilting_map(lam + "w", lam + "b", field)
-        _case(cases, f"ud-composite[{_wfmt(lam)}]", True,
+        _case(cases, f"ud-composite[{format_weight(lam)}]", True,
               not comp.is_zero() and comp.comps == want.comps)
     for lam in enumerate_weights(5):
         if lam.endswith("w"):  # 0 -> S_lam -> Nabla_lam -> Delta_flat -> 0
             ok = _d_ses_exact(dmod.named_dmodule("S", lam, field),
                               dmod.named_dmodule("Nabla", lam, field),
                               dmod.named_dmodule("Delta", lam[:-1], field))
-            _case(cases, f"D-tilt-a[{_wfmt(lam)}]", True, ok)
+            _case(cases, f"D-tilt-a[{format_weight(lam)}]", True, ok)
         if lam.endswith("b"):  # 0 -> Nabla_flat -> Delta_lam -> S_lam -> 0
             ok = _d_ses_exact(dmod.named_dmodule("Nabla", lam[:-1], field),
                               dmod.named_dmodule("Delta", lam, field),
                               dmod.named_dmodule("S", lam, field))
-            _case(cases, f"D-tilt-b[{_wfmt(lam)}]", True, ok)
+            _case(cases, f"D-tilt-b[{format_weight(lam)}]", True, ok)
     for lam in enumerate_weights(4):
         if lam == "" or lam.endswith("b"):
             # 0 -> S_lam -> T_{lam b} -> S_{lam b} -> 0
             ok = _d_ses_exact(dmod.named_dmodule("S", lam, field),
                               dmod.named_dmodule("T", lam + "b", field),
                               dmod.named_dmodule("S", lam + "b", field))
-            _case(cases, f"CorSES-a[{_wfmt(lam)}]", True, ok)
+            _case(cases, f"CorSES-a[{format_weight(lam)}]", True, ok)
         if lam == "" or lam.endswith("w"):
             # 0 -> T_lam -> T_{lam b} -> S_{lam b} -> 0
             ok = _d_ses_exact(dmod.named_dmodule("T", lam, field),
                               dmod.named_dmodule("T", lam + "b", field),
                               dmod.named_dmodule("S", lam + "b", field))
-            _case(cases, f"CorSES-b[{_wfmt(lam)}]", True, ok)
+            _case(cases, f"CorSES-b[{format_weight(lam)}]", True, ok)
         # every simple is a quotient of a tilting module
         g = rep.full_map(dmod.named_dmodule("T", lam + "w", field),
                          dmod.named_dmodule("S", lam, field))
         ok = all(rank(g.component(k), field) ==
                  dmod.named_dmodule("S", lam, field).dim(k)
                  for k in [lam])
-        _case(cases, f"tilt-quot[{_wfmt(lam)}]", True, ok)
+        _case(cases, f"tilt-quot[{format_weight(lam)}]", True, ok)
     for lam in enumerate_weights(uniserial_len):
         delta = dmod.named_dmodule("Delta", lam, field)
         want = {}
@@ -354,7 +355,7 @@ def suite_dmod_ext(max_len=4, max_i=4, uniserial_len=5, field=QQ):
             want.setdefault(len(steps), {})[mu] = 1
         want_layers = [want[i] for i in sorted(want)]
         got = dmod.radical_filtration(delta)
-        _case(cases, f"uniserial[{_wfmt(lam)}]",
+        _case(cases, f"uniserial[{format_weight(lam)}]",
               want_layers, got)
     return cases, {"max_len": max_len, "max_i": max_i,
                    "uniserial_len": uniserial_len}
@@ -380,30 +381,30 @@ def suite_derived_functors(max_len=4, max_deg=6, psi_i_len=3, field=QQ):
         # first functor
         want = {} if fmu is None else {n: {fmu: 1}}
         got = derived.l_phi(bmod.named_bmodule("S", lam, field), max_deg)
-        _case(cases, f"LPhi-S[{_wfmt(lam)}]", want, got)
+        _case(cases, f"LPhi-S[{format_weight(lam)}]", want, got)
         want = {0: {lam: 1}}
         if fmu is not None:
             want.setdefault(n, {})[fmu] = want.get(n, {}).get(fmu, 0) + 1
         got = derived.l_phi(bmod.named_bmodule("Stan", lam, field), max_deg)
-        _case(cases, f"LPhi-Stan[{_wfmt(lam)}]", want, got)
+        _case(cases, f"LPhi-Stan[{format_weight(lam)}]", want, got)
         got = derived.l_phi(bmod.named_bmodule("Q", lam, field), max_deg)
-        _case(cases, f"LPhi-Q[{_wfmt(lam)}]",
+        _case(cases, f"LPhi-Q[{format_weight(lam)}]",
               {0: {lam: 1}}, got)
         got = derived.l_phi(bmod.named_bmodule("Cost", lam, field), max_deg)
-        _case(cases, f"LPhi-Cost[{_wfmt(lam)}]", {}, got)
+        _case(cases, f"LPhi-Cost[{format_weight(lam)}]", {}, got)
         # third functor
         got = derived.l_theta(bmod.named_bmodule("S", lam, field), max_deg)
         want = [0] * (max_deg + 1)
         if mu == "":
             want[n] = 1
-        _case(cases, f"LTheta-S[{_wfmt(lam)}]", want, got)
+        _case(cases, f"LTheta-S[{format_weight(lam)}]", want, got)
         got = derived.l_theta(bmod.named_bmodule("Stan", lam, field), max_deg)
-        _case(cases, f"LTheta-Stan[{_wfmt(lam)}]",
+        _case(cases, f"LTheta-Stan[{format_weight(lam)}]",
               want, got)
         for kind in ("Q", "Cost"):
             got = derived.l_theta(bmod.named_bmodule(kind, lam, field),
                                   max_deg)
-            _case(cases, f"LTheta-{kind}[{_wfmt(lam)}]",
+            _case(cases, f"LTheta-{kind}[{format_weight(lam)}]",
                   [0] * (max_deg + 1), got)
         # second functor
         psi_s = derived.l_psi(bmod.named_bmodule("S", lam, field), 3)
@@ -412,28 +413,28 @@ def suite_derived_functors(max_len=4, max_deg=6, psi_i_len=3, field=QQ):
         elif lam.endswith("w"):
             ok = set(psi_s) == {0} and \
                 _named_matches(psi_s[0], "Delta", lam[:-1])
-            _case(cases, f"LPsi-S[{_wfmt(lam)}]", True, ok)
+            _case(cases, f"LPsi-S[{format_weight(lam)}]", True, ok)
         else:
             ok = set(psi_s) == {1} and \
                 _named_matches(psi_s[1], "Nabla", lam[:-1])
-            _case(cases, f"LPsi-S[{_wfmt(lam)}]", True, ok)
+            _case(cases, f"LPsi-S[{format_weight(lam)}]", True, ok)
         psi_d = derived.l_psi(bmod.named_bmodule("Stan", lam, field), 3)
         ok = set(psi_d) == {0} and _named_matches(psi_d[0], "Nabla", lam)
-        _case(cases, f"LPsi-Stan[{_wfmt(lam)}]", True, ok)
+        _case(cases, f"LPsi-Stan[{format_weight(lam)}]", True, ok)
         psi_q = derived.l_psi(bmod.named_bmodule("Q", lam, field), 3)
-        _case(cases, f"LPsi-Q[{_wfmt(lam)}]", True,
+        _case(cases, f"LPsi-Q[{format_weight(lam)}]", True,
               psi_q == {})
         # amplitude: no derived value in degrees >= 2 for any of the four
         for kind in ("S", "Stan", "Cost", "Q"):
             res = bmod.min_projective_resolution(
                 bmod.named_bmodule(kind, lam, field), 5)
             psi = derived.pointwise_homology(res, derived.psi_support, 4)
-            _case(cases, f"LPsi-amplitude-{kind}[{_wfmt(lam)}]", True,
+            _case(cases, f"LPsi-amplitude-{kind}[{format_weight(lam)}]", True,
                   all(k < 2 for k in psi))
     for lam in enumerate_weights(psi_i_len):
         psi = derived.l_psi(bmod.named_bmodule("I", lam, field), 3)
         ok = set(psi) == {1} and _named_matches(psi[1], "T", lam)
-        _case(cases, f"LPsi-I[{_wfmt(lam)}]", True, ok)
+        _case(cases, f"LPsi-I[{format_weight(lam)}]", True, ok)
     return cases, {"max_len": max_len, "max_deg": max_deg,
                    "psi_i_len": psi_i_len}
 
@@ -486,21 +487,21 @@ def suite_sod(max_len=4, max_i=5, field=QQ):
         for mu in weights:
             got = bmod._ext_from_resolution(
                 res_i, bmod.named_bmodule("Q", mu, field), max_i)
-            _case(cases, f"Ext(I,Q)[{_wfmt(lam)},{_wfmt(mu)}]",
+            _case(cases, f"Ext(I,Q)[{format_weight(lam)},{format_weight(mu)}]",
                   [0] * (max_i + 1), got)
         got = bmod._ext_from_resolution(res_i, s_empty, max_i)
-        _case(cases, f"Ext(I,S_e)[{_wfmt(lam)}]",
+        _case(cases, f"Ext(I,S_e)[{format_weight(lam)}]",
               [0] * (max_i + 1), got)
         res_q = bmod.min_projective_resolution(
             bmod.named_bmodule("Q", lam, field), max_i + 1)
         got = bmod._ext_from_resolution(res_q, s_empty, max_i)
-        _case(cases, f"Ext(Q,S_e)[{_wfmt(lam)}]",
+        _case(cases, f"Ext(Q,S_e)[{format_weight(lam)}]",
               [0] * (max_i + 1), got)
     res_s = bmod.min_projective_resolution(s_empty, max_i + 1)
     for lam in weights:
         got = bmod._ext_from_resolution(
             res_s, bmod.named_bmodule("Q", lam, field), max_i)
-        _case(cases, f"Ext(S_e,Q)[{_wfmt(lam)}]",
+        _case(cases, f"Ext(S_e,Q)[{format_weight(lam)}]",
               [0] * (max_i + 1), got)
     # the two short exact sequences under the unit's filtration
     p_e = bmod.named_bmodule("P", "", field)
@@ -512,21 +513,21 @@ def suite_sod(max_len=4, max_i=5, field=QQ):
     _case(cases, "3graded-ses2", True, _ses_exact(
         (rep.full_map(s_w, q_e), rep.full_map(q_e, i_e))))
     for lam in [w for w in weights if w]:
-        _case(cases, f"PQI[{_wfmt(lam)}]", True, check_pqi(lam, field))
+        _case(cases, f"PQI[{format_weight(lam)}]", True, check_pqi(lam, field))
     # generator-level kernels of the three functors
     _case(cases, "LPhi-kills-S_e", {}, derived.l_phi(s_empty, 4))
     for lam in enumerate_weights(3):
         got = derived.l_phi(bmod.named_bmodule("I", lam, field), 4)
-        _case(cases, f"LPhi-kills-I[{_wfmt(lam)}]", {}, got)
+        _case(cases, f"LPhi-kills-I[{format_weight(lam)}]", {}, got)
         got = derived.l_theta(bmod.named_bmodule("I", lam, field), 4)
-        _case(cases, f"LTheta-kills-I[{_wfmt(lam)}]", [0] * 5, got)
+        _case(cases, f"LTheta-kills-I[{format_weight(lam)}]", [0] * 5, got)
         got = derived.l_theta(bmod.named_bmodule("Q", lam, field), 4)
-        _case(cases, f"LTheta-kills-Q[{_wfmt(lam)}]", [0] * 5, got)
+        _case(cases, f"LTheta-kills-Q[{format_weight(lam)}]", [0] * 5, got)
         psi = derived.l_psi(bmod.named_bmodule("Q", lam, field), 3)
-        _case(cases, f"LPsi-kills-Q[{_wfmt(lam)}]", True, psi == {})
+        _case(cases, f"LPsi-kills-Q[{format_weight(lam)}]", True, psi == {})
         psi = derived.l_psi(bmod.named_bmodule("I", lam, field), 3)
         ok = set(psi) == {1} and _named_matches(psi[1], "T", lam)
-        _case(cases, f"LPsi-I-shift[{_wfmt(lam)}]", True, ok)
+        _case(cases, f"LPsi-I-shift[{format_weight(lam)}]", True, ok)
     _case(cases, "LPsi-kills-S_e", True,
           derived.l_psi(s_empty, 3) == {})
     _case(cases, "LTheta-S_e", [1, 0, 0, 0, 0],
@@ -541,13 +542,13 @@ def suite_kring_iso(gen_len=3, field=QQ):
             bmod.named_bmodule("Q", lam, field))
         want = (kring.basis_element(kring.KC, lam),
                 kring.KElement.make(kring.KD, {}), 0)
-        _case(cases, f"kb-Q[{_wfmt(lam)}]", want,
+        _case(cases, f"kb-Q[{format_weight(lam)}]", want,
               (chi_c, chi_d, chi_v))
         chi_c, chi_d, chi_v = kring.kb_decompose(
             bmod.named_bmodule("I", lam, field))
         want = (kring.KElement.make(kring.KC, {}),
                 kring.tilting_class(lam).scale(-1), 0)
-        _case(cases, f"kb-I[{_wfmt(lam)}]", want,
+        _case(cases, f"kb-I[{format_weight(lam)}]", want,
               (chi_c, chi_d, chi_v))
     chi = kring.kb_decompose(bmod.named_bmodule("S", "", field))
     want = (kring.KElement.make(kring.KC, {}),
@@ -571,7 +572,7 @@ def suite_kring_iso(gen_len=3, field=QQ):
             (1, kb(bmod.named_bmodule("Q", lam, field))),
             (1, kb(bmod.named_bmodule("Q", lam[:-1], field))),
             (-1, kb(bmod.named_bmodule("I", lam, field)))])
-        _case(cases, f"kb-additive-PQI[{_wfmt(lam)}]", rhs, lhs)
+        _case(cases, f"kb-additive-PQI[{format_weight(lam)}]", rhs, lhs)
     kb = kring.kb_decompose
     lhs = kb(bmod.named_bmodule("P", "", field))
     rhs = triple_sum([(1, kb(bmod.named_bmodule("S", "w", field))),
@@ -589,7 +590,7 @@ def suite_tor(max_part=6, field=QQ):
     for lam in [w for w in enumerate_weights(2) if w]:
         got = bmod.tor_bmod(bmod.named_bmodule("P", lam, field),
                             bmod.named_bmodule("S", "", field), 0)
-        _case(cases, f"P-tensor-S_e[{_wfmt(lam)}]", [0], got)
+        _case(cases, f"P-tensor-S_e[{format_weight(lam)}]", [0], got)
     whites = [w for w in enumerate_weights(2) if w.endswith("w")]
     for a in whites:
         for b in whites:
@@ -598,6 +599,7 @@ def suite_tor(max_part=6, field=QQ):
             # grow exponentially with parts + window.  Degrees sharing a
             # window run in one call.
             total = len(a) + len(b)
+            pair = f"{format_weight(a)},{format_weight(b)}"
             plan = {}  # nu_len -> list of degrees
             for i in (1, 2, 3):
                 parts = total + i + 1
@@ -608,7 +610,7 @@ def suite_tor(max_part=6, field=QQ):
                 elif parts <= 7:
                     nu = 1
                 else:
-                    _skip(cases, f"Tor{i}[{_wfmt(a)},{_wfmt(b)}][window]",
+                    _skip(cases, f"Tor{i}[{pair}][window]",
                           f"tensor parts {parts} exceed the part cap")
                     continue
                 plan.setdefault(nu, []).append(i)
@@ -620,8 +622,7 @@ def suite_tor(max_part=6, field=QQ):
                                      max_part=max(max_part, total + imax + 1),
                                      nu_len=nu)
                 for i in degrees:
-                    _case(cases, f"Tor{i}[{_wfmt(a)},{_wfmt(b)}][nu<={nu}]",
-                          0, dims[i])
+                    _case(cases, f"Tor{i}[{pair}][nu<={nu}]", 0, dims[i])
     return cases, {"max_part": max_part}
 
 
@@ -631,11 +632,11 @@ def suite_tilting_hom(window=6, margin=2, field=QQ):
     for lam in enumerate_weights(base_max):
         t = bmod.truncated_tilting(lam, window, field)
         fails = bmod.standard_filtration_failures(t, max_check_len=window - margin)
-        _case(cases, f"row-exact[{_wfmt(lam)}@{window}]",
+        _case(cases, f"row-exact[{format_weight(lam)}@{window}]",
               [], fails)
         td = rep.dual(t)
         fails = bmod.standard_filtration_failures(td, max_check_len=window - margin)
-        _case(cases, f"col-exact[{_wfmt(lam)}@{window}]",
+        _case(cases, f"col-exact[{format_weight(lam)}@{window}]",
               [], fails)
 
     mods = {lam: bmod.truncated_tilting(lam, window, field)
@@ -647,7 +648,7 @@ def suite_tilting_hom(window=6, margin=2, field=QQ):
                 skipped += 1
                 continue
             got = len(rep.hom(mods[lam], mods[mu]))
-            _case(cases, f"homTT[{_wfmt(lam)},{_wfmt(mu)}]",
+            _case(cases, f"homTT[{format_weight(lam)},{format_weight(mu)}]",
                   int(dmod.dist_hom_nonzero(mu, lam)), got)
     if skipped:
         _skip(cases, "homTT[margin<2]",
@@ -661,7 +662,8 @@ def suite_tilting_hom(window=6, margin=2, field=QQ):
         if h1 and h2:
             comp = rep.compose(h2[0], h1[0])
             _case(cases,
-                  f"comp-nonzero[{_wfmt(lam)}->{_wfmt(mid)}->{_wfmt(top)}]",
+                  f"comp-nonzero[{format_weight(lam)}->{format_weight(mid)}"
+                  f"->{format_weight(top)}]",
                   True, not comp.is_zero())
     return cases, {"window": window, "margin": margin}
 

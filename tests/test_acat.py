@@ -209,21 +209,22 @@ def test_hom_space_composes_only_the_keys_on_the_diagonal(monkeypatch):
 
 
 def test_generator_maps():
-    for lam in enumerate_weights(2):
+    for lam in enumerate_weights(3):
         d = down_map(lam)
         u = up_map(lam)
-        assert not d.is_zero() and not u.is_zero()
-        assert not ud_map(lam).is_zero()
+        ud = ud_map(lam)
+        assert not d.is_zero() and not u.is_zero() and not ud.is_zero()
         # generators live between the cut objects
-        e_src = e_lambda(lam + "w")
-        e_dst = e_lambda(lam)
-        assert compose(e_dst, compose(d, e_src, MU2), MU2) == d
+        for g, src, dst in ((d, lam + "w", lam), (u, lam, lam + "b"),
+                            (ud, lam + "w", lam + "b")):
+            e_src, e_dst = e_lambda(src), e_lambda(dst)
+            assert compose(e_dst, compose(g, e_src, MU2), MU2) == g
 
 
 def test_generator_relations():
     # the concrete distinguished maps satisfy the presentation relations;
     # this is what makes the formal-to-matrix translation a functor
-    for lam in enumerate_weights(2):
+    for lam in enumerate_weights(3):
         assert compose(up_map(lam), down_map(lam), MU2) == ud_map(lam)
         assert compose(down_map(lam), down_map(lam + "w"), MU2).is_zero()
         assert compose(up_map(lam + "b"), up_map(lam), MU2).is_zero()

@@ -17,8 +17,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "delannoy"
 ALLOWED = {
     ("acat", "_trace_table"):
         "one table per pair of part sizes asked for",
-    ("acat", "_gen_cached"):
-        "one generator map per (kind, weight) of the resolutions realized",
     ("paths", "delannoy"):
         "one integer per (m, n) pair of the recurrence",
     ("paths", "enumerate_paths"):
