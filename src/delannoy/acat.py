@@ -8,9 +8,12 @@ into sub-idempotents.
 
 Hom dimensions take one route over every field: the trace of the cut
 operator H -> idem_y o H o idem_x, an integer contraction of the idempotents'
-diagonal blocks.  Over F_p the trace is certified either by p exceeding the
-span dimension or by both idempotents lifting to idempotents over Z, so a
-hom dimension is the same over Q and over every F_p.
+diagonal blocks against a structure table.  Over F_p the trace is certified
+either by p exceeding the span dimension or by both idempotents lifting to
+idempotents over Z, so a hom dimension is the same over Q and over every F_p.
+The tables are built per (part sizes, measure), joining only the structure
+constants nonzero under that measure; the cut's diagonal reads the same
+sorted side of the join (`_join_side`).
 
 Hom spaces also take one route: `hom_space` scans the cut images once into
 one span (mod p over Q, exact over F_p) and keeps the span's pivot keys with
@@ -207,39 +210,65 @@ def _check_same_setting(x, y):
 _JOIN_CHUNK = 1 << 16
 
 
-@lru_cache(maxsize=None)
-def _trace_table(s_t, s_src):
-    """Structure table for operator traces on the matrix span.
+def _join_keys(delta, gamma, n_span):
+    """The join key delta * n_span + gamma of the trace join's rows, in
+    int32 when every key fits."""
+    dtype = np.int32 if n_span * n_span <= np.iinfo(np.int32).max \
+        else np.int64
+    return delta.astype(dtype) * n_span + gamma
 
-    Returns (U, beta_pos, alpha_pos): U[beta, alpha, mu - 1] is, for the
-    paths with ids beta_pos[beta] and alpha_pos[alpha], the sum over paths
-    delta, gamma between the parts of
-    c(gamma; beta, delta) * c(delta; gamma, alpha):
+
+@lru_cache(maxsize=64)
+def _join_side(s_t, s_src, mu):
+    """The second side of the trace join under measure mu, sorted by key.
+
+    Returns (alpha, key, c): the rows of `_pair_arrays(s_t, s_src, s_src)`,
+    c(delta; gamma, alpha), whose mu coefficient is nonzero, as int32 path
+    ids alpha, join keys (`_join_keys`, over the D(s_src, s_t) paths delta
+    and gamma) and the mu column in its narrow dtype, sorted by key.
+    `_trace_table` and `_block_diagonal` both read it, so neither sorts it
+    again.
+    """
+    gamma, alpha, delta, c = _pair_arrays(s_t, s_src, s_src)
+    keep = np.flatnonzero(c[:, mu - 1])
+    key = _join_keys(delta[keep], gamma[keep], delannoy(s_src, s_t))
+    order = np.argsort(key)
+    keep = keep[order]
+    return alpha[keep], key[order], c[keep, mu - 1]
+
+
+@lru_cache(maxsize=64)
+def _trace_table(s_t, s_src, mu):
+    """Structure table for operator traces on the matrix span under mu.
+
+    Returns (U, beta_pos, alpha_pos): U[beta, alpha] is, for the paths with
+    ids beta_pos[beta] and alpha_pos[alpha], the sum over paths delta, gamma
+    between the parts of c_mu(gamma; beta, delta) * c_mu(delta; gamma, alpha):
     the trace of H -> C_beta o H o C_alpha on the span of matrices from the
     size-s_src part to the size-s_t part.  Traces of the cut operators are
     bilinear contractions of this dense int64 table against the diagonal
     idempotent blocks.
 
-    The two `_pair_arrays` are joined on (delta, gamma) by sorting one side
-    and expanding each row of the other over its matches, a bounded number
-    of joined rows and one measure at a time.
+    Only rows nonzero under mu are joined: those of
+    `_pair_arrays(s_t, s_t, s_src)` are expanded over their matches on
+    (delta, gamma) in the sorted `_join_side`, a bounded number of joined
+    rows at a time.
     """
     beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src)
-    gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src)
-    n_span = delannoy(s_src, s_t)           # paths delta and gamma
+    keep = np.flatnonzero(c1[:, mu - 1])
+    beta, c1 = beta[keep], c1[keep, mu - 1]
+    key1 = _join_keys(delta1[keep], gamma1[keep], delannoy(s_src, s_t))
+    alpha, key2, c2 = _join_side(s_t, s_src, mu)
     n_beta, n_alpha = delannoy(s_t, s_t), delannoy(s_src, s_src)
-    key2 = delta2.astype(np.int64) * n_span + gamma2
-    order = np.argsort(key2, kind="stable")
-    key2 = key2[order]
-    key1 = delta1.astype(np.int64) * n_span + gamma1
     lo = np.searchsorted(key2, key1, "left")
     counts = np.searchsorted(key2, key1, "right") - lo
     ends = np.cumsum(counts)
-    total = int(ends[-1])
+    total = int(counts.sum())
     # every entry of U is a sum of at most `total` products c1 * c2
-    if _max_abs(c1) * _max_abs(c2) * total >= 2 ** 63:
-        raise OverflowError(f"trace table ({s_t}, {s_src}) may exceed int64")
-    table = np.zeros((4, n_beta * n_alpha), dtype=np.int64)
+    if total and _max_abs(c1) * _max_abs(c2) * total >= _INT64_LIMIT:
+        raise OverflowError(f"trace table ({s_t}, {s_src}) under mu{mu} "
+                            "may exceed int64")
+    table = np.zeros(n_beta * n_alpha, dtype=np.int64)
     start = 0
     while start < len(counts):
         # rows start..stop-1 expand to at most _JOIN_CHUNK joined rows
@@ -249,21 +278,19 @@ def _trace_table(s_t, s_src):
                                                   "right")))
         n = counts[start:stop]
         i1 = np.repeat(np.arange(start, stop), n)
-        i2 = order[np.repeat(lo[start:stop] - (ends[start:stop] - n), n)
-                   + np.arange(begin, int(ends[stop - 1]))]
-        out = beta[i1].astype(np.int64) * n_alpha + alpha[i2]
-        for mu in range(4):
-            np.add.at(table[mu], out,
-                      c1[i1, mu].astype(np.int64) * c2[i2, mu])
+        i2 = (np.repeat(lo[start:stop] - (ends[start:stop] - n), n)
+              + np.arange(begin, int(ends[stop - 1])))
+        np.add.at(table, beta[i1].astype(np.int64) * n_alpha + alpha[i2],
+                  c1[i1].astype(np.int64) * c2[i2])
         start = stop
-    table = np.moveaxis(table.reshape(4, n_beta, n_alpha), 0, -1)
-    return table, _path_pos(s_t, s_t), _path_pos(s_src, s_src)
+    return (table.reshape(n_beta, n_alpha), _path_pos(s_t, s_t),
+            _path_pos(s_src, s_src))
 
 
 @lru_cache(maxsize=1024)
-def _table_max(s_t, s_src):
-    """The largest |entry| of `_trace_table(s_t, s_src)` over every measure."""
-    return _max_abs(_trace_table(s_t, s_src)[0])
+def _table_max(s_t, s_src, mu):
+    """The largest |entry| of `_trace_table(s_t, s_src, mu)`."""
+    return _max_abs(_trace_table(s_t, s_src, mu)[0])
 
 
 def _integer_entries(m):
@@ -294,10 +321,11 @@ def hom_dim(x, y):
 
     One route for every field.  P is idempotent, so its rank is its trace,
     an integer contraction of the idempotents' diagonal part-blocks (lifted
-    to integer entries, `AObject.diag_blocks`) against a cached structure
-    table: yc @ table[rows, cols, mu - 1] @ xc per pair of parts, in int64
-    when sum|yc| * sum|xc| * max|table| < 2**63 bounds every partial sum,
-    in Python ints otherwise.  Over Q the trace is the rank.  Over F_p it is
+    to integer entries, `AObject.diag_blocks`) against the structure table
+    of the objects' measure: yc @ table[rows, cols] @ xc per pair of parts,
+    with table = `_trace_table(s_t, s_src, mu)`, in int64 when
+    sum|yc| * sum|xc| * max|table| < 2**63 bounds every partial sum, in
+    Python ints otherwise.  Over Q the trace is the rank.  Over F_p it is
     certified one of two ways:
 
     * p > n_keys: rank = trace mod p, as rank and trace agree mod p and
@@ -312,15 +340,15 @@ def hom_dim(x, y):
                  for s_src in x.ambient)
     if not n_keys:
         return 0
-    col = x.measure - 1
+    mu = x.measure
     if x.is_identity_cut() and y.is_identity_cut():
         return n_keys
     x_diag, y_diag = x.diag_blocks, y.diag_blocks
     total = 0
     for tp, (rows, yc, y_norm) in y_diag.items():
         for sp, (cols, xc, x_norm) in x_diag.items():
-            sizes = y.ambient[tp], x.ambient[sp]
-            block = _trace_table(*sizes)[0][rows[:, None], cols, col]
+            sizes = y.ambient[tp], x.ambient[sp], mu
+            block = _trace_table(*sizes)[0][rows[:, None], cols]
             if y_norm * x_norm * _table_max(*sizes) < _INT64_LIMIT:
                 total += int(yc @ block @ xc)
             else:
@@ -346,14 +374,16 @@ def _block_diagonal(s_t, s_src, y_block, x_block, mu):
     (`AObject.diag_blocks`), is
     sum_gamma (sum_beta y_beta c(gamma; beta, delta))
               * (sum_alpha x_alpha c(delta; gamma, alpha)),
-    the per-key term of the trace `hom_dim` sums.  It reads the two
-    `_pair_arrays` `_trace_table` joins: the first side's rows of the betas
-    (rows are sorted by beta) and the second side's rows of the alphas,
-    summed per (delta, gamma) and looked up from the first.  The sums are
-    exact: int64 under a bound on every partial sum, Python ints otherwise.
+    the per-key term of the trace `hom_dim` sums.  It reads the two sides
+    `_trace_table` joins under mu: the rows of `_pair_arrays(s_t, s_t,
+    s_src)` of the betas (rows are sorted by beta), and the rows of the
+    alphas, selected by a mask from `_join_side`, so they stay sorted by
+    (delta, gamma) and are summed per (delta, gamma) with no sort; the sums
+    are looked up from the first side.  The sums are exact: int64 under a
+    bound on every partial sum, Python ints otherwise.
     """
     beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src)
-    gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src)
+    alpha, key2, c2 = _join_side(s_t, s_src, mu)
     n_span = delannoy(s_src, s_t)
     b_ids, b_coeffs, _ = y_block
     a_ids, a_coeffs, _ = x_block
@@ -365,22 +395,19 @@ def _block_diagonal(s_t, s_src, y_block, x_block, mu):
     rows2 = np.flatnonzero(np.take(a_used, alpha))
     if not len(rows1) or not len(rows2):
         return np.zeros(n_span, dtype=np.int64)
+    c1, c2 = c1[rows1, mu - 1], c2[rows2]
     # |P_kk| <= rows1 * max|y c1| * rows2 * max|x c2|
     bound = (len(rows1) * _max_abs(b_coeffs) * _max_abs(c1)
              * len(rows2) * _max_abs(a_coeffs) * _max_abs(c2))
     dtype = np.int64 if bound < _INT64_LIMIT else object
-    col = mu - 1
     wx = np.zeros(len(a_used), dtype=dtype)
     wx[a_ids] = a_coeffs
-    key2 = delta2[rows2].astype(np.int64) * n_span + gamma2[rows2]
-    order = np.argsort(key2)
-    key2, rows2 = key2[order], rows2[order]
+    key2 = key2[rows2]
     starts = np.flatnonzero(np.r_[True, key2[1:] != key2[:-1]])
-    sums2 = np.add.reduceat(wx[alpha[rows2]] * c2[rows2, col].astype(dtype),
-                            starts)
+    sums2 = np.add.reduceat(wx[alpha[rows2]] * c2.astype(dtype), starts)
     key2 = key2[starts]
-    w1 = np.repeat(b_coeffs.astype(dtype), n) * c1[rows1, col].astype(dtype)
-    key1 = delta1[rows1].astype(np.int64) * n_span + gamma1[rows1]
+    w1 = np.repeat(b_coeffs.astype(dtype), n) * c1.astype(dtype)
+    key1 = _join_keys(delta1[rows1], gamma1[rows1], n_span)
     at = np.minimum(np.searchsorted(key2, key1), len(key2) - 1)
     hit = key2[at] == key1
     out = np.zeros(n_span, dtype=dtype)

@@ -59,10 +59,10 @@ def test_hom_space_basis_and_coords():
     assert coords_in_basis(h.scale(Fraction(5)), hs) == [Fraction(5)]
 
 
-def hom_space_objects(field):
+def hom_space_objects(field, measure=MU2):
     """Indecomposables and tensor objects, the sources and targets of the
     hom spaces `yoneda` and `tor_bmod` build."""
-    simple = [indecomposable(lam, MU2, field)
+    simple = [indecomposable(lam, measure, field)
               for lam in ("", "b", "w", "bw", "wb", "bb")]
     b, w = simple[1], simple[2]
     return simple + [tensor_objects(b, b), tensor_objects(b, w),
@@ -133,10 +133,17 @@ def _key_image(k, x, y):
     return _apply_cut(PermMatrix(x.ambient, y.ambient, {k: f.one}, f), x, y)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
-                         ids=repr)
-def test_cut_diagonal_is_the_coefficient_of_each_key_in_its_image(field):
-    objects = hom_space_objects(field)
+# The fields of the hom-space tests under each measure; the ids of the mu2
+# cases are the fields' alone.
+FIELDS_AND_MEASURES = [
+    pytest.param(f, mu, id=repr(f) if mu == MU2 else f"{f!r}-mu1")
+    for mu in (MU2, MU1) for f in (QQ, PrimeField(2), PrimeField(3))]
+
+
+@pytest.mark.parametrize("field, measure", FIELDS_AND_MEASURES)
+def test_cut_diagonal_is_the_coefficient_of_each_key_in_its_image(field,
+                                                                  measure):
+    objects = hom_space_objects(field, measure)
     for x in objects:
         for y in objects:
             diag = acat._cut_diagonal(x, y)
@@ -147,10 +154,9 @@ def test_cut_diagonal_is_the_coefficient_of_each_key_in_its_image(field):
                 assert field.of_int(diag.get(k, 0)) == want
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
-                         ids=repr)
-def test_cut_diagonal_sums_to_hom_dim(field):
-    objects = hom_space_objects(field)
+@pytest.mark.parametrize("field, measure", FIELDS_AND_MEASURES)
+def test_cut_diagonal_sums_to_hom_dim(field, measure):
+    objects = hom_space_objects(field, measure)
     for x in objects:
         for y in objects:
             total = sum(acat._cut_diagonal(x, y).values())

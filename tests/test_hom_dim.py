@@ -18,7 +18,7 @@ from delannoy.acat import (AObject, _idempotent_over_z, _integer_entries,
 from delannoy.cli import parse_aobject
 from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import _as_int_array, _exact_product, rank_big
-from delannoy.schwartz import MU2, PermMatrix, _pair_index, identity
+from delannoy.schwartz import MU1, MU2, PermMatrix, _pair_index, identity
 
 
 def mod_product(a, b, p):
@@ -109,11 +109,20 @@ OBJECTS = ("M:e", "M:b", "M:w", "M:bw", "M:wb", "M:bb", "M:ww", "A:1", "A:2",
 MAX_KEYS = 250
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 46337, 4294967311])
-def test_hom_dim_matches_the_dense_operator(p):
+def _objects(field, measure):
+    """OBJECTS over `field`, cut by the same idempotents under `measure`
+    (each is idempotent under both measures)."""
+    return [AObject(measure, x.ambient, x.idem)
+            for x in (parse_aobject(lit, field) for lit in OBJECTS)]
+
+
+@pytest.mark.parametrize("p, measure", [
+    pytest.param(p, mu, id=f"{p}" if mu == MU2 else f"{p}-mu1")
+    for mu in (MU2, MU1) for p in (2, 3, 5, 46337, 4294967311)])
+def test_hom_dim_matches_the_dense_operator(p, measure):
     f = PrimeField(p)
-    over_q = [parse_aobject(lit, QQ) for lit in OBJECTS]
-    over_p = [parse_aobject(lit, f) for lit in OBJECTS]
+    over_q = _objects(QQ, measure)
+    over_p = _objects(f, measure)
     sizes = set()
     for xq, x in zip(over_q, over_p):
         for yq, y in zip(over_q, over_p):

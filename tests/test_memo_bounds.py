@@ -15,8 +15,6 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "delannoy"
 
 ALLOWED = {
-    ("acat", "_trace_table"):
-        "one table per pair of part sizes asked for",
     ("paths", "delannoy"):
         "one integer per (m, n) pair of the recurrence",
     ("paths", "enumerate_paths"):

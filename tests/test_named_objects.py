@@ -5,7 +5,9 @@ contraction against the per-row loop it replaced.
 per-object arrays: it lifts both idempotents, groups their diagonal
 part-blocks as [(path, int)] lists and contracts each block row by row in
 Python ints.  It stays here as the oracle, kept verbatim apart from reading
-the lists off `_lifted_diag` instead of the old two-part `AObject.lifted`.
+the lists off `_lifted_diag` instead of the old two-part `AObject.lifted`,
+and the block off the per-measure `_trace_table(s_t, s_src, mu)` instead of
+column mu - 1 of the old four-measure table.
 """
 
 import json
@@ -60,10 +62,10 @@ def loop_hom_dim(x, y):
             alphas = x_diag.get(sp)
             if alphas is None:
                 continue
-            table, beta_pos, alpha_pos = _trace_table(s_t, s_src)
+            table, beta_pos, alpha_pos = _trace_table(s_t, s_src, mu)
             rows = [beta_pos[b] for b, _ in betas]
             cols = [alpha_pos[a] for a, _ in alphas]
-            block = table[:, :, mu - 1][np.ix_(rows, cols)]
+            block = table[np.ix_(rows, cols)]
             for (_, cb), row in zip(betas, block.tolist()):
                 total += cb * sum(ca * v for (_, ca), v in zip(alphas, row))
     f = x.field

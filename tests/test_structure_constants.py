@@ -160,30 +160,58 @@ def test_pair_arrays_and_rows_match_oracle(sizes):
 def test_trace_table_matches_oracle(sizes):
     s_t, s_src = sizes
     want = _oracle_trace_table(s_t, s_src)
-    table, beta_pos, alpha_pos = acat._trace_table(s_t, s_src)
-    assert table.dtype == np.int64
-    assert table.shape == (len(beta_pos), len(alpha_pos), 4)
-    expect = np.zeros_like(table)
-    for (beta, alpha), vec in want.items():
-        expect[beta_pos[beta], alpha_pos[alpha]] = vec
-    assert np.array_equal(table, expect)
+    for mu in MEASURES:
+        table, beta_pos, alpha_pos = acat._trace_table(s_t, s_src, mu)
+        assert table.dtype == np.int64
+        assert table.shape == (len(beta_pos), len(alpha_pos))
+        expect = np.zeros_like(table)
+        for (beta, alpha), vec in want.items():
+            expect[beta_pos[beta], alpha_pos[alpha]] = vec[mu - 1]
+        assert np.array_equal(table, expect), mu
 
 
 def test_trace_table_join_in_many_chunks(monkeypatch):
-    want = acat._trace_table.__wrapped__(3, 3)
+    want = [acat._trace_table.__wrapped__(3, 3, mu) for mu in MEASURES]
     monkeypatch.setattr(acat, "_JOIN_CHUNK", 7)
-    got = acat._trace_table.__wrapped__(3, 3)
-    assert np.array_equal(got[0], want[0])
+    for mu, table in zip(MEASURES, want):
+        got = acat._trace_table.__wrapped__(3, 3, mu)
+        assert np.array_equal(got[0], table[0])
+
+
+def _patch_pair_arrays(monkeypatch, arrays):
+    """Serve `_pair_arrays` from `arrays`, with `_join_side` built afresh."""
+    monkeypatch.setattr(acat, "_pair_arrays", lambda *sizes: arrays[sizes])
+    monkeypatch.setattr(acat, "_join_side", acat._join_side.__wrapped__)
 
 
 def test_trace_table_refuses_possible_int64_overflow(monkeypatch):
     assert acat._max_abs(np.array([-128, 5], dtype=np.int8)) == 128
     ids = np.zeros(1, dtype=np.int32)
     big = np.array([[2 ** 40, 0, 0, 0]], dtype=np.int64)
-    monkeypatch.setattr(acat, "_pair_arrays",
-                        lambda *sizes: (ids, ids, ids, big))
+    _patch_pair_arrays(monkeypatch, {(0, 0, 0): (ids, ids, ids, big)})
     with pytest.raises(OverflowError):
-        acat._trace_table.__wrapped__(0, 0)
+        acat._trace_table.__wrapped__(0, 0, 1)
+
+
+@pytest.mark.parametrize("empty", ["first", "second", "both"])
+def test_join_with_an_empty_side_gives_zeros(monkeypatch, empty):
+    # (1, 0) reads the sides (1, 1, 0) and (1, 0, 0); a side whose mu1
+    # column is all zero has no row under mu1
+    ids = np.zeros(1, dtype=np.int32)
+    zero = np.array([[0, 1, 1, 1]], dtype=np.int8)
+    one = np.array([[1, 1, 1, 1]], dtype=np.int8)
+    first = zero if empty in ("first", "both") else one
+    second = zero if empty in ("second", "both") else one
+    _patch_pair_arrays(monkeypatch, {(1, 1, 0): (ids, ids, ids, first),
+                                     (1, 0, 0): (ids, ids, ids, second)})
+    table, _, _ = acat._trace_table.__wrapped__(1, 0, 1)
+    assert table.shape == (3, 1) and not table.any()
+    block = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
+    diag = acat._block_diagonal(1, 0, block, block, 1)
+    assert diag.tolist() == [0]
+    # under mu2 both sides keep their row, which joins
+    assert acat._trace_table.__wrapped__(1, 0, 2)[0][0, 0] == 1
+    assert acat._block_diagonal(1, 0, block, block, 2).tolist() == [1]
 
 
 def test_too_large_middle_raises_before_any_allocation(monkeypatch):
@@ -287,7 +315,8 @@ def composable_triples(draw):
 
 
 def _clear_structure_caches():
-    for cached in (_pair_index, _pair_arrays, acat._trace_table):
+    for cached in (_pair_index, _pair_arrays, acat._join_side,
+                   acat._trace_table):
         cached.cache_clear()
 
 
@@ -300,12 +329,13 @@ def test_compose_associative_under_all_measures(mats, traces_first):
     try:
         if traces_first:
             for s_t, s_src in itertools.product(sizes, repeat=2):
-                acat._trace_table(s_t, s_src)
+                for mu in MEASURES:
+                    acat._trace_table(s_t, s_src, mu)
         for mu in MEASURES:
             left = compose(c, compose(b, a, mu), mu)
             if not traces_first:
                 for s_t, s_src in itertools.product(sizes, repeat=2):
-                    acat._trace_table(s_t, s_src)
+                    acat._trace_table(s_t, s_src, mu)
             assert left == compose(compose(c, b, mu), a, mu), mu
     finally:
         _clear_structure_caches()
