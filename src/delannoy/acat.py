@@ -11,9 +11,9 @@ operator H -> idem_y o H o idem_x, an integer contraction of the idempotents'
 diagonal blocks against a structure table.  Over F_p the trace is certified
 either by p exceeding the span dimension or by both idempotents lifting to
 idempotents over Z, so a hom dimension is the same over Q and over every F_p.
-The tables are built per (part sizes, measure), joining only the structure
-constants nonzero under that measure; the cut's diagonal reads the same
-sorted side of the join (`_join_side`).
+The tables are built per (part sizes, measure) from that measure's
+structure constants; the cut's diagonal reads the same sorted side of the
+join (`_join_side`).
 
 Hom spaces also take one route: `hom_space` scans the cut images once into
 one span (mod p over Q, exact over F_p) and keeps the span's pivot keys with
@@ -222,19 +222,16 @@ def _join_keys(delta, gamma, n_span):
 def _join_side(s_t, s_src, mu):
     """The second side of the trace join under measure mu, sorted by key.
 
-    Returns (alpha, key, c): the rows of `_pair_arrays(s_t, s_src, s_src)`,
-    c(delta; gamma, alpha), whose mu coefficient is nonzero, as int32 path
-    ids alpha, join keys (`_join_keys`, over the D(s_src, s_t) paths delta
-    and gamma) and the mu column in its narrow dtype, sorted by key.
-    `_trace_table` and `_block_diagonal` both read it, so neither sorts it
-    again.
+    Returns (alpha, key, c): the rows of `_pair_arrays(s_t, s_src, s_src,
+    mu)`, c(delta; gamma, alpha), as int32 path ids alpha, join keys
+    (`_join_keys`, over the D(s_src, s_t) paths delta and gamma) and the
+    constants, sorted by key.  `_trace_table` and `_block_diagonal` both
+    read it, so neither sorts it again.
     """
-    gamma, alpha, delta, c = _pair_arrays(s_t, s_src, s_src)
-    keep = np.flatnonzero(c[:, mu - 1])
-    key = _join_keys(delta[keep], gamma[keep], delannoy(s_src, s_t))
+    gamma, alpha, delta, c = _pair_arrays(s_t, s_src, s_src, mu)
+    key = _join_keys(delta, gamma, delannoy(s_src, s_t))
     order = np.argsort(key)
-    keep = keep[order]
-    return alpha[keep], key[order], c[keep, mu - 1]
+    return alpha[order], key[order], c[order]
 
 
 @lru_cache(maxsize=64)
@@ -249,15 +246,12 @@ def _trace_table(s_t, s_src, mu):
     bilinear contractions of this dense int64 table against the diagonal
     idempotent blocks.
 
-    Only rows nonzero under mu are joined: those of
-    `_pair_arrays(s_t, s_t, s_src)` are expanded over their matches on
-    (delta, gamma) in the sorted `_join_side`, a bounded number of joined
-    rows at a time.
+    The rows of `_pair_arrays(s_t, s_t, s_src, mu)` are expanded over their
+    matches on (delta, gamma) in the sorted `_join_side`, a bounded number
+    of joined rows at a time.
     """
-    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src)
-    keep = np.flatnonzero(c1[:, mu - 1])
-    beta, c1 = beta[keep], c1[keep, mu - 1]
-    key1 = _join_keys(delta1[keep], gamma1[keep], delannoy(s_src, s_t))
+    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
+    key1 = _join_keys(delta1, gamma1, delannoy(s_src, s_t))
     alpha, key2, c2 = _join_side(s_t, s_src, mu)
     n_beta, n_alpha = delannoy(s_t, s_t), delannoy(s_src, s_src)
     lo = np.searchsorted(key2, key1, "left")
@@ -376,13 +370,13 @@ def _block_diagonal(s_t, s_src, y_block, x_block, mu):
               * (sum_alpha x_alpha c(delta; gamma, alpha)),
     the per-key term of the trace `hom_dim` sums.  It reads the two sides
     `_trace_table` joins under mu: the rows of `_pair_arrays(s_t, s_t,
-    s_src)` of the betas (rows are sorted by beta), and the rows of the
+    s_src, mu)` of the betas (rows are sorted by beta), and the rows of the
     alphas, selected by a mask from `_join_side`, so they stay sorted by
     (delta, gamma) and are summed per (delta, gamma) with no sort; the sums
     are looked up from the first side.  The sums are exact: int64 under a
     bound on every partial sum, Python ints otherwise.
     """
-    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src)
+    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
     alpha, key2, c2 = _join_side(s_t, s_src, mu)
     n_span = delannoy(s_src, s_t)
     b_ids, b_coeffs, _ = y_block
@@ -395,7 +389,7 @@ def _block_diagonal(s_t, s_src, y_block, x_block, mu):
     rows2 = np.flatnonzero(np.take(a_used, alpha))
     if not len(rows1) or not len(rows2):
         return np.zeros(n_span, dtype=np.int64)
-    c1, c2 = c1[rows1, mu - 1], c2[rows2]
+    c1, c2 = c1[rows1], c2[rows2]
     # |P_kk| <= rows1 * max|y c1| * rows2 * max|x c2|
     bound = (len(rows1) * _max_abs(b_coeffs) * _max_abs(c1)
              * len(rows2) * _max_abs(a_coeffs) * _max_abs(c2))
@@ -638,15 +632,13 @@ def degenerate_quotient_dim(n, measure=MU2, field=QQ):
     """dim End(S(R^(n))) / (morphisms factoring through S(R^(n-1)))."""
     if n < 1:
         raise ValueError("need n >= 1")
-    beta, alpha, gamma, cvec = _pair_arrays(n, n - 1, n)
-    vals = cvec[:, measure - 1]
-    keep = vals != 0
+    beta, alpha, gamma, c = _pair_arrays(n, n - 1, n, measure)
     # one row per (beta, alpha) with a nonzero entry, one column per gamma
-    pair = beta[keep].astype(np.int64) * delannoy(n, n - 1) + alpha[keep]
+    pair = beta.astype(np.int64) * delannoy(n, n - 1) + alpha
     new = np.ones(len(pair), dtype=bool)
     np.not_equal(pair[1:], pair[:-1], out=new[1:])
     mat = np.zeros((int(new.sum()), delannoy(n, n)), dtype=np.int64)
-    mat[np.cumsum(new) - 1, gamma[keep]] = vals[keep]
+    mat[np.cumsum(new) - 1, gamma] = c
     return delannoy(n, n) - rank_big(mat, field)
 
 

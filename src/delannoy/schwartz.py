@@ -11,10 +11,11 @@ intervals bounded above and 0 otherwise; mu3 mirrors mu2 (bounded below);
 mu4 takes the value 1 on the full line itself and is otherwise forced by the
 fibration rule, see `gap_measure`.
 
-Composition reads its structure constants per size triple.  `_pair_arrays`
-builds them once as numpy arrays over path ids (indexes into
-`enumerate_paths`); `_pair_index` serves them as rows (beta, alpha) ->
-{gamma: 4-vector}, each built on first use, so callers index it with `[]`.
+Composition reads its structure constants per size triple and measure.
+`_pair_arrays` builds them once as numpy arrays over path ids (indexes into
+`enumerate_paths`), one row per constant nonzero under the measure, each
++1 or -1; `_pair_index` serves them as rows (beta, alpha) -> {gamma: c},
+each built on first use, so callers index it with `[]`.
 
 The tensor product needs no coordinates: a joint orbit of two entries is an
 interleaving of their paths' steps (`paths.interleavings`), and the table
@@ -208,14 +209,15 @@ def identity(obj, field=QQ):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _middle_cells(r, k):
-    """Order types of a strictly increasing k-tuple relative to r fixed points.
+def _middle_cells(r, k, measure):
+    """Order types of a strictly increasing k-tuple relative to r fixed points,
+    those of nonzero measure.
 
-    Returns tuples (pattern, cvec): `pattern` alternates gap and pin counts
+    Returns tuples (pattern, c): `pattern` alternates gap and pin counts
     (g0, p0, g1, p1, ..., gr) with gaps holding any number of middle
-    coordinates and pins at most one; `cvec` is the 4-vector of cell measures
-    under the four measures (a gap of c coordinates contributes
-    gap_measure(mu, kind, c), pins are points of measure one).
+    coordinates and pins at most one; `c` is the cell's measure, the product
+    of gap_measure(measure, kind, g) over its gaps (pins are points of
+    measure one), so +1 or -1.  A gap of measure zero prunes the recursion.
     """
     if r == 0:
         kinds = (FULL_LINE,)
@@ -224,39 +226,32 @@ def _middle_cells(r, k):
     results = []
     pattern = [0] * (2 * r + 1)
 
-    def rec(slot, remaining, cvec):
+    def rec(slot, remaining, c):
         # slots alternate gap 0, pin 0, gap 1, pin 1, ..., gap r
-        if slot == 2 * r:
-            if remaining == 0:
-                results.append((tuple(pattern), cvec))
-                return
-            kind = kinds[r]
-            vec = tuple(a * gap_measure(mu, kind, remaining)
-                        for a, mu in zip(cvec, MEASURES))
-            if any(vec):
+        if slot == 2 * r:  # the last gap takes what remains
+            v = c * gap_measure(measure, kinds[r], remaining)
+            if v:
                 pattern[slot] = remaining
-                results.append((tuple(pattern), vec))
+                results.append((tuple(pattern), v))
                 pattern[slot] = 0
             return
         if slot % 2 == 1:  # pin: holds zero or one middle coordinate
-            rec(slot + 1, remaining, cvec)
+            rec(slot + 1, remaining, c)
             if remaining:
                 pattern[slot] = 1
-                rec(slot + 1, remaining - 1, cvec)
+                rec(slot + 1, remaining - 1, c)
                 pattern[slot] = 0
             return
-        i = slot // 2
-        rec(slot + 1, remaining, cvec)  # empty gap
-        kind = kinds[i]
-        for c in range(1, remaining + 1):
-            vec = tuple(a * gap_measure(mu, kind, c)
-                        for a, mu in zip(cvec, MEASURES))
-            if any(vec):
-                pattern[slot] = c
-                rec(slot + 1, remaining - c, vec)
+        kind = kinds[slot // 2]
+        rec(slot + 1, remaining, c)  # empty gap
+        for g in range(1, remaining + 1):
+            v = c * gap_measure(measure, kind, g)
+            if v:
+                pattern[slot] = g
+                rec(slot + 1, remaining - g, v)
                 pattern[slot] = 0
 
-    rec(0, k, (1, 1, 1, 1))
+    rec(0, k, 1)
     return tuple(results)
 
 
@@ -293,34 +288,35 @@ def _path_ids(codes, m, n):
     return ids[np.searchsorted(sorted_codes, codes)]
 
 
-def _narrow(a):
-    """`a` in the narrowest signed integer type that holds all its values."""
-    lo, hi = (int(a.min()), int(a.max())) if a.size else (0, 0)
-    for dt in (np.int8, np.int16, np.int32):
-        info = np.iinfo(dt)
-        if info.min <= lo and hi <= info.max:
-            return a.astype(dt)
-    return a
-
-
 @lru_cache(maxsize=None)
-def _pair_arrays(tgt_size, mid_size, src_size):
-    """Composition structure constants for one triple of part sizes, as arrays.
+def _pair_arrays(tgt_size, mid_size, src_size, measure):
+    """Composition structure constants for one triple of part sizes under
+    one measure, as arrays.
 
-    Returns (beta, alpha, gamma, cvec): int32 path ids (beta among the
+    Returns (beta, alpha, gamma, c): int32 path ids (beta among the
     (mid, tgt) paths, alpha among the (src, mid) paths, gamma among the
-    (src, tgt) paths) and the summed 4-vectors, one row per nonzero
+    (src, tgt) paths) and the int8 constants, one row per nonzero
     c(gamma; beta, alpha), sorted by (beta, alpha, gamma).  Composing a matrix
     supported on beta (middle -> target) with one supported on alpha
-    (source -> middle) contributes c_mu * product-of-coefficients to gamma.
+    (source -> middle) contributes c * product-of-coefficients to gamma.
 
     Each gamma of length r is paired with every middle-cell pattern of
-    _middle_cells(r, mid), and beta and alpha are folded slot by slot over the
-    whole (gamma x pattern) grid: a gap of g middle coordinates appends R^g to
-    beta and U^g to alpha; a pin takes the letter of gamma there, and the
-    pattern uses or skips it.  Used/skipped, a U pin (target only) gives beta
-    D/U and alpha U/nothing, an R pin (source only) gives beta R/nothing and
-    alpha D/R, and a D pin gives beta D/U and alpha D/R.
+    _middle_cells(r, mid, measure), and beta and alpha are folded slot by
+    slot over the whole (gamma x pattern) grid: a gap of g middle
+    coordinates appends R^g to beta and U^g to alpha; a pin takes the letter
+    of gamma there, and the pattern uses or skips it.  Used/skipped, a U pin
+    (target only) gives beta D/U and alpha U/nothing, an R pin (source only)
+    gives beta R/nothing and alpha D/R, and a D pin gives beta D/U and alpha
+    D/R.
+
+    Every grid entry is its own row, with the pattern's measure +1 or -1 as
+    its constant.  No two entries share a (beta, alpha, gamma): gamma fixes
+    the r points and which of them are target and which source points;
+    beta fixes each middle point's place among the target points (which one
+    it equals, or how many lie below it) and alpha its place among the
+    source points, and with gamma the two give its place among all r
+    points, that is its slot.  So the three paths fix the pattern; a
+    repeated key raises RuntimeError.
     """
     if mid_size > MAX_MIDDLE:
         raise ValueError(
@@ -337,12 +333,13 @@ def _pair_arrays(tgt_size, mid_size, src_size):
     by_len = {}
     for gid, g in enumerate(gammas):
         by_len.setdefault(len(g), []).append(gid)
-    keys, cells, cvecs = [], [], []
-    n_cells = 0
+    keys, cells = [], []
     for r, gids in by_len.items():
-        patterns = _middle_cells(r, mid_size)
+        patterns = _middle_cells(r, mid_size, measure)
+        if not patterns:
+            continue
         pat = np.array([p for p, _ in patterns], dtype=np.int64)
-        cvecs.append(np.array([c for _, c in patterns], dtype=np.int64))
+        cell = np.array([c for _, c in patterns], dtype=np.int8)
         letters = np.array([[int(c) for c in gammas[g].translate(_DIGITS)]
                             for g in gids], dtype=np.int64)
         in_tgt, in_src = letters != 2, letters != 1
@@ -369,30 +366,28 @@ def _pair_arrays(tgt_size, mid_size, src_size):
             a_ids = _path_ids(alpha, src_size, mid_size)
             g_ids = np.array(gids[lo:hi], dtype=np.int64)[:, None]
             keys.append(((b_ids * n_alpha + a_ids) * n_gamma + g_ids).ravel())
-            cells.append(np.broadcast_to(
-                np.arange(n_cells, n_cells + len(patterns), dtype=np.int32),
-                beta.shape).ravel())
-        n_cells += len(patterns)
-    key = np.concatenate(keys)
-    order = np.argsort(key, kind="stable")
+            cells.append(np.broadcast_to(cell, beta.shape).ravel())
+    # each int64 temporary of the grid's size is freed before the next
+    key = np.concatenate(keys or [np.zeros(0, dtype=np.int64)])
+    del keys
+    order = np.argsort(key)
     key = key[order]
-    cvec = np.concatenate(cvecs)[np.concatenate(cells)[order]]
-    new = np.empty(len(key), dtype=bool)
-    new[0] = True
-    np.not_equal(key[1:], key[:-1], out=new[1:])
-    if not new.all():  # merge repeated (beta, alpha, gamma)
-        starts = np.flatnonzero(new)
-        key, cvec = key[starts], np.add.reduceat(cvec, starts, axis=0)
-    keep = cvec.any(axis=1)
-    key, cvec = key[keep], cvec[keep]
-    pair, gamma = np.divmod(key, n_gamma)
-    beta, alpha = np.divmod(pair, n_alpha)
-    return (beta.astype(np.int32), alpha.astype(np.int32),
-            gamma.astype(np.int32), _narrow(cvec))
+    if np.any(key[1:] == key[:-1]):
+        raise RuntimeError(f"size triple {(tgt_size, mid_size, src_size)}: "
+                           "two middle-cell patterns give one (beta, alpha, "
+                           "gamma)")
+    c = np.concatenate(cells or [np.zeros(0, dtype=np.int8)])[order]
+    del order
+    gamma = (key % n_gamma).astype(np.int32)
+    key //= n_gamma
+    alpha = (key % n_alpha).astype(np.int32)
+    key //= n_alpha
+    return key.astype(np.int32), alpha, gamma, c
 
 
 class _PairRows(dict):
-    """(beta, alpha) -> {gamma: cvec} for one size triple, built on first use.
+    """(beta, alpha) -> {gamma: c} for one size triple and measure, built on
+    first use.
 
     A missing row is cut out of the sorted `_pair_arrays` and stored, so a
     row already built is a plain dict lookup.  Only `[]` builds rows: `get`,
@@ -400,12 +395,12 @@ class _PairRows(dict):
     """
 
     __slots__ = ("_beta_pos", "_alpha_pos", "_gammas", "_beta_start",
-                 "_alpha", "_gamma", "_cvec")
+                 "_alpha", "_gamma", "_c")
 
-    def __init__(self, tgt_size, mid_size, src_size):
+    def __init__(self, tgt_size, mid_size, src_size, measure):
         super().__init__()
-        beta, self._alpha, self._gamma, self._cvec = _pair_arrays(
-            tgt_size, mid_size, src_size)
+        beta, self._alpha, self._gamma, self._c = _pair_arrays(
+            tgt_size, mid_size, src_size, measure)
         self._beta_pos = _path_pos(mid_size, tgt_size)
         self._alpha_pos = _path_pos(src_size, mid_size)
         self._gammas = enumerate_paths(src_size, tgt_size)
@@ -423,20 +418,21 @@ class _PairRows(dict):
         lo, hi = lo + i, lo + j
         gammas = self._gammas
         row = dict(zip([gammas[g] for g in self._gamma[lo:hi].tolist()],
-                       map(tuple, self._cvec[lo:hi].tolist())))
+                       self._c[lo:hi].tolist()))
         self[key] = row
         return row
 
 
 @lru_cache(maxsize=None)
-def _pair_index(tgt_size, mid_size, src_size):
-    """Composition structure constants for one triple of part sizes.
+def _pair_index(tgt_size, mid_size, src_size, measure):
+    """Composition structure constants for one triple of part sizes under
+    one measure.
 
-    Maps (beta, alpha) -> {gamma -> (c1, c2, c3, c4)} (see `_pair_arrays`);
+    Maps (beta, alpha) -> {gamma -> c}, c = +1 or -1 (see `_pair_arrays`);
     a row is built from the arrays the first time it is indexed with `[]`,
     and an empty row is an empty dict.
     """
-    return _PairRows(tgt_size, mid_size, src_size)
+    return _PairRows(tgt_size, mid_size, src_size, measure)
 
 
 def compose(bmat, amat, measure):
@@ -453,7 +449,6 @@ def compose(bmat, amat, measure):
         raise ValueError("field mismatch")
     f = bmat.field
     a_at_mid = amat._operands()[1]
-    col = measure - 1
     sums = {}
     for mi, b_at_tgt in bmat._operands()[0].items():
         a_at_src = a_at_mid.get(mi)
@@ -463,7 +458,7 @@ def compose(bmat, amat, measure):
         for ti, betas in b_at_tgt.items():
             tgt = bmat.target[ti]
             for si, alphas in a_at_src.items():
-                rows = _pair_index(tgt, mid, amat.source[si])
+                rows = _pair_index(tgt, mid, amat.source[si], measure)
                 acc = sums.setdefault((ti, si), {})
                 for beta, bc in betas:
                     for alpha, ac in alphas:
@@ -471,10 +466,8 @@ def compose(bmat, amat, measure):
                         if not per:
                             continue
                         bac = bc * ac
-                        for gamma, cvec in per.items():
-                            c = cvec[col]
-                            if c:
-                                acc[gamma] = acc.get(gamma, 0) + bac * c
+                        for gamma, c in per.items():
+                            acc[gamma] = acc.get(gamma, 0) + bac * c
     out = {(ti, si, gamma): v
            for (ti, si), acc in sums.items() for gamma, v in acc.items()}
     if f.characteristic:

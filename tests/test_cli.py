@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from delannoy.cli import main
+from delannoy.weights import format_weight, parse_weight, tensor_summands
 
 
 def run_cli(capsys, *argv):
@@ -262,3 +268,23 @@ def test_verify_json_window_names_a_prime_field(capsys):
     code, out = run_cli(capsys, "verify", "measures", "--field", "p3",
                         "--json")
     assert json.loads(out)["window"] == {"field": "p3"}
+
+
+@pytest.mark.skipif(not os.environ.get("DELANNOY_TOR"),
+                    reason="parts of size 5; opt in with DELANNOY_TOR=1")
+def test_decompose_of_a_triple_tensor_is_the_ruffle_rule_twice():
+    # parts of size up to 5 (about 35 s and 2 GB): a process of its own, so
+    # its structure constants are freed when it ends
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "delannoy.cli", "decompose",
+                           "M:bw*M:wb*M:b", "--json"], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    want = Counter()
+    for w in tensor_summands(parse_weight("bw"), parse_weight("wb"), True):
+        want.update(tensor_summands(w, parse_weight("b"), True))
+    assert json.loads(done.stdout)["multiplicities"] == {
+        format_weight(w): n for w, n in want.items()}

@@ -3,7 +3,8 @@
 `oracle_compose` is `schwartz.compose` as it was before matrices kept their
 grouped operands: it converts both operands' entries on every call and runs
 one inner loop for integral rationals and another for field elements.  It
-stays here verbatim (apart from its name) as the oracle.  The property draws
+stays here verbatim as the oracle, apart from its name and its reads of the
+structure constants, which now come one measure at a time.  The property draws
 integral and non-integral rational operands and prime-field ones, and reuses
 one operand on both sides of many calls, so a stale or shared operand cache
 would show.
@@ -50,7 +51,6 @@ def oracle_compose(bmat, amat, measure):
     for (mi, si, alpha), c in a_items:
         a_by_mid.setdefault(mi, []).append((si, alpha, c))
     out = {}
-    mi_idx = measure - 1
     if fast:
         for (ti, mi, beta), bc in b_items:
             hits = a_by_mid.get(mi)
@@ -58,15 +58,14 @@ def oracle_compose(bmat, amat, measure):
                 continue
             tgt, mid = bmat.target[ti], bmat.source[mi]
             for si, alpha, ac in hits:
-                per = _pair_index(tgt, mid, amat.source[si])[(beta, alpha)]
+                per = _pair_index(tgt, mid, amat.source[si],
+                                  measure)[(beta, alpha)]
                 if not per:
                     continue
                 bac = bc * ac
-                for gamma, cvec in per.items():
-                    c = cvec[mi_idx]
-                    if c:
-                        key = (ti, si, gamma)
-                        out[key] = out.get(key, 0) + bac * c
+                for gamma, c in per.items():
+                    key = (ti, si, gamma)
+                    out[key] = out.get(key, 0) + bac * c
         # plain ints are valid rational coefficients; skip the boxing
         out = {k: v for k, v in out.items() if v}
         return PermMatrix(amat.source, bmat.target, out, f)
@@ -76,14 +75,11 @@ def oracle_compose(bmat, amat, measure):
             continue
         for si, alpha, ac in hits:
             per = _pair_index(bmat.target[ti], bmat.source[mi],
-                              amat.source[si])[(beta, alpha)]
+                              amat.source[si], measure)[(beta, alpha)]
             if not per:
                 continue
             bac = f.mul(bc, ac)
-            for gamma, cvec in per.items():
-                c = cvec[mi_idx]
-                if not c:
-                    continue
+            for gamma, c in per.items():
                 key = (ti, si, gamma)
                 out[key] = f.add(out.get(key, f.zero), f.mul(bac, f.of_int(c)))
     return PermMatrix(amat.source, bmat.target, out, f)

@@ -49,14 +49,10 @@ def _left_operator(y, x_ambient, keys, key_pos, measure):
     triples = []
     for col, (tmid, sp, delta) in enumerate(keys):
         for tp, beta, c in by_mid.get(tmid, ()):
-            index = _pair_index(y.ambient[tp], y.ambient[tmid], x_ambient[sp])
-            per = index[(beta, delta)]
-            if not per:
-                continue
-            for gamma, cvec in per.items():
-                v = cvec[measure - 1]
-                if v:
-                    triples.append((key_pos[(tp, sp, gamma)], col, c * v))
+            index = _pair_index(y.ambient[tp], y.ambient[tmid], x_ambient[sp],
+                                measure)
+            for gamma, v in index[(beta, delta)].items():
+                triples.append((key_pos[(tp, sp, gamma)], col, c * v))
     return _bulk_matrix(len(keys), triples)
 
 
@@ -68,14 +64,10 @@ def _right_operator(x, y_ambient, keys, key_pos, measure):
     triples = []
     for col, (tp, smid, gamma) in enumerate(keys):
         for sp, alpha, c in by_mid.get(smid, ()):
-            index = _pair_index(y_ambient[tp], x.ambient[smid], x.ambient[sp])
-            per = index[(gamma, alpha)]
-            if not per:
-                continue
-            for delta, cvec in per.items():
-                v = cvec[measure - 1]
-                if v:
-                    triples.append((key_pos[(tp, sp, delta)], col, c * v))
+            index = _pair_index(y_ambient[tp], x.ambient[smid], x.ambient[sp],
+                                measure)
+            for delta, v in index[(gamma, alpha)].items():
+                triples.append((key_pos[(tp, sp, delta)], col, c * v))
     return _bulk_matrix(len(keys), triples)
 
 

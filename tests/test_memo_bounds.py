@@ -20,15 +20,15 @@ ALLOWED = {
     ("paths", "enumerate_paths"):
         "one path tuple per part-size pair",
     ("schwartz", "_middle_cells"):
-        "one cell list per (fixed points, middle size) pair",
+        "one cell list per (fixed points, middle size, measure)",
     ("schwartz", "_path_codes"):
         "one code array per part-size pair",
     ("schwartz", "_path_pos"):
         "one path index per part-size pair",
     ("schwartz", "_pair_arrays"):
-        "one structure-constant table per size triple",
+        "one structure-constant table per size triple and measure",
     ("schwartz", "_pair_index"):
-        "one row index per size triple, over `_pair_arrays`",
+        "one row index per size triple and measure, over `_pair_arrays`",
 }
 
 

@@ -3,8 +3,11 @@
 `_oracle_pair_index` and `_oracle_trace_table` are the string-keyed builders
 the engine used before its structure constants became arrays: every gamma
 and every middle-cell pattern assembled as path strings, and the trace table
-as a join of two dicts.  They are slow and obviously faithful to the cell
-calculus, so the array builders must agree with them exactly.
+as a join of two dicts.  They keep the four measures side by side, as
+4-vectors over their own copy of the cell enumeration
+(`_oracle_middle_cells`), summing repeated keys and dropping zero ones.
+They are slow and obviously faithful to the cell calculus, so each
+measure's array builders must agree exactly with that measure's column.
 """
 
 import itertools
@@ -16,9 +19,65 @@ from hypothesis import given, settings, strategies as st
 
 from delannoy import acat, schwartz
 from delannoy.fields import QQ
+from delannoy.linalg import rank_big
 from delannoy.paths import enumerate_paths, representative
-from delannoy.schwartz import (MAX_MIDDLE, MEASURES, PermMatrix, _middle_cells,
-                               _narrow, _pair_arrays, _pair_index, compose)
+from delannoy.schwartz import (BOUNDED, FULL_LINE, MAX_MIDDLE, MEASURES,
+                               UNBOUNDED_ABOVE, UNBOUNDED_BELOW, PermMatrix,
+                               _middle_cells, _pair_arrays, _pair_index,
+                               compose, gap_measure)
+
+
+@lru_cache(maxsize=None)
+def _oracle_middle_cells(r, k):
+    """Order types of a strictly increasing k-tuple relative to r fixed points.
+
+    Returns tuples (pattern, cvec): `pattern` alternates gap and pin counts
+    (g0, p0, g1, p1, ..., gr) with gaps holding any number of middle
+    coordinates and pins at most one; `cvec` is the 4-vector of cell measures
+    under the four measures (a gap of c coordinates contributes
+    gap_measure(mu, kind, c), pins are points of measure one).
+    """
+    if r == 0:
+        kinds = (FULL_LINE,)
+    else:
+        kinds = (UNBOUNDED_BELOW,) + (BOUNDED,) * (r - 1) + (UNBOUNDED_ABOVE,)
+    results = []
+    pattern = [0] * (2 * r + 1)
+
+    def rec(slot, remaining, cvec):
+        # slots alternate gap 0, pin 0, gap 1, pin 1, ..., gap r
+        if slot == 2 * r:
+            if remaining == 0:
+                results.append((tuple(pattern), cvec))
+                return
+            kind = kinds[r]
+            vec = tuple(a * gap_measure(mu, kind, remaining)
+                        for a, mu in zip(cvec, MEASURES))
+            if any(vec):
+                pattern[slot] = remaining
+                results.append((tuple(pattern), vec))
+                pattern[slot] = 0
+            return
+        if slot % 2 == 1:  # pin: holds zero or one middle coordinate
+            rec(slot + 1, remaining, cvec)
+            if remaining:
+                pattern[slot] = 1
+                rec(slot + 1, remaining - 1, cvec)
+                pattern[slot] = 0
+            return
+        i = slot // 2
+        rec(slot + 1, remaining, cvec)  # empty gap
+        kind = kinds[i]
+        for c in range(1, remaining + 1):
+            vec = tuple(a * gap_measure(mu, kind, c)
+                        for a, mu in zip(cvec, MEASURES))
+            if any(vec):
+                pattern[slot] = c
+                rec(slot + 1, remaining - c, vec)
+                pattern[slot] = 0
+
+    rec(0, k, (1, 1, 1, 1))
+    return tuple(results)
 
 
 @lru_cache(maxsize=None)
@@ -50,7 +109,7 @@ def _oracle_pair_index(tgt_size, mid_size, src_size):
         pin_beta_skip = ["U" if (v + 1) in zset else "" for v in range(r)]
         pin_alpha_used = ["D" if (v + 1) in xset else "U" for v in range(r)]
         pin_alpha_skip = ["R" if (v + 1) in xset else "" for v in range(r)]
-        for pattern, cvec in _middle_cells(r, mid_size):
+        for pattern, cvec in _oracle_middle_cells(r, mid_size):
             beta_parts, alpha_parts = [], []
             for i in range(r):
                 g = pattern[2 * i]
@@ -113,19 +172,15 @@ def _oracle_trace_table(s_t, s_src):
     return table
 
 
-def _rows_of_arrays(arrays, tgt_size, mid_size, src_size):
-    """The arrays of `_pair_arrays` as the oracle's dict of rows."""
-    betas = enumerate_paths(mid_size, tgt_size)
-    alphas = enumerate_paths(src_size, mid_size)
-    gammas = enumerate_paths(src_size, tgt_size)
+def _column(index, mu):
+    """Measure mu's column of an oracle index: (beta, alpha) -> {gamma: c},
+    the zero entries and empty rows left out."""
     out = {}
-    for b, a, g, c in zip(*(x.tolist() for x in arrays)):
-        out.setdefault((betas[b], alphas[a]), {})[gammas[g]] = tuple(c)
+    for key, per in index.items():
+        row = {g: c[mu - 1] for g, c in per.items() if c[mu - 1]}
+        if row:
+            out[key] = row
     return out
-
-
-def _nonempty(index):
-    return {k: v for k, v in index.items() if v}
 
 
 SIZES = range(5)
@@ -141,18 +196,24 @@ def _drop_oracle_tables():
                          ids=lambda s: "-".join(map(str, s)))
 def test_pair_arrays_and_rows_match_oracle(sizes):
     t, m, s = sizes
-    want = _oracle_pair_index(t, m, s)
-    arrays = _pair_arrays(t, m, s)
-    beta, alpha, gamma, cvec = arrays
-    key = (beta.astype(np.int64) * len(enumerate_paths(s, m)) + alpha) \
-        * len(enumerate_paths(s, t)) + gamma
-    assert np.all(key[1:] > key[:-1])      # sorted by (beta, alpha, gamma)
-    assert cvec.any(axis=1).all()          # no all-zero rows
-    rows = _pair_index.__wrapped__(t, m, s)    # not kept once checked
-    for beta_path in enumerate_paths(m, t):
-        for alpha_path in enumerate_paths(s, m):
-            key = (beta_path, alpha_path)
-            assert rows[key] == want.get(key, {}), key
+    betas, alphas = enumerate_paths(m, t), enumerate_paths(s, m)
+    gammas = enumerate_paths(s, t)
+    for mu in MEASURES:
+        want = _column(_oracle_pair_index(t, m, s), mu)
+        beta, alpha, gamma, c = _pair_arrays(t, m, s, mu)
+        assert c.dtype == np.int8
+        assert set(c.tolist()) <= {1, -1}, mu
+        key = (beta.astype(np.int64) * len(alphas) + alpha) * len(gammas) \
+            + gamma
+        assert np.all(key[1:] > key[:-1])  # sorted by (beta, alpha, gamma)
+        got = {}
+        for b, a, g, v in zip(beta.tolist(), alpha.tolist(), gamma.tolist(),
+                              c.tolist()):
+            got.setdefault((betas[b], alphas[a]), {})[gammas[g]] = v
+        assert got == want, mu
+        rows = _pair_index.__wrapped__(t, m, s, mu)  # not kept once checked
+        for key in itertools.product(betas, alphas):
+            assert rows[key] == want.get(key, {}), (mu, key)
 
 
 @pytest.mark.parametrize("sizes", list(itertools.product(SIZES, repeat=2)),
@@ -179,31 +240,34 @@ def test_trace_table_join_in_many_chunks(monkeypatch):
 
 
 def _patch_pair_arrays(monkeypatch, arrays):
-    """Serve `_pair_arrays` from `arrays`, with `_join_side` built afresh."""
-    monkeypatch.setattr(acat, "_pair_arrays", lambda *sizes: arrays[sizes])
+    """Serve `_pair_arrays` from `arrays`, keyed by (sizes, measure), with
+    `_join_side` built afresh."""
+    monkeypatch.setattr(acat, "_pair_arrays",
+                        lambda *sizes: arrays[sizes[:3], sizes[3]])
     monkeypatch.setattr(acat, "_join_side", acat._join_side.__wrapped__)
 
 
 def test_trace_table_refuses_possible_int64_overflow(monkeypatch):
     assert acat._max_abs(np.array([-128, 5], dtype=np.int8)) == 128
     ids = np.zeros(1, dtype=np.int32)
-    big = np.array([[2 ** 40, 0, 0, 0]], dtype=np.int64)
-    _patch_pair_arrays(monkeypatch, {(0, 0, 0): (ids, ids, ids, big)})
+    big = np.array([2 ** 40], dtype=np.int64)
+    _patch_pair_arrays(monkeypatch, {((0, 0, 0), 1): (ids, ids, ids, big)})
     with pytest.raises(OverflowError):
         acat._trace_table.__wrapped__(0, 0, 1)
 
 
 @pytest.mark.parametrize("empty", ["first", "second", "both"])
 def test_join_with_an_empty_side_gives_zeros(monkeypatch, empty):
-    # (1, 0) reads the sides (1, 1, 0) and (1, 0, 0); a side whose mu1
-    # column is all zero has no row under mu1
-    ids = np.zeros(1, dtype=np.int32)
-    zero = np.array([[0, 1, 1, 1]], dtype=np.int8)
-    one = np.array([[1, 1, 1, 1]], dtype=np.int8)
-    first = zero if empty in ("first", "both") else one
-    second = zero if empty in ("second", "both") else one
-    _patch_pair_arrays(monkeypatch, {(1, 1, 0): (ids, ids, ids, first),
-                                     (1, 0, 0): (ids, ids, ids, second)})
+    # (1, 0) reads the sides (1, 1, 0) and (1, 0, 0); under mu1 the empty
+    # sides have no row, under mu2 every side has one
+    one = (np.zeros(1, dtype=np.int32),) * 3 + (np.ones(1, dtype=np.int8),)
+    none = (np.zeros(0, dtype=np.int32),) * 3 + (np.zeros(0, dtype=np.int8),)
+    first = none if empty in ("first", "both") else one
+    second = none if empty in ("second", "both") else one
+    _patch_pair_arrays(monkeypatch, {((1, 1, 0), 1): first,
+                                     ((1, 0, 0), 1): second,
+                                     ((1, 1, 0), 2): one,
+                                     ((1, 0, 0), 2): one})
     table, _, _ = acat._trace_table.__wrapped__(1, 0, 1)
     assert table.shape == (3, 1) and not table.any()
     block = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
@@ -221,75 +285,40 @@ def test_too_large_middle_raises_before_any_allocation(monkeypatch):
     monkeypatch.setattr(schwartz, "enumerate_paths", refuse)
     monkeypatch.setattr(schwartz, "_middle_cells", refuse)
     with pytest.raises(ValueError, match="MAX_MIDDLE"):
-        _pair_arrays(1, MAX_MIDDLE + 1, 1)
+        _pair_arrays(1, MAX_MIDDLE + 1, 1, 2)
     with pytest.raises(ValueError, match="MAX_MIDDLE"):
-        _pair_index(0, MAX_MIDDLE + 1, 0)
+        _pair_index(0, MAX_MIDDLE + 1, 0, 2)
     # paths of more than 31 steps would overflow their int64 codes
     with pytest.raises(ValueError, match="int64"):
-        _pair_arrays(16, 1, 16)
+        _pair_arrays(16, 1, 16, 2)
 
 
-def test_narrow_keeps_values_exact():
-    for values, dtype in (([127, -128, 0, 1], np.int8),
-                          ([128, -1, 0, 0], np.int16),
-                          ([0, 0, -40000, 0], np.int32),
-                          ([2 ** 40, 0, 0, -1], np.int64)):
-        a = np.array([values], dtype=np.int64)
-        got = _narrow(a)
-        assert got.dtype == dtype
-        assert got.tolist() == [values]
-
-
-def _patch_cells(monkeypatch, cells):
-    monkeypatch.setattr(schwartz, "_middle_cells", cells)
-    monkeypatch.setitem(globals(), "_middle_cells", cells)
-
-
-def test_cell_vectors_outside_int8_stay_exact(monkeypatch):
+def test_repeated_patterns_raise(monkeypatch):
     real = _middle_cells
 
-    def wide(r, k):
-        return tuple((p, tuple(1000 * v + 7 for v in c))
-                     for p, c in real(r, k))
-    _patch_cells(monkeypatch, wide)
-    arrays = _pair_arrays.__wrapped__(2, 2, 3)
-    assert arrays[3].dtype == np.int16
-    want = _oracle_pair_index.__wrapped__(2, 2, 3)
-    assert _rows_of_arrays(arrays, 2, 2, 3) == _nonempty(want)
-
-
-def test_repeated_cells_are_summed_and_cancelled_rows_dropped(monkeypatch):
-    real = _middle_cells
-    plain = len(_pair_arrays.__wrapped__(2, 2, 2)[0])
-
-    def doubled(r, k):
-        cells = real(r, k)
-        # every pattern twice: once more as is, once more negated where the
-        # pattern leaves the last gap empty, so those rows cancel to zero
-        return cells + tuple((p, tuple(-v for v in c) if p[-1] == 0 else c)
-                             for p, c in cells)
-    _patch_cells(monkeypatch, doubled)
-    arrays = _pair_arrays.__wrapped__(2, 2, 2)
-    want = _nonempty(_oracle_pair_index.__wrapped__(2, 2, 2))
-    assert _rows_of_arrays(arrays, 2, 2, 2) == want
-    assert 0 < len(arrays[0]) < plain
+    def doubled(r, k, measure):
+        return real(r, k, measure) * 2
+    monkeypatch.setattr(schwartz, "_middle_cells", doubled)
+    with pytest.raises(RuntimeError, match="one \\(beta, alpha, gamma\\)"):
+        _pair_arrays.__wrapped__(2, 2, 2, 2)
 
 
 def test_degenerate_quotient_matches_row_oracle():
     # the matrix the string tables gave: one row per (beta, alpha) with a
-    # nonzero mu2 entry, one column per gamma
-    from delannoy.linalg import rank_big
-    for n in range(1, 4):
-        gammas = enumerate_paths(n, n)
-        rows = []
-        for (_, _), per in sorted(_oracle_pair_index(n, n - 1, n).items()):
-            row = [0] * len(gammas)
-            for g, c in per.items():
-                row[gammas.index(g)] = c[1]
-            if any(row):
+    # nonzero mu entry, one column per gamma
+    for mu in MEASURES:
+        for n in range(1, 4):
+            gammas = enumerate_paths(n, n)
+            rows = []
+            for _, per in sorted(_column(_oracle_pair_index(n, n - 1, n),
+                                         mu).items()):
+                row = [0] * len(gammas)
+                for g, c in per.items():
+                    row[gammas.index(g)] = c
                 rows.append(row)
-        want = len(gammas) - rank_big(rows, QQ)
-        assert acat.degenerate_quotient_dim(n) == want == 2 ** n
+            want = len(gammas) - rank_big(rows, QQ) if rows else len(gammas)
+            assert acat.degenerate_quotient_dim(n, mu) == want, (mu, n)
+    assert [acat.degenerate_quotient_dim(n) for n in range(1, 4)] == [2, 4, 8]
 
 
 # ---------------------------------------------------------------------------
