@@ -1,25 +1,34 @@
 """Coefficient fields: the rationals (default) and prime fields.
 
-All matrix coefficients in the engine live in one of these fields.  Rational
-elements are `fractions.Fraction`; prime-field elements are ints in [0, p).
-The field object carries the arithmetic so that the linear algebra and the
-matrix calculus stay field-generic.
+All matrix coefficients in the engine live in one of these fields.  A rational
+is a Python int when it is an integer and a `fractions.Fraction` otherwise;
+prime-field elements are ints in [0, p).  The field object carries the
+arithmetic so that the linear algebra and the matrix calculus stay
+field-generic.
 """
 
+import operator
 from fractions import Fraction
 
 
 class Rationals:
-    """The field of rational numbers, with Fraction elements."""
+    """The field of rational numbers.
+
+    The field builds every integer it makes as an int (zero, one, `of_int`,
+    the inverse of +-1, `parse` of an integer), so elimination with unit
+    pivots never leaves the ints; a non-integral value is an exact Fraction.
+    Arithmetic on a Fraction may still give an integral Fraction, which
+    compares and hashes equal to the int.
+    """
 
     name = "q"
     characteristic = 0
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def of_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
     def add(self, a, b):
         return a + b
@@ -34,7 +43,9 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        return 1 / a
+        if a == 1 or a == -1:
+            return int(a)
+        return 1 / Fraction(a)
 
     def is_zero(self, a):
         return a == 0
@@ -43,7 +54,8 @@ class Rationals:
         return a == b
 
     def parse(self, s):
-        return Fraction(s)
+        f = Fraction(s)
+        return f.numerator if f.denominator == 1 else f
 
     def format(self, a):
         return str(a)

@@ -253,14 +253,14 @@ def rank_kernel_int(int_rows, ncols):
                   f"{len(int_rows)}x{ncols} matrix failed at all "
                   f"{len(_MOD_PRIMES)} primes; using Fraction elimination",
                   RuntimeWarning, stacklevel=2)
-    red, piv = rref([[Fraction(x) for x in row] for row in a.tolist()], QQ)
+    red, piv = rref(a.tolist(), QQ)
     return len(piv), _kernel_from_rref(red, piv, ncols)
 
 
 def _reconstruct_kernel(res, m, piv, free, ncols):
     """Kernel vectors from CRT residues `res[i, j]` of the RREF entries in
     pivot row i and free column free[j]; None if any entry fails."""
-    red = [[Fraction(0)] * ncols for _ in piv]
+    red = [[QQ.zero] * ncols for _ in piv]
     for (i, j), x in np.ndenumerate(res):
         q = _rat_reconstruct(int(x), m)
         if q is None:
