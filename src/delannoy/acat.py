@@ -20,7 +20,10 @@ one span (mod p over Q, exact over F_p) and keeps the span's pivot keys with
 the basis, and `coords_in_basis` solves the square system on those keys and
 checks the residual exactly.  The scan takes first the keys on which the
 cut's diagonal is nonzero, read off the same structure constants as the
-trace, so a key is composed only when it is likely to join the basis.
+trace, so a key is composed only when it is likely to join the basis.  The
+diagonal is read only on the part pairs whose trace term is nonzero, and
+the source side of each read is reduced once per (source part, target part
+size) and kept with the source object (`AObject.source_side`).
 
 e_lambda is written down as path words, one block per letter (D or UR at b,
 D or RU at w), and down_map, up_map and ud_map as e_lambda's words followed
@@ -106,6 +109,23 @@ class AObject:
                                   else object),
                          norm)
         return out
+
+    @cached_property
+    def _source_sides(self):
+        """{(part, s_t): `_source_side`} of this object's diagonal blocks,
+        filled by `source_side`."""
+        return {}
+
+    def source_side(self, part, s_t):
+        """The source side of `_block_diagonal` for diagonal block `part`
+        against target parts of size s_t, reduced once per (part, s_t) and
+        kept with the object, as `diag_blocks` is."""
+        sides = self._source_sides
+        if (part, s_t) not in sides:
+            sides[part, s_t] = _source_side(s_t, self.ambient[part],
+                                            self.diag_blocks[part],
+                                            self.measure)
+        return sides[part, s_t]
 
     @cached_property
     def lifts_over_z(self):
@@ -310,17 +330,39 @@ def _idempotent_over_z(measure, ambient, entries):
     return True
 
 
+def _trace_terms(x, y):
+    """The trace of the cut P: H -> idem_y o H o idem_x split by part pair,
+    {(tp, sp): term}, over the diagonal part-blocks of both lifted
+    idempotents (`AObject.diag_blocks`).
+
+    A term is yc @ table[rows, cols] @ xc with table = `_trace_table(s_t,
+    s_src, mu)`, exact: in int64 when sum|yc| * sum|xc| * max|table| <
+    2**63 bounds every partial sum, in Python ints otherwise.  `hom_dim`
+    sums the terms; `_cut_diagonal` reads the diagonal only where a term is
+    nonzero.
+    """
+    mu = x.measure
+    out = {}
+    for tp, (rows, yc, y_norm) in y.diag_blocks.items():
+        for sp, (cols, xc, x_norm) in x.diag_blocks.items():
+            sizes = y.ambient[tp], x.ambient[sp], mu
+            block = _trace_table(*sizes)[0][rows[:, None], cols]
+            if y_norm * x_norm * _table_max(*sizes) < _INT64_LIMIT:
+                out[tp, sp] = int(yc @ block @ xc)
+            else:
+                out[tp, sp] = int(yc.astype(object) @ block.astype(object)
+                                  @ xc.astype(object))
+    return out
+
+
 def hom_dim(x, y):
     """dim Hom(x, y), the rank of P: H -> idem_y o H o idem_x on the path span.
 
     One route for every field.  P is idempotent, so its rank is its trace,
-    an integer contraction of the idempotents' diagonal part-blocks (lifted
-    to integer entries, `AObject.diag_blocks`) against the structure table
-    of the objects' measure: yc @ table[rows, cols] @ xc per pair of parts,
-    with table = `_trace_table(s_t, s_src, mu)`, in int64 when
-    sum|yc| * sum|xc| * max|table| < 2**63 bounds every partial sum, in
-    Python ints otherwise.  Over Q the trace is the rank.  Over F_p it is
-    certified one of two ways:
+    the sum of `_trace_terms`: integer contractions of the idempotents'
+    diagonal part-blocks (lifted to integer entries) against the structure
+    table of the objects' measure, one per pair of parts.  Over Q the trace
+    is the rank.  Over F_p it is certified one of two ways:
 
     * p > n_keys: rank = trace mod p, as rank and trace agree mod p and
       0 <= rank <= n_keys < p, where n_keys = sum of D(s_src, s_t) over the
@@ -334,20 +376,9 @@ def hom_dim(x, y):
                  for s_src in x.ambient)
     if not n_keys:
         return 0
-    mu = x.measure
     if x.is_identity_cut() and y.is_identity_cut():
         return n_keys
-    x_diag, y_diag = x.diag_blocks, y.diag_blocks
-    total = 0
-    for tp, (rows, yc, y_norm) in y_diag.items():
-        for sp, (cols, xc, x_norm) in x_diag.items():
-            sizes = y.ambient[tp], x.ambient[sp], mu
-            block = _trace_table(*sizes)[0][rows[:, None], cols]
-            if y_norm * x_norm * _table_max(*sizes) < _INT64_LIMIT:
-                total += int(yc @ block @ xc)
-            else:
-                total += int(yc.astype(object) @ block.astype(object)
-                             @ xc.astype(object))
+    total = sum(_trace_terms(x, y).values())
     f = x.field
     if not isinstance(f, PrimeField):
         return total
@@ -359,7 +390,39 @@ def hom_dim(x, y):
     return total
 
 
-def _block_diagonal(s_t, s_src, y_block, x_block, mu):
+def _source_side(s_t, s_src, x_block, mu):
+    """The source side of `_block_diagonal`: the sums
+    sum_alpha x_alpha c(delta; gamma, alpha) per join key of (delta, gamma).
+
+    x_block is the (ids, coeffs, norm) diagonal block of idem_x
+    (`AObject.diag_blocks`) on a part of size s_src.  The rows of its
+    alphas are selected by a mask from `_join_side(s_t, s_src, mu)`, so
+    they stay sorted by key and are summed per key with no sort.  Returns
+    (keys, sums) over the keys whose sum is nonzero, sorted; the sums are
+    exact, int64 under a bound on every partial sum, Python ints otherwise.
+    It depends on x alone given s_t, so `AObject.source_side` keeps it.
+    """
+    alpha, key2, c2 = _join_side(s_t, s_src, mu)
+    a_ids, a_coeffs, _ = x_block
+    a_used = np.zeros(delannoy(s_src, s_src), dtype=bool)
+    a_used[a_ids] = True
+    rows2 = np.flatnonzero(np.take(a_used, alpha))
+    if not len(rows2):
+        return key2[:0], np.zeros(0, dtype=np.int64)
+    c2 = c2[rows2]
+    # every partial sum is at most rows2 * max|x| * max|c2|
+    bound = len(rows2) * _max_abs(a_coeffs) * _max_abs(c2)
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    wx = np.zeros(len(a_used), dtype=dtype)
+    wx[a_ids] = a_coeffs
+    key2 = key2[rows2]
+    starts = np.flatnonzero(np.r_[True, key2[1:] != key2[:-1]])
+    sums = np.add.reduceat(wx[alpha[rows2]] * c2.astype(dtype), starts)
+    keep = np.flatnonzero(sums != 0)
+    return key2[starts[keep]], sums[keep]
+
+
+def _block_diagonal(s_t, s_src, y_block, x_block, mu, source=None):
     """The diagonal of the cut on one part block, indexed by path id delta.
 
     For the key C_delta from the size-s_src part to the size-s_t part, the
@@ -369,60 +432,58 @@ def _block_diagonal(s_t, s_src, y_block, x_block, mu):
     sum_gamma (sum_beta y_beta c(gamma; beta, delta))
               * (sum_alpha x_alpha c(delta; gamma, alpha)),
     the per-key term of the trace `hom_dim` sums.  It reads the two sides
-    `_trace_table` joins under mu: the rows of `_pair_arrays(s_t, s_t,
-    s_src, mu)` of the betas (rows are sorted by beta), and the rows of the
-    alphas, selected by a mask from `_join_side`, so they stay sorted by
-    (delta, gamma) and are summed per (delta, gamma) with no sort; the sums
-    are looked up from the first side.  The sums are exact: int64 under a
-    bound on every partial sum, Python ints otherwise.
+    `_trace_table` joins under mu.  The source side, the alpha sums per
+    (delta, gamma), is `source` when given (kept with x by
+    `AObject.source_side`) and `_source_side` otherwise.  The target side
+    takes the rows of `_pair_arrays(s_t, s_t, s_src, mu)` of the betas
+    (rows are sorted by beta) and looks their (delta, gamma) up in the
+    source side.  The sums are exact: int64 under a bound on every partial
+    sum, Python ints otherwise.
     """
+    key2, sums2 = (_source_side(s_t, s_src, x_block, mu) if source is None
+                   else source)
     beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
-    alpha, key2, c2 = _join_side(s_t, s_src, mu)
     n_span = delannoy(s_src, s_t)
     b_ids, b_coeffs, _ = y_block
-    a_ids, a_coeffs, _ = x_block
     lo = np.searchsorted(beta, b_ids, "left")
     n = np.searchsorted(beta, b_ids, "right") - lo
     rows1 = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
-    a_used = np.zeros(delannoy(s_src, s_src), dtype=bool)
-    a_used[a_ids] = True
-    rows2 = np.flatnonzero(np.take(a_used, alpha))
-    if not len(rows1) or not len(rows2):
+    if not len(rows1) or not len(key2):
         return np.zeros(n_span, dtype=np.int64)
-    c1, c2 = c1[rows1], c2[rows2]
-    # |P_kk| <= rows1 * max|y c1| * rows2 * max|x c2|
+    c1 = c1[rows1]
+    # |P_kk| <= rows1 * max|y c1| * max|source sum|
     bound = (len(rows1) * _max_abs(b_coeffs) * _max_abs(c1)
-             * len(rows2) * _max_abs(a_coeffs) * _max_abs(c2))
+             * _max_abs(sums2))
     dtype = np.int64 if bound < _INT64_LIMIT else object
-    wx = np.zeros(len(a_used), dtype=dtype)
-    wx[a_ids] = a_coeffs
-    key2 = key2[rows2]
-    starts = np.flatnonzero(np.r_[True, key2[1:] != key2[:-1]])
-    sums2 = np.add.reduceat(wx[alpha[rows2]] * c2.astype(dtype), starts)
-    key2 = key2[starts]
-    w1 = np.repeat(b_coeffs.astype(dtype), n) * c1.astype(dtype)
     key1 = _join_keys(delta1[rows1], gamma1[rows1], n_span)
     at = np.minimum(np.searchsorted(key2, key1), len(key2) - 1)
-    hit = key2[at] == key1
+    hit = np.flatnonzero(key2[at] == key1)
+    w1 = np.repeat(b_coeffs.astype(dtype), n)[hit] * c1[hit].astype(dtype)
     out = np.zeros(n_span, dtype=dtype)
-    np.add.at(out, delta1[rows1[hit]], w1[hit] * sums2[at[hit]])
+    np.add.at(out, delta1[rows1[hit]], w1 * sums2[at[hit]].astype(dtype))
     return out
 
 
 def _cut_diagonal(x, y):
-    """The nonzero diagonal of the cut P: H -> idem_y o H o idem_x over the
-    integer lifts, as {key: P_kk}; P_kk is the coefficient of C_key in
-    P(C_key), read off the diagonal part-blocks of both idempotents, and
-    the values sum to the trace `hom_dim` computes."""
+    """The diagonal of the cut P: H -> idem_y o H o idem_x over the integer
+    lifts on the part pairs whose trace term (`_trace_terms`) is nonzero,
+    as {key: P_kk} over the keys with P_kk != 0; P_kk is the coefficient of
+    C_key in P(C_key), read off the diagonal part-blocks of both
+    idempotents.  A skipped pair's entries sum to its term 0, so the values
+    still sum to the trace `hom_dim` computes.  Each source side is reduced
+    once per (part of x, target part size) and kept with x
+    (`AObject.source_side`)."""
     out = {}
-    for tp, y_block in y.diag_blocks.items():
-        s_t = y.ambient[tp]
-        for sp, x_block in x.diag_blocks.items():
-            s_src = x.ambient[sp]
-            diag = _block_diagonal(s_t, s_src, y_block, x_block, x.measure)
-            paths = enumerate_paths(s_src, s_t)
-            for i in np.flatnonzero(diag).tolist():
-                out[(tp, sp, paths[i])] = int(diag[i])
+    for (tp, sp), term in _trace_terms(x, y).items():
+        if not term:
+            continue
+        s_t, s_src = y.ambient[tp], x.ambient[sp]
+        diag = _block_diagonal(s_t, s_src, y.diag_blocks[tp],
+                               x.diag_blocks[sp], x.measure,
+                               x.source_side(sp, s_t))
+        paths = enumerate_paths(s_src, s_t)
+        for i in np.flatnonzero(diag).tolist():
+            out[(tp, sp, paths[i])] = int(diag[i])
     return out
 
 
@@ -440,7 +501,9 @@ def hom_space(x, y):
     first, in key order, then every other key in key order.  P_kk != 0
     implies a nonzero image and d = sum_k P_kk; typically exactly d keys
     have P_kk != 0 and their images are independent, so the scan composes
-    2d times.  The order only decides which keys are cut first, never
+    2d times.  The diagonal is read only on part pairs whose trace term is
+    nonzero, so a key whose pair's term cancels to 0 comes later, in key
+    order.  The order only decides which keys are cut first, never
     whether the basis is complete.  The scan stops once the
     exactly known dimension d is reached, so the basis is certified
     complete.  The span's pivot keys are kept as `pivots`: the basis
@@ -451,9 +514,9 @@ def hom_space(x, y):
     """
     _check_same_setting(x, y)
     d = hom_dim(x, y)
-    keys = _span_keys(x, y)
     if d == 0:
         return HomSpace([], 0, [])
+    keys = _span_keys(x, y)
     f = x.field
     if d == len(keys):
         basis = [PermMatrix(x.ambient, y.ambient, {k: f.one}, f) for k in keys]

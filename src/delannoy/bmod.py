@@ -458,11 +458,14 @@ def tensor_matrix_complexes(xa, da, xb, db, max_deg):
 
     Degree k is the sum over a + b = k of the part groups of X_a (x) Y_b; the
     differential uses the sign rule d(x (x) y) = dx (x) y + (-1)^a x (x) dy.
+    Each block is the raw entries of a Kronecker product
+    (`schwartz._tensor_entries`) shifted to its part offsets, so each entry
+    is checked once, by the one `PermMatrix` of its degree.
     The squared differential is checked within `_CHECK_PARTS` (beyond that it
     follows from bifunctoriality of the tensor, which the tests verify).
     """
     from .acat import AObject
-    from .schwartz import MU2, PermMatrix, compose, identity, tensor
+    from .schwartz import MU2, PermMatrix, _tensor_entries, compose, identity
     f = xa[0].field if xa else QQ
     blocks = []     # per degree: list of (a, b)
     objects = []    # per degree: AObject
@@ -472,12 +475,11 @@ def tensor_matrix_complexes(xa, da, xb, db, max_deg):
                          if a < len(xa) and k - a < len(xb)]
         parts, offs, entries = [], {}, {}
         for (a, b) in degree_blocks:
-            t = tensor(xa[a].idem, xb[b].idem)
-            offs[(a, b)] = len(parts)
-            shift = len(parts)
-            for (ti, si, p), c in t.entries.items():
+            source, _, block = _tensor_entries(xa[a].idem, xb[b].idem)
+            offs[(a, b)] = shift = len(parts)
+            for (ti, si, p), c in block.items():
                 entries[(ti + shift, si + shift, p)] = c
-            parts.extend(t.source)
+            parts.extend(source)
         obj = AObject(MU2, tuple(parts),
                       PermMatrix(tuple(parts), tuple(parts), entries, f))
         blocks.append(degree_blocks)
@@ -489,16 +491,18 @@ def tensor_matrix_complexes(xa, da, xb, db, max_deg):
         for (a, b) in blocks[k]:
             src_off = offsets[k][(a, b)]
             if a >= 1 and (a - 1, b) in offsets[k - 1]:
-                t = tensor(da[a], identity(xb[b].ambient, f))
+                _, _, block = _tensor_entries(da[a],
+                                              identity(xb[b].ambient, f))
                 dst_off = offsets[k - 1][(a - 1, b)]
-                for (ti, si, p), c in t.entries.items():
+                for (ti, si, p), c in block.items():
                     key = (ti + dst_off, si + src_off, p)
                     entries[key] = f.add(entries.get(key, f.zero), c)
             if b >= 1 and (a, b - 1) in offsets[k - 1]:
-                t = tensor(identity(xa[a].ambient, f), db[b])
+                _, _, block = _tensor_entries(identity(xa[a].ambient, f),
+                                              db[b])
                 dst_off = offsets[k - 1][(a, b - 1)]
                 sign = f.of_int((-1) ** a)
-                for (ti, si, p), c in t.entries.items():
+                for (ti, si, p), c in block.items():
                     key = (ti + dst_off, si + src_off, p)
                     entries[key] = f.add(entries.get(key, f.zero),
                                          f.mul(sign, c))

@@ -7,10 +7,12 @@ from delannoy.bmod import (BModule, WindowExceeded, ext_bmod, ext_table,
                            gen_kind, has_costandard_filtration,
                            has_standard_filtration, matrix_complex,
                            min_projective_resolution, named_bmodule,
-                           projective_cover, top_lifts, tor_bmod,
-                           truncated_tilting, standard_filtration_failures)
-from delannoy.fields import QQ
+                           projective_cover, tensor_matrix_complexes,
+                           top_lifts, tor_bmod, truncated_tilting,
+                           standard_filtration_failures)
+from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import rank
+from delannoy.schwartz import identity, tensor
 from delannoy.weights import dual, enumerate_weights, is_alternating
 from module_oracle import cokernel, image
 
@@ -206,6 +208,48 @@ def test_matrix_complex_realization():
     objects, diffs = matrix_complex(res)
     assert [o.ambient for o in objects] == [(1,), (2,), (3,)]
     assert not diffs[1].is_zero() and not diffs[2].is_zero()
+
+
+def _shifted(m, dst, src, sign, out):
+    for (ti, si, p), c in m.entries.items():
+        out[ti + dst, si + src, p] = m.field.mul(sign, c)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+def test_tensor_complex_blocks_are_the_tensors(field):
+    # each degree of the total complex is the block sum of the Kronecker
+    # products `tensor` builds, in the same entry order
+    xa, da = matrix_complex(min_projective_resolution(
+        named_bmodule("S", "w", field), 2))
+    xb, db = matrix_complex(min_projective_resolution(
+        named_bmodule("Q", "b", field), 2))
+    objects, diffs = tensor_matrix_complexes(xa, da, xb, db, 2)
+    offsets = []
+    for k, obj in enumerate(objects):
+        offs, parts, want = {}, [], {}
+        for a in range(k + 1):
+            if a < len(xa) and k - a < len(xb):
+                t = tensor(xa[a].idem, xb[k - a].idem)
+                offs[a, k - a] = len(parts)
+                _shifted(t, len(parts), len(parts), field.one, want)
+                parts.extend(t.source)
+        offsets.append(offs)
+        assert obj.ambient == tuple(parts)
+        assert list(obj.idem.entries.items()) == list(want.items())
+    for k in range(1, len(objects)):
+        want = {}
+        for (a, b), src in offsets[k].items():
+            if (a - 1, b) in offsets[k - 1]:
+                _shifted(tensor(da[a], identity(xb[b].ambient, field)),
+                         offsets[k - 1][a - 1, b], src, field.one, want)
+            if (a, b - 1) in offsets[k - 1]:
+                _shifted(tensor(identity(xa[a].ambient, field), db[b]),
+                         offsets[k - 1][a, b - 1], src,
+                         field.of_int((-1) ** a), want)
+        assert diffs[k].source == objects[k].ambient
+        assert diffs[k].target == objects[k - 1].ambient
+        assert list(diffs[k].entries.items()) == list(want.items())
+        assert want
 
 
 def test_tor_flat_projective():

@@ -1,0 +1,100 @@
+"""`acat._cut_diagonal` against the all-pairs oracle on the Tor complexes.
+
+`hom_space` orders its scan by the cut diagonal.  `_cut_diagonal` reads it
+only on the part pairs whose trace term is nonzero and keeps each reduced
+source side with the source object; `diagonal_oracle.cut_diagonal` reads
+every pair afresh.  On the terms Z_k that `tor_bmod` builds, cut against
+the indecomposables M_nu of the Tor window, both give the same lead keys,
+the values sum to `hom_dim`, and the scan composes exactly 2d times.
+"""
+
+import pytest
+
+from delannoy import acat
+from delannoy.acat import AObject, hom_dim, hom_space, indecomposable
+from delannoy.bmod import (matrix_complex, min_projective_resolution,
+                           named_bmodule, tensor_matrix_complexes)
+from delannoy.fields import QQ, PrimeField
+from delannoy.schwartz import MU2, compose
+from delannoy.weights import enumerate_weights
+from diagonal_oracle import cut_diagonal
+
+# (m, n, imax) of tor_bmod(P_ww, S_e, 0) and tor_bmod(S_w, S_w, 1)
+TOR_CASES = [(("P", "ww"), ("S", ""), 0), (("S", "w"), ("S", "w"), 1)]
+
+
+def tor_objects(m, n, imax, field):
+    """The terms Z_0, ..., Z_{imax+1} of the tensor complex `tor_bmod`
+    pushes through the Yoneda functor."""
+    xa, da = matrix_complex(min_projective_resolution(
+        named_bmodule(*m, field), imax + 1))
+    xb, db = matrix_complex(min_projective_resolution(
+        named_bmodule(*n, field), imax + 1))
+    return tensor_matrix_complexes(xa, da, xb, db, imax + 1)[0]
+
+
+def _leads(diag, field):
+    return {k for k, v in diag.items() if not field.is_zero(field.of_int(v))}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
+@pytest.mark.parametrize("case", TOR_CASES, ids=lambda c: f"{c[0]}{c[1]}")
+def test_cut_diagonal_matches_all_pairs_on_tor_terms(monkeypatch, field,
+                                                     case):
+    calls = []
+
+    def counting_compose(b, a, measure):
+        calls.append(1)
+        return compose(b, a, measure)
+
+    monkeypatch.setattr(acat, "compose", counting_compose)
+    cut = 0
+    for z in tor_objects(*case, field):
+        for nu in enumerate_weights(3):
+            m_nu = indecomposable(nu, MU2, field)
+            got = acat._cut_diagonal(m_nu, z)
+            assert _leads(got, field) == _leads(cut_diagonal(m_nu, z), field)
+            d = hom_dim(m_nu, z)
+            assert field.of_int(sum(got.values())) == field.of_int(d)
+            calls.clear()
+            hs = hom_space(m_nu, z)
+            assert hs.dim == d
+            n_keys = len(acat._span_keys(m_nu, z))
+            assert len(calls) == (2 * d if 0 < d < n_keys else 0)
+            cut += bool(calls)
+    assert cut
+
+
+def test_source_side_is_reduced_once_per_part_and_target_size(monkeypatch):
+    ys = tor_objects(("S", "w"), ("S", "w"), 1, QQ)
+    lam = indecomposable("ww")
+    # a fresh object, so no source side is kept yet
+    x = AObject(MU2, lam.ambient, lam.idem)
+    sides, blocks = [], []
+
+    def counting_side(s_t, s_src, x_block, mu):
+        sides.append(s_t)
+        return source_side(s_t, s_src, x_block, mu)
+
+    def counting_block(*args):
+        blocks.append(1)
+        return block_diagonal(*args)
+
+    source_side = acat._source_side
+    block_diagonal = acat._block_diagonal
+    monkeypatch.setattr(acat, "_source_side", counting_side)
+    monkeypatch.setattr(acat, "_block_diagonal", counting_block)
+    reads = set()
+    for y in ys:
+        assert acat._cut_diagonal(x, y) == cut_diagonal(x, y)
+        reads |= {(sp, y.ambient[tp])
+                  for (tp, sp), t in acat._trace_terms(x, y).items() if t}
+    # one reduction per (source part, target size), though every term
+    # cuts several parts of one size
+    assert len(sides) == len(set(sides)) == len(reads) > 0
+    assert len(blocks) > 2 * len(sides)
+    assert set(x._source_sides) == reads
+    # a second pass reuses every kept side and gives the same values
+    for y in ys:
+        assert acat._cut_diagonal(x, y) == cut_diagonal(x, y)
+    assert len(sides) == len(reads)
