@@ -21,9 +21,10 @@ the basis, and `coords_in_basis` solves the square system on those keys and
 checks the residual exactly.  The scan takes first the keys on which the
 cut's diagonal is nonzero, read off the same structure constants as the
 trace, so a key is composed only when it is likely to join the basis.  The
-diagonal is read only on the part pairs whose trace term is nonzero, and
-the source side of each read is reduced once per (source part, target part
-size) and kept with the source object (`AObject.source_side`).
+trace terms are contracted once per hom space and give both the dimension
+and the part pairs on which the diagonal is read: those whose term is
+nonzero.  The source side of each read is reduced once per (source part,
+target part size) and kept with the source object (`AObject.source_side`).
 
 e_lambda is written down as path words, one block per letter (D or UR at b,
 D or RU at w), and down_map, up_map and ud_map as e_lambda's words followed
@@ -44,8 +45,7 @@ from .paths import delannoy, enumerate_paths, path_m, path_n
 # `_pair_index` is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer rebinds it in this module.
 from .schwartz import (MU2, PermMatrix, _pair_arrays, _pair_index,  # noqa: F401
-                       _path_pos, compose, identity, tensor, tensor_object,
-                       transpose)
+                       _path_pos, compose, identity, tensor, tensor_object)
 from .weights import (BLACK, WHITE, black_tail, enumerate_weights,
                       hom_dim_pattern)
 
@@ -190,20 +190,11 @@ def schwartz_object(n, measure=MU2, field=QQ):
     return AObject(measure, (n,), identity((n,), field))
 
 
-def zero_object(measure=MU2, field=QQ):
-    return AObject(measure, (), identity((), field))
-
-
 def tensor_objects(x, y):
     if x.measure != y.measure:
         raise ValueError("measure mismatch")
     ambient, _ = tensor_object(x.ambient, y.ambient)
     return AObject(x.measure, ambient, tensor(x.idem, y.idem))
-
-
-def dual_object(x):
-    """Transpose dual; sends the weight-lam cut to the dual-weight cut."""
-    return AObject(x.measure, x.ambient, transpose(x.idem))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +329,8 @@ def _trace_terms(x, y):
     A term is yc @ table[rows, cols] @ xc with table = `_trace_table(s_t,
     s_src, mu)`, exact: in int64 when sum|yc| * sum|xc| * max|table| <
     2**63 bounds every partial sum, in Python ints otherwise.  `hom_dim`
-    sums the terms; `_cut_diagonal` reads the diagonal only where a term is
-    nonzero.
+    sums the terms; `hom_space` hands the same terms to `_cut_diagonal`,
+    which reads the diagonal only where a term is nonzero.
     """
     mu = x.measure
     out = {}
@@ -371,23 +362,31 @@ def hom_dim(x, y):
       idempotent, Z^n = im P + ker P, and its rank is the same over F_p as
       over Q.  Otherwise ValueError.
     """
+    return _hom_dim_terms(x, y)[0]
+
+
+def _hom_dim_terms(x, y):
+    """(`hom_dim(x, y)`, the `_trace_terms` it summed), so that `hom_space`
+    contracts each part pair once; the terms are None when no contraction
+    ran (an empty span, or two identity cuts)."""
     _check_same_setting(x, y)
     n_keys = sum(delannoy(s_src, s_t) for s_t in y.ambient
                  for s_src in x.ambient)
     if not n_keys:
-        return 0
+        return 0, None
     if x.is_identity_cut() and y.is_identity_cut():
-        return n_keys
-    total = sum(_trace_terms(x, y).values())
+        return n_keys, None
+    terms = _trace_terms(x, y)
+    total = sum(terms.values())
     f = x.field
     if not isinstance(f, PrimeField):
-        return total
+        return total, terms
     if f.p > n_keys:
-        return total % f.p
+        return total % f.p, terms
     if not (x.lifts_over_z and y.lifts_over_z):
         raise ValueError(f"hom dimension over GF({f.p}) is not certified: "
                          "an idempotent does not lift to one over Z")
-    return total
+    return total, terms
 
 
 def _source_side(s_t, s_src, x_block, mu):
@@ -464,17 +463,17 @@ def _block_diagonal(s_t, s_src, y_block, x_block, mu, source=None):
     return out
 
 
-def _cut_diagonal(x, y):
+def _cut_diagonal(x, y, terms):
     """The diagonal of the cut P: H -> idem_y o H o idem_x over the integer
-    lifts on the part pairs whose trace term (`_trace_terms`) is nonzero,
-    as {key: P_kk} over the keys with P_kk != 0; P_kk is the coefficient of
-    C_key in P(C_key), read off the diagonal part-blocks of both
-    idempotents.  A skipped pair's entries sum to its term 0, so the values
+    lifts on the part pairs whose trace term in terms (`_trace_terms(x, y)`)
+    is nonzero, as {key: P_kk} over the keys with P_kk != 0; P_kk is the
+    coefficient of C_key in P(C_key), read off the diagonal part-blocks of
+    both idempotents.  A skipped pair's entries sum to its term 0, so the values
     still sum to the trace `hom_dim` computes.  Each source side is reduced
     once per (part of x, target part size) and kept with x
     (`AObject.source_side`)."""
     out = {}
-    for (tp, sp), term in _trace_terms(x, y).items():
+    for (tp, sp), term in terms.items():
         if not term:
             continue
         s_t, s_src = y.ambient[tp], x.ambient[sp]
@@ -501,19 +500,19 @@ def hom_space(x, y):
     first, in key order, then every other key in key order.  P_kk != 0
     implies a nonzero image and d = sum_k P_kk; typically exactly d keys
     have P_kk != 0 and their images are independent, so the scan composes
-    2d times.  The diagonal is read only on part pairs whose trace term is
-    nonzero, so a key whose pair's term cancels to 0 comes later, in key
-    order.  The order only decides which keys are cut first, never
-    whether the basis is complete.  The scan stops once the
-    exactly known dimension d is reached, so the basis is certified
-    complete.  The span's pivot keys are kept as `pivots`: the basis
+    2d times.  d and the per-pair trace terms come from one contraction
+    (`_hom_dim_terms`, `hom_dim`'s route and certificate), and the diagonal
+    is read only on part pairs whose term is nonzero, so a key whose pair's
+    term cancels to 0 comes later, in key order.  The order only decides
+    which keys are cut first, never whether the basis is complete.  The
+    scan stops once the exactly known dimension d is reached, so the basis
+    is certified complete.  The span's pivot keys are kept as `pivots`: the basis
     restricted to them is an invertible d x d matrix (a minor invertible mod
     p is invertible over Q).  If the prime misses d over Q, one exact span
     runs over the nonzero images already computed, with a RuntimeWarning; a
     scan that still misses d raises.
     """
-    _check_same_setting(x, y)
-    d = hom_dim(x, y)
+    d, terms = _hom_dim_terms(x, y)
     if d == 0:
         return HomSpace([], 0, [])
     keys = _span_keys(x, y)
@@ -529,7 +528,7 @@ def hom_space(x, y):
             vec[key_pos[key]] = v
         return vec
 
-    lead = {k for k, v in _cut_diagonal(x, y).items()
+    lead = {k for k, v in _cut_diagonal(x, y, terms).items()
             if not f.is_zero(f.of_int(v))}
     prime = isinstance(f, PrimeField)
     span = SpanBuilder(len(keys), f) if prime else ModSpan(len(keys))
@@ -657,37 +656,6 @@ def theta_mult(x):
 
 
 # ---------------------------------------------------------------------------
-# Blocks of the functor to the semisimple category.
-# ---------------------------------------------------------------------------
-
-def phi_blocks(a):
-    """Blocks of an endomorphism of S(R^(n)) after adjoining +oo.
-
-    Evaluating a matrix at tuples extended by +oo makes sense because the
-    matrix is an indicator combination of order formulas.  A path whose final
-    step is right / up / diagonal corresponds to the extended source / target
-    / both; deleting that step gives the block entry.
-    """
-    if a.source != a.target or len(a.source) != 1:
-        raise ValueError("blocks are defined for endomorphisms of one part")
-    n = a.source[0]
-    f = a.field
-    a1, a2, a3, a4 = {}, {}, {}, {}
-    for (ti, si, p), c in a.entries.items():
-        a1[(0, 0, p)] = c
-        if p.endswith("R"):
-            a2[(0, 0, p[:-1])] = c
-        elif p.endswith("U"):
-            a3[(0, 0, p[:-1])] = c
-        elif p.endswith("D"):
-            a4[(0, 0, p[:-1])] = c
-    return (PermMatrix((n,), (n,), a1, f),
-            PermMatrix((n - 1,), (n,), a2, f),
-            PermMatrix((n,), (n - 1,), a3, f),
-            PermMatrix((n - 1,), (n - 1,), a4, f))
-
-
-# ---------------------------------------------------------------------------
 # The degenerate ideal.
 # ---------------------------------------------------------------------------
 
@@ -732,44 +700,3 @@ def ud_map(lam, field=QQ):
     """The composite M_{lam w} -> M_lam -> M_{lam b}: e_lambda's words
     followed by the two last points in either order or shared."""
     return _cut_matrix(lam, field, ("UR", "RU", "D"))
-
-
-# ---------------------------------------------------------------------------
-# The Yoneda bridge to modules over the combinatorial category.
-# ---------------------------------------------------------------------------
-
-def yoneda(x, max_len=None):
-    """The module of homs out of the indecomposables, h_x(mu) = Hom(M_mu, x).
-
-    Returns a finite module over the combinatorial category of
-    indecomposables: dims are hom dimensions, the structure maps are induced
-    by precomposition with the distinguished generators.  Exact in x.
-    """
-    from . import bmod
-    if x.measure != MU2:
-        raise ValueError("the Yoneda bridge lives over the second measure")
-    bound = (max(x.ambient) + 1) if x.ambient else 0
-    if max_len is None:
-        max_len = bound
-    if max_len < bound:
-        raise ValueError(f"window too small: need max_len >= {bound}")
-    f = x.field
-    weights = enumerate_weights(max_len)
-    spaces = {lam: hom_space(indecomposable(lam, MU2, f), x) for lam in weights}
-    dims = {lam: s.dim for lam, s in spaces.items() if s.dim}
-    arrows = {}
-    for lam in weights:
-        lw, lb = lam + "w", lam + "b"
-        if len(lw) <= max_len and spaces[lam].dim and spaces[lw].dim:
-            d = down_map(lam, f)
-            cols = [coords_in_basis(compose(h, d, MU2), spaces[lw])
-                    for h in spaces[lam].basis]
-            arrows[(lam, lw)] = [[cols[j][i] for j in range(len(cols))]
-                                 for i in range(spaces[lw].dim)]
-        if len(lb) <= max_len and spaces[lb].dim and spaces[lam].dim:
-            u = up_map(lam, f)
-            cols = [coords_in_basis(compose(h, u, MU2), spaces[lam])
-                    for h in spaces[lb].basis]
-            arrows[(lb, lam)] = [[cols[j][i] for j in range(len(cols))]
-                                 for i in range(spaces[lam].dim)]
-    return bmod.BModule(dims, arrows, field=f)

@@ -24,11 +24,15 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import rep
+from .acat import (AObject, coords_in_basis, down_map, e_lambda, hom_space,
+                   indecomposable, ud_map, up_map)
 from .fields import QQ
 from .linalg import (SpanBuilder, eye, homology_dims, mat_is_zero, mat_mul,
                      mat_transpose, mat_vec, rank, zeros)
 from .rep import Module, ModuleMap
-from .weights import WeightComplex, alternating_suffixes, gen_kind, sort_key
+from .schwartz import MU2, PermMatrix, _tensor_entries, compose, identity
+from .weights import (WeightComplex, alternating_suffixes, enumerate_weights,
+                      gen_kind, sort_key)
 
 # Names the benchmark tracer patches by attribute; they are the rep functions.
 kernel_bmap, hom_bmodules = rep.kernel, rep.hom
@@ -277,11 +281,6 @@ def min_projective_resolution(m, max_deg):
                           for k in range(1, depth + 1)}, m.field)
 
 
-def ext_bmod(m, n, i):
-    """dim Ext^i(m, n) from homs into n along the minimal resolution."""
-    return ext_table(m, n, i)[i]
-
-
 def ext_table(m, n, imax):
     """[dim Ext^i(m, n) for i in 0..imax], one resolution for all degrees."""
     res = min_projective_resolution(m, imax + 1)
@@ -382,10 +381,6 @@ def standard_filtration_failures(m, max_check_len=None):
     return fails
 
 
-def has_costandard_filtration(m):
-    return has_standard_filtration(rep.dual(m))
-
-
 # ---------------------------------------------------------------------------
 # Derived tensor via the matrix route.
 # ---------------------------------------------------------------------------
@@ -414,8 +409,6 @@ def matrix_complex(res):
     d o d = 0 on the symbols plus the generator relations, which the test
     suite checks concretely (compositions of the distinguished maps).
     """
-    from .acat import AObject, down_map, e_lambda, ud_map, up_map
-    from .schwartz import MU2, PermMatrix, compose
     f = res.field
     objects, diffs = [], [None]
     terms = [res.terms[-k] for k in range(len(res.terms))]
@@ -464,8 +457,6 @@ def tensor_matrix_complexes(xa, da, xb, db, max_deg):
     The squared differential is checked within `_CHECK_PARTS` (beyond that it
     follows from bifunctoriality of the tensor, which the tests verify).
     """
-    from .acat import AObject
-    from .schwartz import MU2, PermMatrix, _tensor_entries, compose, identity
     f = xa[0].field if xa else QQ
     blocks = []     # per degree: list of (a, b)
     objects = []    # per degree: AObject
@@ -528,9 +519,6 @@ def tor_bmod(m, n, imax, max_part=6, nu_len=None):
     Pass `nu_len` explicitly to widen or narrow.  Parts beyond `max_part`
     raise WindowExceeded.
     """
-    from .acat import hom_space, indecomposable, coords_in_basis
-    from .schwartz import MU2, compose
-    from .weights import enumerate_weights
     f = m.field
     res_a = min_projective_resolution(m, imax + 1)
     res_b = min_projective_resolution(n, imax + 1)

@@ -376,10 +376,5 @@ def main(argv=None):
         return 2
 
 
-def run(argv):
-    """Programmatic entry point; returns the exit code."""
-    return main(argv)
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -182,16 +182,6 @@ def named_dmodule(kind, lam, field=QQ):
     return DModule.full(named_support(kind, lam), field)
 
 
-def truncated_projective(lam, max_len, field=QQ):
-    """The projective at lam, truncated to weights of length <= max_len."""
-    from .weights import alternating_suffixes
-    supp = {lam}
-    supp.update(lam + w for w in alternating_suffixes(max_len - len(lam), "w")
-                if len(lam + w) <= max_len)
-    supp.update(_prefixes_with_tail(lam, "b"))
-    return DModule.full(supp, field)
-
-
 # ---------------------------------------------------------------------------
 # Identification and radical filtrations.
 # ---------------------------------------------------------------------------

@@ -10,10 +10,15 @@ Euler-characteristic triple of the three derived functors.
 
 from dataclasses import dataclass
 
-from .weights import flat, ruffle_counts, sort_key
+from .derived import euler_characteristics
 from .dmod import tilting_support
+from .weights import flat, ruffle_counts, sort_key
 
 KC, KA, KD = "kc", "ka", "kd"
+
+# The derived degrees `kb_decompose` reads; `euler_characteristics` raises
+# when an amplitude reaches them.
+_KB_MAX_DEG = 6
 
 
 @dataclass(frozen=True)
@@ -59,10 +64,6 @@ class KElement:
 
 def basis_element(ring, lam, c=1):
     return KElement.make(ring, {lam: c})
-
-
-def unit(ring):
-    return basis_element(ring, "")
 
 
 def _convolve(a_coeffs, b_coeffs, restricted):
@@ -122,13 +123,6 @@ def phi_map(a):
     return KElement.make(KC, out)
 
 
-def phi_inverse(x):
-    """KC -> KA by unitriangular back-substitution, longest weight first."""
-    if x.ring != KC:
-        raise ValueError("phi^-1 is defined on the KC ring")
-    return _back_substitute(x, phi_map)
-
-
 def j_map(d):
     """KD -> KC: the composite phi o i^-1; [T_lam] -> [L_lam] + [L_{lam flat}]."""
     return phi_map(i_inverse(d))
@@ -146,20 +140,12 @@ def mult(a, b):
     raise ValueError(f"unknown ring {a.ring!r}")
 
 
-def schwartz_class_kc(n):
-    """[C(R^(n))] in KC: simples with binomial multiplicities."""
-    from math import comb
-    from .weights import enumerate_weights
-    return KElement.make(KC, {lam: comb(n, len(lam))
-                              for lam in enumerate_weights(n)})
-
-
-def kb_decompose(m, max_deg=6):
+def kb_decompose(m):
     """The triple image of a finite module's class: (KC, KD, Z).
 
-    Euler characteristics of the three derived functors; the window must be
-    large enough for the amplitudes, which `euler_characteristics` enforces.
+    Euler characteristics of the three derived functors up to degree
+    `_KB_MAX_DEG`; the window must be large enough for the amplitudes, which
+    `euler_characteristics` enforces.
     """
-    from .derived import euler_characteristics
-    chi_phi, chi_psi, chi_theta = euler_characteristics(m, max_deg)
+    chi_phi, chi_psi, chi_theta = euler_characteristics(m, _KB_MAX_DEG)
     return (KElement.make(KC, chi_phi), KElement.make(KD, chi_psi), chi_theta)

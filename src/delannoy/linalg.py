@@ -145,25 +145,20 @@ class SpanBuilder:
                 return True
         return False
 
-    def contains(self, vec):
-        return all(self.field.is_zero(x) for x in self.reduce(vec))
-
 
 # ---------------------------------------------------------------------------
 # Certified modular rank/kernel for integer matrices over Q.
 # ---------------------------------------------------------------------------
 
-def _to_int_rows(rows, field):
-    """Scale each row by the lcm of denominators; returns list of int lists."""
-    out = []
-    for r in rows:
-        den = lcm(1, *(x.denominator for x in r if isinstance(x, Fraction)))
-        out.append([int(x * den) for x in r])
-    return out
-
-
 def _as_int_array(mat):
-    """An integer matrix as int64, or as Python ints if an entry exceeds int64."""
+    """An integer matrix as int64, or as Python ints if an entry exceeds int64.
+
+    A non-integer entry raises TypeError, where int64 would truncate it.
+    """
+    if not (isinstance(mat, np.ndarray) and mat.dtype.kind in "iu"):
+        mat = np.array(mat, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in mat.flat):
+            raise TypeError("an integer matrix is needed")
     try:
         return np.asarray(mat, dtype=np.int64)
     except OverflowError:
@@ -376,31 +371,31 @@ def frac_mod(x, p):
 
 
 class ModSpan(SpanBuilder):
-    """Row space mod p, used to certify linear independence over Q.
+    """Row space mod p = `_MOD_PRIMES[0]`, used to certify linear
+    independence over Q.
 
     Vectors independent mod p are independent over Q, so a greedy scan that
     inserts exact vectors whenever their reduction enlarges this span builds
     a certified independent family.
     """
 
-    def __init__(self, ncols, p=46337):
-        super().__init__(ncols, PrimeField(p))
-        self.p = p
+    def __init__(self, ncols):
+        super().__init__(ncols, PrimeField(_MOD_PRIMES[0]))
 
     def insert(self, vec):
         """vec: dense list of rationals; True if the span mod p grew.  False
         also when a denominator dies mod p; the caller may fall back."""
-        v = [frac_mod(x, self.p) for x in vec]
+        p = self.field.p
+        v = [frac_mod(x, p) for x in vec]
         return None not in v and super().insert(v)
 
 
-def rank_big(rows, field=QQ):
-    """Rank of a possibly large matrix, given as rows over `field` or as an
-    integer array: `_mod_rref` over a prime field, certified over Q."""
-    if len(rows) == 0:
+def rank_big(mat, field=QQ):
+    """Rank of a possibly large integer matrix (rows or array; over a prime
+    field, rows of residues): `_mod_rref` over a prime field,
+    `rank_kernel_int`'s certified modular rank over Q."""
+    if len(mat) == 0:
         return 0
     if isinstance(field, PrimeField):
-        return _mod_rref(rows, field.p)[0]
-    if not isinstance(rows, np.ndarray):
-        rows = _to_int_rows(rows, field)
-    return rank_kernel_int(rows, len(rows[0]))[0]
+        return _mod_rref(mat, field.p)[0]
+    return rank_kernel_int(mat, len(mat[0]))[0]

@@ -33,13 +33,10 @@ import numpy as np
 
 from .fields import QQ, PrimeField
 from .paths import (DIAG, RIGHT, UP, delannoy, enumerate_paths, interleavings,
-                    path_m, path_n, reflect, representative)
+                    path_m, path_n, reflect)
 
 MU1, MU2, MU3, MU4 = 1, 2, 3, 4
 MEASURES = (MU1, MU2, MU3, MU4)
-
-# A measure and its image under reflecting the line (x -> -x).
-MIRROR = {MU1: MU1, MU2: MU3, MU3: MU2, MU4: MU4}
 
 BOUNDED = "bounded"
 UNBOUNDED_ABOVE = "above"
@@ -191,10 +188,6 @@ class PermMatrix:
             raise ValueError("object mismatch")
         if self.field != other.field:
             raise ValueError("field mismatch")
-
-
-def zero_matrix(source, target, field=QQ):
-    return PermMatrix(source, target, {}, field)
 
 
 def identity(obj, field=QQ):
@@ -563,27 +556,6 @@ def tensor(amat, bmat):
     """Kronecker product, re-expanded over orbit parts of the product objects
     (`_tensor_entries`)."""
     return PermMatrix(*_tensor_entries(amat, bmat), amat.field)
-
-
-# ---------------------------------------------------------------------------
-# Projections.
-# ---------------------------------------------------------------------------
-
-def projection_matrices(n, i, field=QQ):
-    """Push-forward and pull-back of coordinate omission R^(n) -> R^(n-1).
-
-    1 <= i <= n names the omitted coordinate.  push is the (n-1) x n
-    indicator of x = p(y); pull is its transpose.
-    """
-    if not 1 <= i <= n:
-        raise ValueError("coordinate index out of range")
-    entries = {}
-    for gamma in enumerate_paths(n, n - 1):
-        x_t, y_s = representative(gamma)
-        if y_s[:i - 1] + y_s[i:] == x_t:
-            entries[(0, 0, gamma)] = field.one
-    push = PermMatrix((n,), (n - 1,), entries, field)
-    return push, transpose(push)
 
 
 # ---------------------------------------------------------------------------

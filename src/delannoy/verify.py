@@ -17,8 +17,8 @@ from .fields import QQ
 from .linalg import rank
 from .paths import delannoy
 from .schwartz import (MEASURES, MU1, MU2, MU3, MU4, UNBOUNDED_ABOVE,
-                       UNBOUNDED_BELOW, compose, gap_measure, identity,
-                       trace, transpose)
+                       UNBOUNDED_BELOW, PermMatrix, compose, gap_measure,
+                       identity, trace, transpose)
 from .weights import (black_tail, enumerate_weights, flat, format_weight,
                       hom_dim_pattern, ruffle_counts, sort_key)
 
@@ -94,7 +94,6 @@ def suite_measures(field=QQ):
 
 
 def suite_matrix_examples(field=QQ):
-    from .schwartz import PermMatrix
     cases = []
     a = PermMatrix((1,), (1,), {(0, 0, "UR"): field.one, (0, 0, "D"): field.one},
                    field)

@@ -73,16 +73,9 @@ def enumerate_weights(max_len):
     return out
 
 
-def alternating_suffixes(max_len, final=None):
-    """Nonempty alternating words of length <= max_len.
-
-    `final` restricts the last letter ('b' or 'w'); None allows both.
-    """
-    out = []
-    for w in enumerate_weights(max_len):
-        if w and is_alternating(w) and (final is None or w.endswith(final)):
-            out.append(w)
-    return out
+def alternating_suffixes(max_len):
+    """Nonempty alternating words of length <= max_len."""
+    return [w for w in enumerate_weights(max_len) if w and is_alternating(w)]
 
 
 def black_tail(lam):
@@ -176,29 +169,6 @@ class MarkedRuffle:
     rho1: tuple
     rho2: tuple
     rho3: tuple  # sorted tuple of (position, mark)
-
-    @property
-    def length(self):
-        return max(self.rho1 + self.rho2) if (self.rho1 or self.rho2) else 0
-
-
-def ruffle_weight(rho, lam, mu):
-    """The output weight of a marked ruffle of lam and mu."""
-    length = rho.length
-    pos1 = {p: i for i, p in enumerate(rho.rho1)}
-    pos2 = {p: i for i, p in enumerate(rho.rho2)}
-    marks = dict(rho.rho3)
-    letters = []
-    for p in range(1, length + 1):
-        if p in marks:
-            letters.append(marks[p])
-        elif p in pos1 and p in pos2:
-            letters.append(lam[pos1[p]])  # non-neutral collision, both agree
-        elif p in pos1:
-            letters.append(lam[pos1[p]])
-        else:
-            letters.append(mu[pos2[p]])
-    return "".join(letters)
 
 
 def marked_ruffles(lam, mu, restricted=False):

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from delannoy import rep
-from delannoy.bmod import (BModule, WindowExceeded, ext_bmod, ext_table,
-                           gen_kind, has_costandard_filtration,
+from delannoy.bmod import (BModule, WindowExceeded, ext_table, gen_kind,
                            has_standard_filtration, matrix_complex,
                            min_projective_resolution, named_bmodule,
                            projective_cover, tensor_matrix_complexes,
@@ -144,8 +143,8 @@ def test_ext_simple_pattern():
     for i in range(4):
         for nu in enumerate_weights(4):
             want = 1 if nu == "w" + "w" * i else 0
-            assert ext_bmod(named_bmodule("S", "w"),
-                            named_bmodule("S", nu), i) == want, (i, nu)
+            assert ext_table(named_bmodule("S", "w"),
+                             named_bmodule("S", nu), i)[i] == want, (i, nu)
     # black tails shift degree: Ext^i(S_{wb}, S_nu)
     tbl = {nu: ext_table(named_bmodule("S", "wb"), named_bmodule("S", nu), 2)
            for nu in enumerate_weights(3)}
@@ -166,7 +165,7 @@ def test_ext_injective_vs_q_vanishes():
 def test_ext_zeroth_self():
     for kind in ("S", "Q", "Stan"):
         m = named_bmodule(kind, "b")
-        assert ext_bmod(m, m, 0) >= 1
+        assert ext_table(m, m, 0)[0] >= 1
 
 
 def test_standard_filtrations():
@@ -175,8 +174,9 @@ def test_standard_filtrations():
     assert not has_standard_filtration(named_bmodule("Cost", "b"))
     assert not has_standard_filtration(named_bmodule("S", "w"))
     assert has_standard_filtration(BModule({}, {}))
-    assert has_costandard_filtration(named_bmodule("I", "w"))
-    assert not has_costandard_filtration(named_bmodule("Stan", "b"))
+    # costandard filtrations: standard ones of the dual
+    assert not standard_filtration_failures(rep.dual(named_bmodule("I", "w")))
+    assert standard_filtration_failures(rep.dual(named_bmodule("Stan", "b")))
 
 
 def test_truncated_tilting_filtration_with_margin():

@@ -6,7 +6,12 @@ source side with the source object; `diagonal_oracle.cut_diagonal` reads
 every pair afresh.  On the terms Z_k that `tor_bmod` builds, cut against
 the indecomposables M_nu of the Tor window, both give the same lead keys,
 the values sum to `hom_dim`, and the scan composes exactly 2d times.
+`hom_space` contracts the trace terms once and hands them to
+`_cut_diagonal`.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -33,6 +38,10 @@ def tor_objects(m, n, imax, field):
     return tensor_matrix_complexes(xa, da, xb, db, imax + 1)[0]
 
 
+def _engine_diagonal(x, y):
+    return acat._cut_diagonal(x, y, acat._trace_terms(x, y))
+
+
 def _leads(diag, field):
     return {k for k, v in diag.items() if not field.is_zero(field.of_int(v))}
 
@@ -52,7 +61,7 @@ def test_cut_diagonal_matches_all_pairs_on_tor_terms(monkeypatch, field,
     for z in tor_objects(*case, field):
         for nu in enumerate_weights(3):
             m_nu = indecomposable(nu, MU2, field)
-            got = acat._cut_diagonal(m_nu, z)
+            got = _engine_diagonal(m_nu, z)
             assert _leads(got, field) == _leads(cut_diagonal(m_nu, z), field)
             d = hom_dim(m_nu, z)
             assert field.of_int(sum(got.values())) == field.of_int(d)
@@ -86,7 +95,7 @@ def test_source_side_is_reduced_once_per_part_and_target_size(monkeypatch):
     monkeypatch.setattr(acat, "_block_diagonal", counting_block)
     reads = set()
     for y in ys:
-        assert acat._cut_diagonal(x, y) == cut_diagonal(x, y)
+        assert _engine_diagonal(x, y) == cut_diagonal(x, y)
         reads |= {(sp, y.ambient[tp])
                   for (tp, sp), t in acat._trace_terms(x, y).items() if t}
     # one reduction per (source part, target size), though every term
@@ -96,5 +105,45 @@ def test_source_side_is_reduced_once_per_part_and_target_size(monkeypatch):
     assert set(x._source_sides) == reads
     # a second pass reuses every kept side and gives the same values
     for y in ys:
-        assert acat._cut_diagonal(x, y) == cut_diagonal(x, y)
+        assert _engine_diagonal(x, y) == cut_diagonal(x, y)
     assert len(sides) == len(reads)
+
+
+# sha256 of the canonical JSON of every hom_space(M_nu, Z_k) below (d, pivot
+# keys, basis entries), taken while `hom_dim` and `_cut_diagonal` each
+# contracted the trace terms themselves.
+HOM_SPACES_SHA256 = (
+    "237cf9215ee38bf861a7cbb3d4d3e4533af3a3dcace63ca5e5d800d504cc7a89")
+
+
+def test_hom_space_contracts_the_trace_terms_once(monkeypatch):
+    calls = []
+
+    def counting_terms(x, y):
+        calls.append(1)
+        return trace_terms(x, y)
+
+    trace_terms = acat._trace_terms
+    monkeypatch.setattr(acat, "_trace_terms", counting_terms)
+    spaces, scanned = {}, 0
+    for field in (QQ, PrimeField(3)):
+        for case in TOR_CASES:
+            rows = []
+            for z in tor_objects(*case, field):
+                for nu in enumerate_weights(3):
+                    m_nu = indecomposable(nu, MU2, field)
+                    calls.clear()
+                    hs = hom_space(m_nu, z)
+                    if 0 < hs.dim < len(acat._span_keys(m_nu, z)):
+                        assert len(calls) == 1
+                        scanned += 1
+                    else:
+                        assert len(calls) <= 1
+                    rows.append([hs.dim, [list(k) for k in hs.pivots],
+                                 [sorted((list(k), field.format(v))
+                                         for k, v in b.entries.items())
+                                  for b in hs.basis]])
+            spaces[f"{field!r} {case}"] = rows
+    assert scanned
+    text = json.dumps(spaces, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == HOM_SPACES_SHA256

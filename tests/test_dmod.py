@@ -4,8 +4,7 @@ from delannoy import rep
 from delannoy.dmod import (DModule, basic_factorization, basic_targets,
                            dist_hom_nonzero, ext_dim, homotopy_hom_dim,
                            identify_named_dmodule, is_basic, named_dmodule,
-                           radical_filtration, tilting_complex, tilting_map,
-                           truncated_projective)
+                           radical_filtration, tilting_complex, tilting_map)
 from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import rank
 from delannoy.weights import (composite_unit, dual, enumerate_weights,
@@ -75,12 +74,6 @@ def test_named_modules():
             rep.dual(named_dmodule("Delta", dual(lam)))
         assert rep.dual(named_dmodule("T", lam)) == \
             named_dmodule("T", dual(lam))
-
-
-def test_truncated_projective():
-    p = truncated_projective("b", 4)
-    assert "b" in p.dims and "" in p.dims
-    assert all(len(k) <= 4 for k in p.dims)
 
 
 def test_uniserial_radical_layers():

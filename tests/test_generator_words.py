@@ -4,7 +4,9 @@
 words with coefficient 1.  The oracles below are the routes they replaced,
 kept verbatim: `_e_lambda_entries` scans every (n, n) path through an
 integer representative, and `_gen_cached` / `_gen_map` compose
-e o push o e and e o pull o e over Q and convert the result to the field.
+e o push o e and e o pull o e over Q and convert the result to the field,
+with push and pull the coordinate omission R^(n) -> R^(n-1) and its
+transpose (`projection_matrices`).
 The comparison at weights of length 4 composes through large size triples
 (about 16 s and 1.2 GB), so it runs only with DELANNOY_TOR=1.
 """
@@ -18,7 +20,7 @@ from delannoy import acat, paths, schwartz
 from delannoy.acat import down_map, e_lambda, ud_map, up_map
 from delannoy.fields import QQ, PrimeField
 from delannoy.paths import enumerate_paths
-from delannoy.schwartz import MU2, PermMatrix, compose
+from delannoy.schwartz import MU2, PermMatrix, compose, transpose
 from delannoy.weights import enumerate_weights
 
 FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(46337))
@@ -51,9 +53,25 @@ def _e_lambda_entries(lam):
     return entries
 
 
+def projection_matrices(n, i, field=QQ):
+    """Push-forward and pull-back of coordinate omission R^(n) -> R^(n-1).
+
+    1 <= i <= n names the omitted coordinate.  push is the (n-1) x n
+    indicator of x = p(y); pull is its transpose.
+    """
+    if not 1 <= i <= n:
+        raise ValueError("coordinate index out of range")
+    entries = {}
+    for gamma in enumerate_paths(n, n - 1):
+        x_t, y_s = representative(gamma)
+        if y_s[:i - 1] + y_s[i:] == x_t:
+            entries[(0, 0, gamma)] = field.one
+    push = PermMatrix((n,), (n - 1,), entries, field)
+    return push, transpose(push)
+
+
 @lru_cache(maxsize=None)
 def _gen_cached(kind, lam):
-    from delannoy.schwartz import projection_matrices
     f = QQ
     n = len(lam)
     if kind == "d":  # M_{lam w} -> M_lam
@@ -119,9 +137,8 @@ def test_constructors_neither_compose_nor_scan(monkeypatch):
     for module in (acat, schwartz):
         monkeypatch.setattr(module, "compose",
                             spy("compose", schwartz.compose))
-    for module in (paths, schwartz):
-        monkeypatch.setattr(module, "representative",
-                            spy("representative", paths.representative))
+    monkeypatch.setattr(paths, "representative",
+                        spy("representative", paths.representative))
     for field in (QQ, PrimeField(3)):
         for lam in enumerate_weights(3):
             e_lambda.__wrapped__(lam, field)

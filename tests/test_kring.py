@@ -3,10 +3,22 @@ from math import comb
 import pytest
 
 from delannoy.bmod import named_bmodule
-from delannoy.kring import (KA, KC, KD, KElement, basis_element, i_inverse,
-                            i_map, j_map, kb_decompose, mult, phi_inverse,
-                            phi_map, schwartz_class_kc, tilting_class, unit)
+from delannoy.kring import (KA, KC, KD, KElement, _back_substitute,
+                            basis_element, i_inverse, i_map, j_map,
+                            kb_decompose, mult, phi_map, tilting_class)
 from delannoy.weights import enumerate_weights
+
+
+def phi_inverse(x):
+    """KC -> KA by unitriangular back-substitution, longest weight first."""
+    assert x.ring == KC
+    return _back_substitute(x, phi_map)
+
+
+def schwartz_class_kc(n):
+    """[C(R^(n))] in KC: simples with binomial multiplicities."""
+    return KElement.make(KC, {lam: comb(n, len(lam))
+                              for lam in enumerate_weights(n)})
 
 
 def test_product_examples():
@@ -16,7 +28,7 @@ def test_product_examples():
     assert mult(mb, mw).as_dict() == {"b": 1, "w": 1, "bw": 1, "wb": 1}
     for ring in (KC, KA, KD):
         x = basis_element(ring, "bw")
-        assert mult(unit(ring), x) == x
+        assert mult(basis_element(ring, ""), x) == x
 
 
 def test_ring_tag_mismatch():
@@ -26,7 +38,7 @@ def test_ring_tag_mismatch():
 
 def test_phi_and_inverse():
     assert phi_map(basis_element(KA, "b")).as_dict() == {"": 1, "b": 1}
-    assert phi_map(unit(KA)).as_dict() == {"": 1}
+    assert phi_map(basis_element(KA, "")).as_dict() == {"": 1}
     for lam in enumerate_weights(3):
         x = basis_element(KA, lam)
         assert phi_inverse(phi_map(x)) == x

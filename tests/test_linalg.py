@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -15,6 +16,13 @@ from delannoy.linalg import (_MOD_PRIMES, SpanBuilder, _rat_reconstruct,
 
 def frac_rows(rows):
     return [[Fraction(x) for x in r] for r in rows]
+
+
+def int_rows(rows):
+    """Each rational row scaled by the lcm of its denominators: an integer
+    matrix of the same rank, as `rank_big` takes over Q."""
+    return [[int(x * lcm(*(Fraction(y).denominator for y in r))) for x in r]
+            for r in rows]
 
 
 def test_rref_small():
@@ -50,7 +58,7 @@ def test_span_builder_matches_rank():
         sb.insert(r)
     assert sb.dim == rank(rows)
     for r in rows:
-        assert sb.contains(r)
+        assert not any(sb.reduce(r))
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)],
@@ -99,14 +107,23 @@ def test_rank_big_matches_fraction_rank():
         for i in range(0, nrows, 2):
             rows[i] = [a + b for a, b in zip(rows[i], rng.choice(base))]
         fr = frac_rows(rows)
-        assert rank_big(fr) == rank(fr)
+        assert rank_big(int_rows(fr)) == rank(fr)
 
 
 def test_rank_big_with_fractions():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
-    assert rank_big(rows) == rank(rows) == 1  # det = 1/2 - 1/2
+    assert rank_big(int_rows(rows)) == rank(rows) == 1  # det = 1/2 - 1/2
     rows2 = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]
-    assert rank_big(rows2) == rank(rows2) == 2
+    assert rank_big(int_rows(rows2)) == rank(rows2) == 2
+
+
+def test_rank_big_refuses_non_integer_entries():
+    # int64 would truncate 1/2 to 0 and report rank 0
+    for rows in ([[Fraction(1, 2)]], [[0.5, 1.0]]):
+        with pytest.raises(TypeError):
+            rank_big(rows)
+        with pytest.raises(TypeError):
+            rank_kernel_int(rows, len(rows[0]))
 
 
 def test_prime_field_rank():
@@ -118,7 +135,7 @@ def test_prime_field_rank():
     # 5 | 10, so this matrix drops rank mod 5 but not over Q
     rows2 = [[10, 0], [0, 1]]
     assert rank([[f.of_int(x) for x in r] for r in rows2], f) == 1
-    assert rank_big(frac_rows(rows2), QQ) == 2
+    assert rank_big(rows2, QQ) == 2
 
 
 def test_rat_reconstruct():
@@ -217,7 +234,7 @@ def test_rank_big_against_fraction_rank(case):
     rows, ncols = case
     fr = frac_rows(rows)
     expected = rank(fr)
-    assert rank_big(fr) == expected
+    assert rank_big(int_rows(fr)) == expected
     r, ker = rank_kernel_int(rows, ncols)
     assert r == expected and len(ker) == ncols - r
     for v in ker:
@@ -243,9 +260,9 @@ def test_rank_big_entries_beyond_int64():
     # scaling the first row by 2**70 puts entries outside int64; the rows
     # stay Python ints, are reduced mod p, and still certify
     rows = [[Fraction(1, 2 ** 70), Fraction(1)], [Fraction(1), Fraction(2 ** 70)]]
-    assert rank_big(rows) == rank(rows) == 1
+    assert rank_big(int_rows(rows)) == rank(rows) == 1
     rows[1][1] += 1
-    assert rank_big(rows) == rank(rows) == 2
+    assert rank_big(int_rows(rows)) == rank(rows) == 2
     r, ker = rank_kernel_int([[2 ** 70, 3, 1], [2 ** 71, 6, 2]], 3)
     assert r == 1 and len(ker) == 2
 
@@ -262,7 +279,9 @@ BIG = PrimeField(4294967311)  # (p-1)**2 > 2**63: object arrays in _mod_rref
 def _oracle_rank(rows, field):
     """Rank by the other elimination kernel: `_mod_rref` over a prime field,
     the certified modular path over Q."""
-    return rank_big(rows, field) if rows and rows[0] else 0
+    if not (rows and rows[0]):
+        return 0
+    return rank_big(int_rows(rows) if field == QQ else rows, field)
 
 
 @st.composite

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from delannoy.fields import QQ, PrimeField
 from delannoy.paths import enumerate_paths
-from delannoy.schwartz import (BOUNDED, FULL_LINE, MEASURES, MIRROR, MU1, MU2,
-                               MU3, MU4, UNBOUNDED_ABOVE, UNBOUNDED_BELOW,
+from delannoy.schwartz import (BOUNDED, FULL_LINE, MEASURES, MU1, MU2, MU3,
+                               MU4, UNBOUNDED_ABOVE, UNBOUNDED_BELOW,
                                PermMatrix, compose, gap_measure, identity,
-                               matrix_from_json, matrix_to_json,
-                               projection_matrices, tensor, tensor_object,
-                               trace, transpose, zero_matrix)
+                               matrix_from_json, matrix_to_json, tensor,
+                               tensor_object, trace, transpose)
+from test_generator_words import projection_matrices
+
+# A measure and its image under reflecting the line (x -> -x).
+MIRROR = {MU1: MU1, MU2: MU3, MU3: MU2, MU4: MU4}
 
 
 def mat(source, target, coeffs, field=QQ):
@@ -338,4 +341,4 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         compose(A_LEQ, identity((2,)), MU1)
     with pytest.raises(ValueError):
-        trace(zero_matrix((1,), (2,)), MU1)
+        trace(PermMatrix((1,), (2,), {}), MU1)
