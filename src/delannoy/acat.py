@@ -71,11 +71,8 @@ class AObject:
             raise ValueError("defining matrix is not idempotent")
         return self
 
-    def is_identity_cut(self):
-        return self._identity_cut
-
     @cached_property
-    def _identity_cut(self):
+    def identity_cut(self):
         """Whether the cut is the identity, decided once per object."""
         return self.idem == identity(self.ambient, self.idem.field)
 
@@ -131,7 +128,7 @@ class AObject:
     def lifts_over_z(self):
         """Whether the integer lift of the idempotent is idempotent over Z,
         decided once per object (`_idempotent_over_z`)."""
-        return self._identity_cut or _idempotent_over_z(
+        return self.identity_cut or _idempotent_over_z(
             self.measure, self.ambient, self.lifted.items())
 
 
@@ -236,7 +233,7 @@ def _join_side(s_t, s_src, mu):
     Returns (alpha, key, c): the rows of `_pair_arrays(s_t, s_src, s_src,
     mu)`, c(delta; gamma, alpha), as int32 path ids alpha, join keys
     (`_join_keys`, over the D(s_src, s_t) paths delta and gamma) and the
-    constants, sorted by key.  `_trace_table` and `_block_diagonal` both
+    constants, sorted by key.  `_trace_table` and `_source_side` both
     read it, so neither sorts it again.
     """
     gamma, alpha, delta, c = _pair_arrays(s_t, s_src, s_src, mu)
@@ -249,9 +246,9 @@ def _join_side(s_t, s_src, mu):
 def _trace_table(s_t, s_src, mu):
     """Structure table for operator traces on the matrix span under mu.
 
-    Returns (U, beta_pos, alpha_pos): U[beta, alpha] is, for the paths with
-    ids beta_pos[beta] and alpha_pos[alpha], the sum over paths delta, gamma
-    between the parts of c_mu(gamma; beta, delta) * c_mu(delta; gamma, alpha):
+    Returns U: U[beta, alpha] is, for the paths with ids beta and alpha
+    (`_path_pos`), the sum over paths delta, gamma between the parts of
+    c_mu(gamma; beta, delta) * c_mu(delta; gamma, alpha):
     the trace of H -> C_beta o H o C_alpha on the span of matrices from the
     size-s_src part to the size-s_t part.  Traces of the cut operators are
     bilinear contractions of this dense int64 table against the diagonal
@@ -288,14 +285,7 @@ def _trace_table(s_t, s_src, mu):
         np.add.at(table, beta[i1].astype(np.int64) * n_alpha + alpha[i2],
                   c1[i1].astype(np.int64) * c2[i2])
         start = stop
-    return (table.reshape(n_beta, n_alpha), _path_pos(s_t, s_t),
-            _path_pos(s_src, s_src))
-
-
-@lru_cache(maxsize=1024)
-def _table_max(s_t, s_src, mu):
-    """The largest |entry| of `_trace_table(s_t, s_src, mu)`."""
-    return _max_abs(_trace_table(s_t, s_src, mu)[0])
+    return table.reshape(n_beta, n_alpha)
 
 
 def _integer_entries(m):
@@ -326,8 +316,8 @@ def _trace_terms(x, y):
     {(tp, sp): term}, over the diagonal part-blocks of both lifted
     idempotents (`AObject.diag_blocks`).
 
-    A term is yc @ table[rows, cols] @ xc with table = `_trace_table(s_t,
-    s_src, mu)`, exact: in int64 when sum|yc| * sum|xc| * max|table| <
+    A term is yc @ block @ xc with block = `_trace_table(s_t, s_src,
+    mu)`[rows, cols], exact: in int64 when sum|yc| * sum|xc| * max|block| <
     2**63 bounds every partial sum, in Python ints otherwise.  `hom_dim`
     sums the terms; `hom_space` hands the same terms to `_cut_diagonal`,
     which reads the diagonal only where a term is nonzero.
@@ -336,9 +326,9 @@ def _trace_terms(x, y):
     out = {}
     for tp, (rows, yc, y_norm) in y.diag_blocks.items():
         for sp, (cols, xc, x_norm) in x.diag_blocks.items():
-            sizes = y.ambient[tp], x.ambient[sp], mu
-            block = _trace_table(*sizes)[0][rows[:, None], cols]
-            if y_norm * x_norm * _table_max(*sizes) < _INT64_LIMIT:
+            block = _trace_table(y.ambient[tp], x.ambient[sp], mu)[
+                rows[:, None], cols]
+            if y_norm * x_norm * _max_abs(block) < _INT64_LIMIT:
                 out[tp, sp] = int(yc @ block @ xc)
             else:
                 out[tp, sp] = int(yc.astype(object) @ block.astype(object)
@@ -374,7 +364,7 @@ def _hom_dim_terms(x, y):
                  for s_src in x.ambient)
     if not n_keys:
         return 0, None
-    if x.is_identity_cut() and y.is_identity_cut():
+    if x.identity_cut and y.identity_cut:
         return n_keys, None
     terms = _trace_terms(x, y)
     total = sum(terms.values())
@@ -421,26 +411,25 @@ def _source_side(s_t, s_src, x_block, mu):
     return key2[starts[keep]], sums[keep]
 
 
-def _block_diagonal(s_t, s_src, y_block, x_block, mu, source=None):
+def _block_diagonal(s_t, s_src, y_block, source, mu):
     """The diagonal of the cut on one part block, indexed by path id delta.
 
     For the key C_delta from the size-s_src part to the size-s_t part, the
-    coefficient of C_delta in idem_y o C_delta o idem_x, with y_block and
-    x_block the (ids, coeffs, norm) diagonal blocks of idem_y and idem_x
+    coefficient of C_delta in idem_y o C_delta o idem_x, with y_beta and
+    x_alpha the entries of the diagonal blocks of idem_y and idem_x
     (`AObject.diag_blocks`), is
     sum_gamma (sum_beta y_beta c(gamma; beta, delta))
               * (sum_alpha x_alpha c(delta; gamma, alpha)),
     the per-key term of the trace `hom_dim` sums.  It reads the two sides
     `_trace_table` joins under mu.  The source side, the alpha sums per
-    (delta, gamma), is `source` when given (kept with x by
-    `AObject.source_side`) and `_source_side` otherwise.  The target side
-    takes the rows of `_pair_arrays(s_t, s_t, s_src, mu)` of the betas
-    (rows are sorted by beta) and looks their (delta, gamma) up in the
-    source side.  The sums are exact: int64 under a bound on every partial
-    sum, Python ints otherwise.
+    (delta, gamma), is `source`, kept with x by `AObject.source_side`.  The
+    target side takes the rows of `_pair_arrays(s_t, s_t, s_src, mu)` of
+    the betas in y_block, idem_y's (ids, coeffs, norm) block (rows are
+    sorted by beta), and looks their (delta, gamma) up in the source side.
+    The sums are exact: int64 under a bound on every partial sum, Python
+    ints otherwise.
     """
-    key2, sums2 = (_source_side(s_t, s_src, x_block, mu) if source is None
-                   else source)
+    key2, sums2 = source
     beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
     n_span = delannoy(s_src, s_t)
     b_ids, b_coeffs, _ = y_block
@@ -478,8 +467,7 @@ def _cut_diagonal(x, y, terms):
             continue
         s_t, s_src = y.ambient[tp], x.ambient[sp]
         diag = _block_diagonal(s_t, s_src, y.diag_blocks[tp],
-                               x.diag_blocks[sp], x.measure,
-                               x.source_side(sp, s_t))
+                               x.source_side(sp, s_t), x.measure)
         paths = enumerate_paths(s_src, s_t)
         for i in np.flatnonzero(diag).tolist():
             out[(tp, sp, paths[i])] = int(diag[i])

@@ -389,9 +389,44 @@ class WindowExceeded(Exception):
     """A computation left its certified window (parts or degree too large)."""
 
 
-# Largest part size of the middle degree at which `matrix_complex` and
-# `tensor_matrix_complexes` compose d o d to check that it vanishes.
+# Largest part size of the middle degree at which `_assemble_complex`
+# composes d o d to check that it vanishes.
 _CHECK_PARTS = 4
+
+
+def _assemble_complex(degrees, f):
+    """The matrix complex with degrees[k] = (summands, blocks) in degree k.
+
+    Degree k is the direct sum of its summands, each (parts, idempotent
+    entries); d_k sums its blocks, each (dst, src, entries, coeff): coeff
+    times a map from summand src of degree k to summand dst of degree k - 1.
+    Keys are summand-local and shifted to part offsets here, so each entry
+    is checked once, by its degree's one `PermMatrix`.  Returns (objects,
+    diffs) with diffs[k]: objects[k] -> objects[k-1]; d o d is checked to
+    vanish where the middle degree's parts stay within `_CHECK_PARTS`.
+    """
+    objects, diffs = [], [None]
+    for k, (summands, blocks) in enumerate(degrees):
+        starts = list(accumulate((len(p) for p, _ in summands), initial=0))
+        ambient = tuple(s for parts, _ in summands for s in parts)
+        entries = {(ti + o, si + o, p): c
+                   for o, (_, block) in zip(starts, summands)
+                   for (ti, si, p), c in block.items()}
+        objects.append(AObject(MU2, ambient,
+                               PermMatrix(ambient, ambient, entries, f)))
+        entries = {}
+        for dst, src, block, coeff in blocks:   # none in degree 0
+            t_off, s_off = below[dst], starts[src]
+            for (ti, si, p), c in block.items():
+                key = (ti + t_off, si + s_off, p)
+                entries[key] = f.add(entries.get(key, f.zero), f.mul(coeff, c))
+        if k:
+            diffs.append(PermMatrix(ambient, objects[k - 1].ambient, entries, f))
+        if k > 1 and max(objects[k - 1].ambient, default=0) <= _CHECK_PARTS:
+            if not compose(diffs[k - 1], diffs[k], MU2).is_zero():
+                raise AssertionError("differential does not square to zero")
+        below = starts
+    return objects, diffs
 
 
 def matrix_complex(res):
@@ -404,27 +439,18 @@ def matrix_complex(res):
     mixed composite is defined as the composite).
     Returns (objects, diffs) with diffs[k]: objects[k] -> objects[k-1].
 
-    The squared differential is machine-checked to vanish wherever the parts
-    stay within `_CHECK_PARTS`; beyond that the identity follows from
-    d o d = 0 on the symbols plus the generator relations, which the test
-    suite checks concretely (compositions of the distinguished maps).
+    The squared differential is machine-checked to vanish within
+    `_CHECK_PARTS`; beyond that the identity follows from d o d = 0 on the
+    symbols plus the generator relations, which the test suite checks
+    concretely (compositions of the distinguished maps).
     """
     f = res.field
-    objects, diffs = [], [None]
     terms = [res.terms[-k] for k in range(len(res.terms))]
-    for syms in terms:
-        ambient = tuple(len(mu) for mu in syms)
-        entries = {}
-        for i, mu in enumerate(syms):
-            for key, c in e_lambda(mu, f).entries.items():
-                entries[(i, i, key[2])] = c
-        objects.append(AObject(MU2, ambient,
-                               PermMatrix(ambient, ambient, entries, f)))
-    for k in range(1, len(terms)):
-        src, dst = objects[k], objects[k - 1]
-        entries = {}
-        for (j, i), coeff in res.diffs[-k].items():
-            mu, nu = terms[k][i], terms[k - 1][j]
+    degrees = []
+    for k, syms in enumerate(terms):
+        blocks = []
+        for (j, i), coeff in (res.diffs[-k].items() if k else ()):
+            mu, nu = syms[i], terms[k - 1][j]
             kind = gen_kind(mu, nu)
             if kind == "id":
                 block = e_lambda(mu, f)
@@ -434,16 +460,10 @@ def matrix_complex(res):
                 block = up_map(mu, f)
             else:
                 block = ud_map(mu[:-1], f)
-            for (_, _, p), c in block.entries.items():
-                key = (j, i, p)
-                entries[key] = f.add(entries.get(key, f.zero), f.mul(coeff, c))
-        diffs.append(PermMatrix(src.ambient, dst.ambient, entries, f))
-    for k in range(2, len(objects)):
-        if max(objects[k - 1].ambient, default=0) <= _CHECK_PARTS:
-            if not compose(diffs[k - 1], diffs[k], MU2).is_zero():
-                raise AssertionError(
-                    "matrix differential does not square to zero")
-    return objects, diffs
+            blocks.append((j, i, block.entries, coeff))
+        degrees.append(([((len(mu),), e_lambda(mu, f).entries)
+                         for mu in syms], blocks))
+    return _assemble_complex(degrees, f)
 
 
 def tensor_matrix_complexes(xa, da, xb, db, max_deg):
@@ -452,59 +472,28 @@ def tensor_matrix_complexes(xa, da, xb, db, max_deg):
     Degree k is the sum over a + b = k of the part groups of X_a (x) Y_b; the
     differential uses the sign rule d(x (x) y) = dx (x) y + (-1)^a x (x) dy.
     Each block is the raw entries of a Kronecker product
-    (`schwartz._tensor_entries`) shifted to its part offsets, so each entry
-    is checked once, by the one `PermMatrix` of its degree.
-    The squared differential is checked within `_CHECK_PARTS` (beyond that it
-    follows from bifunctoriality of the tensor, which the tests verify).
+    (`schwartz._tensor_entries`).  The squared differential is checked
+    within `_CHECK_PARTS` (beyond that it follows from bifunctoriality of
+    the tensor, which the tests verify).
     """
     f = xa[0].field if xa else QQ
-    blocks = []     # per degree: list of (a, b)
-    objects = []    # per degree: AObject
-    offsets = []    # per degree: {(a, b): part offset}
-    for k in range(max_deg + 1):
-        degree_blocks = [(a, k - a) for a in range(k + 1)
-                         if a < len(xa) and k - a < len(xb)]
-        parts, offs, entries = [], {}, {}
-        for (a, b) in degree_blocks:
-            source, _, block = _tensor_entries(xa[a].idem, xb[b].idem)
-            offs[(a, b)] = shift = len(parts)
-            for (ti, si, p), c in block.items():
-                entries[(ti + shift, si + shift, p)] = c
-            parts.extend(source)
-        obj = AObject(MU2, tuple(parts),
-                      PermMatrix(tuple(parts), tuple(parts), entries, f))
-        blocks.append(degree_blocks)
-        objects.append(obj)
-        offsets.append(offs)
-    diffs = [None]
-    for k in range(1, max_deg + 1):
-        entries = {}
-        for (a, b) in blocks[k]:
-            src_off = offsets[k][(a, b)]
-            if a >= 1 and (a - 1, b) in offsets[k - 1]:
-                _, _, block = _tensor_entries(da[a],
-                                              identity(xb[b].ambient, f))
-                dst_off = offsets[k - 1][(a - 1, b)]
-                for (ti, si, p), c in block.items():
-                    key = (ti + dst_off, si + src_off, p)
-                    entries[key] = f.add(entries.get(key, f.zero), c)
-            if b >= 1 and (a, b - 1) in offsets[k - 1]:
-                _, _, block = _tensor_entries(identity(xa[a].ambient, f),
-                                              db[b])
-                dst_off = offsets[k - 1][(a, b - 1)]
-                sign = f.of_int((-1) ** a)
-                for (ti, si, p), c in block.items():
-                    key = (ti + dst_off, si + src_off, p)
-                    entries[key] = f.add(entries.get(key, f.zero),
-                                         f.mul(sign, c))
-        diffs.append(PermMatrix(objects[k].ambient, objects[k - 1].ambient,
-                                entries, f))
-    for k in range(2, max_deg + 1):
-        if max(objects[k - 1].ambient, default=0) <= _CHECK_PARTS:
-            if not compose(diffs[k - 1], diffs[k], MU2).is_zero():
-                raise AssertionError(
-                    "tensor differential does not square to zero")
-    return objects, diffs
+    pairs = [[(a, k - a) for a in range(k + 1)
+              if a < len(xa) and k - a < len(xb)] for k in range(max_deg + 1)]
+    degrees = []
+    for k, here in enumerate(pairs):
+        blocks = []
+        for i, (a, b) in enumerate(here):
+            # (a - 1, b) and (a, b - 1) lie in degree k - 1 when nonnegative
+            if a:
+                dx = _tensor_entries(da[a], identity(xb[b].ambient, f))[2]
+                blocks.append((pairs[k - 1].index((a - 1, b)), i, dx, f.one))
+            if b:
+                dy = _tensor_entries(identity(xa[a].ambient, f), db[b])[2]
+                blocks.append((pairs[k - 1].index((a, b - 1)), i, dy,
+                               f.of_int((-1) ** a)))
+        degrees.append(([_tensor_entries(xa[a].idem, xb[b].idem)[::2]
+                         for a, b in here], blocks))
+    return _assemble_complex(degrees, f)
 
 
 def tor_bmod(m, n, imax, max_part=6, nu_len=None):

@@ -70,13 +70,31 @@ class Rationals:
         return hash("Rationals")
 
 
+def _is_prime(n):
+    """Whether n is prime, by Miller-Rabin to the bases 2, 3, ..., 41: exact
+    below 3.317e24 (Sorenson and Webster), so a larger n is refused."""
+    if n >= 3317044064679887385961981:
+        raise ValueError("primality is decided below 3317044064679887385961981")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d * 2**s, d odd
+    for a in bases:
+        powers = [pow(a, (n - 1) >> s, n)]     # a^(2^i d) mod n for i < s
+        while len(powers) < s:
+            powers.append(powers[-1] ** 2 % n)
+        if powers[0] != 1 and n - 1 not in powers:
+            return False
+    return True
+
+
 class PrimeField:
     """The field Z/p for a prime p, with int elements in [0, p)."""
 
     characteristic = None  # set per instance
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if not _is_prime(p):
             raise ValueError(f"not a prime: {p}")
         self.p = p
         self.name = f"p{p}"

@@ -607,6 +607,10 @@ def matrix_from_json(data, field=QQ):
         if c is None:
             raise ValueError(f"entries[{k}].coeff {coeff!r} is not an "
                              f"element of {field!r}")
-        entries[(e["ti"], e["si"], path)] = c
+        key = (e["ti"], e["si"], path)
+        if key in entries:  # each earlier entry added one key, in order
+            raise ValueError(f"entries[{k}] repeats the key of entries"
+                             f"[{list(entries).index(key)}]")
+        entries[key] = c
     return PermMatrix(tuple(parts["source"]), tuple(parts["target"]),
                       entries, field)

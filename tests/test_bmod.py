@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from delannoy import rep
+from delannoy.acat import down_map, e_lambda, indecomposable
 from delannoy.bmod import (BModule, WindowExceeded, ext_table, gen_kind,
                            has_standard_filtration, matrix_complex,
                            min_projective_resolution, named_bmodule,
@@ -12,7 +13,8 @@ from delannoy.bmod import (BModule, WindowExceeded, ext_table, gen_kind,
 from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import rank
 from delannoy.schwartz import identity, tensor
-from delannoy.weights import dual, enumerate_weights, is_alternating
+from delannoy.weights import (WeightComplex, dual, enumerate_weights,
+                              is_alternating)
 from module_oracle import cokernel, image
 
 
@@ -250,6 +252,23 @@ def test_tensor_complex_blocks_are_the_tensors(field):
         assert diffs[k].target == objects[k - 1].ambient
         assert list(diffs[k].entries.items()) == list(want.items())
         assert want
+
+
+def test_matrix_complex_refuses_a_differential_that_does_not_square_to_zero():
+    # the identity on P_w followed by the generator P_w -> P_e composes to
+    # that generator; `validate` would refuse these symbols, and
+    # `matrix_complex` checks the concrete maps without it
+    res = WeightComplex({0: [""], -1: ["w"], -2: ["w"]},
+                        {-1: {(0, 0): 1}, -2: {(0, 0): 1}}, QQ)
+    with pytest.raises(AssertionError, match="square to zero"):
+        matrix_complex(res)
+
+
+def test_tensor_complex_refuses_a_factor_that_does_not_square_to_zero():
+    xa = [indecomposable(lam) for lam in ("", "w", "w")]
+    da = [None, down_map("", QQ), e_lambda("w", QQ)]
+    with pytest.raises(AssertionError, match="square to zero"):
+        tensor_matrix_complexes(xa, da, [indecomposable("")], [None], 2)
 
 
 def test_tor_flat_projective():

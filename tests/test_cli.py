@@ -116,6 +116,10 @@ def test_prime_field_flag(capsys):
      '[{"ti": 0, "si": 0, "path": "D", "coeff": 0.5}]}', "entries[0].coeff"),
     ('{"source": [1], "target": [1], "entries": '
      '[{"ti": 0, "si": 0, "path": "DD", "coeff": "1"}]}', "'DD'"),
+    ('{"source": [1], "target": [1], "entries": '
+     '[{"ti": 0, "si": 0, "path": "D", "coeff": "1"}, '
+     '{"ti": 0, "si": 0, "path": "D", "coeff": "2"}]}',
+     "entries[1] repeats the key of entries[0]"),
     ("not json", "Expecting value"),
 ])
 def test_compose_rejects_malformed_matrix(tmp_path, capsys, text, field):

@@ -3,9 +3,11 @@
 An integral rational is a Python int and only a non-integral one a Fraction,
 so that elimination with unit pivots runs on ints.  The differential tests
 hold the kernel's answers on int and mixed int/Fraction matrices to its
-answers on the same matrices with every entry a Fraction.
+answers on the same matrices with every entry a Fraction.  A prime field
+accepts exactly the primes, large ones included.
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delannoy.bmod import min_projective_resolution, named_bmodule
-from delannoy.fields import QQ
+from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import homology_dims, nullspace, rank, rref, solve
 from delannoy.weights import enumerate_weights
 
@@ -24,6 +26,29 @@ def _exact(value):
     if isinstance(value, (list, tuple)):
         return all(_exact(v) for v in value)
     return value is None or type(value) in (int, Fraction)
+
+
+def test_prime_field_takes_large_primes_at_once():
+    start = time.perf_counter()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.5
+    for p in (2, 3, 41, 43, 46337, 999999999989):
+        assert PrimeField(p).p == p
+
+
+# 561 is a Carmichael number, 2047 a strong pseudoprime to base 2,
+# 3215031751 to the bases 2, 3, 5, 7, and 3825123056546413051 to every
+# base up to 31.
+@pytest.mark.parametrize("n", [0, 1, 4, 561, 2047, 3215031751,
+                               3825123056546413051])
+def test_prime_field_rejects_non_primes(n):
+    with pytest.raises(ValueError, match="not a prime"):
+        PrimeField(n)
+
+
+def test_prime_field_refuses_what_it_cannot_decide():
+    with pytest.raises(ValueError, match="below 3317044064679887385961981"):
+        PrimeField(2 ** 89 - 1)
 
 
 def test_inverse_of_a_non_unit_is_a_fraction():

@@ -73,8 +73,8 @@ def _right_operator(x, y_ambient, keys, key_pos, measure):
 
 def _hom_dim_prime(x, y, keys, mu, f):
     key_pos = {k: i for i, k in enumerate(keys)}
-    id_left = y.is_identity_cut()
-    id_right = x.is_identity_cut()
+    id_left = y.identity_cut
+    id_right = x.identity_cut
     left = None if id_left else _left_operator(y, x.ambient, keys, key_pos, mu)
     right = None if id_right else _right_operator(x, y.ambient, keys, key_pos, mu)
     if left is None or right is None:
@@ -87,7 +87,7 @@ def dense_hom_dim(x, y):
     keys = _span_keys(x, y)
     if not keys:
         return 0
-    if x.is_identity_cut() and y.is_identity_cut():
+    if x.identity_cut and y.identity_cut:
         return len(keys)
     return _hom_dim_prime(x, y, keys, x.measure, x.field)
 
@@ -172,7 +172,7 @@ def test_identity_cuts_and_z_lifts_compare_within_one_field(field):
     for lit, is_identity in (("A:2", True), ("M:e", True), ("M:bw", False),
                              ("M:b*M:w", False)):
         x = parse_aobject(lit, field)
-        assert x.is_identity_cut() is is_identity
+        assert x.identity_cut is is_identity
         lifted = frozenset(_integer_entries(x.idem).items())
         assert _idempotent_over_z(x.measure, x.ambient, lifted)
     doubled = frozenset({((0, 0, "D"), 2)})

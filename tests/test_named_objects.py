@@ -6,8 +6,9 @@ per-object arrays: it lifts both idempotents, groups their diagonal
 part-blocks as [(path, int)] lists and contracts each block row by row in
 Python ints.  It stays here as the oracle, kept verbatim apart from reading
 the lists off `_lifted_diag` instead of the old two-part `AObject.lifted`,
-and the block off the per-measure `_trace_table(s_t, s_src, mu)` instead of
-column mu - 1 of the old four-measure table.
+and the block off the per-measure `_trace_table(s_t, s_src, mu)`, with its
+path ids from `_path_pos`, instead of column mu - 1 of the old four-measure
+table.
 """
 
 import json
@@ -23,7 +24,7 @@ from delannoy.bmod import BModule, named_bmodule
 from delannoy.dmod import DModule, named_dmodule
 from delannoy.fields import QQ, PrimeField
 from delannoy.paths import delannoy
-from delannoy.schwartz import MU1, MU2
+from delannoy.schwartz import MU1, MU2, _path_pos
 from delannoy.weights import enumerate_weights
 
 from test_verify_stdout import STDOUT, TABLES, _report
@@ -50,7 +51,7 @@ def loop_hom_dim(x, y):
     if not n_keys:
         return 0
     mu = x.measure
-    if x.is_identity_cut() and y.is_identity_cut():
+    if x.identity_cut and y.identity_cut:
         return n_keys
     (x_int, x_diag), (y_int, y_diag) = _lifted_diag(x), _lifted_diag(y)
     total = 0
@@ -62,7 +63,8 @@ def loop_hom_dim(x, y):
             alphas = x_diag.get(sp)
             if alphas is None:
                 continue
-            table, beta_pos, alpha_pos = _trace_table(s_t, s_src, mu)
+            table = _trace_table(s_t, s_src, mu)
+            beta_pos, alpha_pos = _path_pos(s_t, s_t), _path_pos(s_src, s_src)
             rows = [beta_pos[b] for b, _ in betas]
             cols = [alpha_pos[a] for a, _ in alphas]
             block = table[np.ix_(rows, cols)]
@@ -74,7 +76,7 @@ def loop_hom_dim(x, y):
     if f.p > n_keys:
         return total % f.p
     for obj, ent in ((x, x_int), (y, y_int)):
-        if not (obj.is_identity_cut() or _idempotent_over_z(
+        if not (obj.identity_cut or _idempotent_over_z(
                 mu, obj.ambient, frozenset(ent.items()))):
             raise ValueError(f"hom dimension over GF({f.p}) is not certified: "
                              "an idempotent does not lift to one over Z")
@@ -194,7 +196,7 @@ def test_per_object_flags_are_computed_once(monkeypatch):
     for _ in range(3):
         assert hom_dim(x, x) == 1
     assert len(calls) == 1
-    assert x.lifts_over_z and not x.is_identity_cut()
+    assert x.lifts_over_z and not x.identity_cut
 
 
 def test_a_rejected_full_support_is_not_remembered():

@@ -24,7 +24,7 @@ from delannoy.paths import enumerate_paths, representative
 from delannoy.schwartz import (BOUNDED, FULL_LINE, MAX_MIDDLE, MEASURES,
                                UNBOUNDED_ABOVE, UNBOUNDED_BELOW, PermMatrix,
                                _middle_cells, _pair_arrays, _pair_index,
-                               compose, gap_measure)
+                               _path_pos, compose, gap_measure)
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +222,8 @@ def test_trace_table_matches_oracle(sizes):
     s_t, s_src = sizes
     want = _oracle_trace_table(s_t, s_src)
     for mu in MEASURES:
-        table, beta_pos, alpha_pos = acat._trace_table(s_t, s_src, mu)
+        table = acat._trace_table(s_t, s_src, mu)
+        beta_pos, alpha_pos = _path_pos(s_t, s_t), _path_pos(s_src, s_src)
         assert table.dtype == np.int64
         assert table.shape == (len(beta_pos), len(alpha_pos))
         expect = np.zeros_like(table)
@@ -236,7 +237,7 @@ def test_trace_table_join_in_many_chunks(monkeypatch):
     monkeypatch.setattr(acat, "_JOIN_CHUNK", 7)
     for mu, table in zip(MEASURES, want):
         got = acat._trace_table.__wrapped__(3, 3, mu)
-        assert np.array_equal(got[0], table[0])
+        assert np.array_equal(got, table)
 
 
 def _patch_pair_arrays(monkeypatch, arrays):
@@ -268,14 +269,18 @@ def test_join_with_an_empty_side_gives_zeros(monkeypatch, empty):
                                      ((1, 0, 0), 1): second,
                                      ((1, 1, 0), 2): one,
                                      ((1, 0, 0), 2): one})
-    table, _, _ = acat._trace_table.__wrapped__(1, 0, 1)
+    table = acat._trace_table.__wrapped__(1, 0, 1)
     assert table.shape == (3, 1) and not table.any()
     block = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
-    diag = acat._block_diagonal(1, 0, block, block, 1)
-    assert diag.tolist() == [0]
+
+    def diagonal(mu):
+        source = acat._source_side(1, 0, block, mu)
+        return acat._block_diagonal(1, 0, block, source, mu).tolist()
+
+    assert diagonal(1) == [0]
     # under mu2 both sides keep their row, which joins
-    assert acat._trace_table.__wrapped__(1, 0, 2)[0][0, 0] == 1
-    assert acat._block_diagonal(1, 0, block, block, 2).tolist() == [1]
+    assert acat._trace_table.__wrapped__(1, 0, 2)[0, 0] == 1
+    assert diagonal(2) == [1]
 
 
 def test_too_large_middle_raises_before_any_allocation(monkeypatch):
