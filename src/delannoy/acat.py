@@ -317,18 +317,20 @@ def _trace_terms(x, y):
     idempotents (`AObject.diag_blocks`).
 
     A term is yc @ block @ xc with block = `_trace_table(s_t, s_src,
-    mu)`[rows, cols], exact: in int64 when sum|yc| * sum|xc| * max|block| <
-    2**63 bounds every partial sum, in Python ints otherwise.  `hom_dim`
-    sums the terms; `hom_space` hands the same terms to `_cut_diagonal`,
-    which reads the diagonal only where a term is nonzero.
+    mu)`[rows, cols], exact: in int64 when sum|yc| * sum|xc| * D(s_src,
+    s_t)**2 < 2**63 bounds every partial sum, in Python ints otherwise.  A
+    table entry sums one product of two constants in {0, 1, -1} per pair
+    (delta, gamma), so it is at most D(s_src, s_t)**2.  `hom_dim` sums the
+    terms; `hom_space` hands them to `_cut_diagonal`, which reads the
+    diagonal only where a term is nonzero.
     """
     mu = x.measure
     out = {}
     for tp, (rows, yc, y_norm) in y.diag_blocks.items():
         for sp, (cols, xc, x_norm) in x.diag_blocks.items():
-            block = _trace_table(y.ambient[tp], x.ambient[sp], mu)[
-                rows[:, None], cols]
-            if y_norm * x_norm * _max_abs(block) < _INT64_LIMIT:
+            s_t, s_src = y.ambient[tp], x.ambient[sp]
+            block = _trace_table(s_t, s_src, mu)[rows[:, None], cols]
+            if y_norm * x_norm * delannoy(s_src, s_t) ** 2 < _INT64_LIMIT:
                 out[tp, sp] = int(yc @ block @ xc)
             else:
                 out[tp, sp] = int(yc.astype(object) @ block.astype(object)

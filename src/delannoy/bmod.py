@@ -24,13 +24,13 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import rep
-from .acat import (AObject, coords_in_basis, down_map, e_lambda, hom_space,
-                   indecomposable, ud_map, up_map)
+from .acat import (coords_in_basis, down_map, e_lambda, hom_space,
+                   indecomposable, tensor_objects, ud_map, up_map)
 from .fields import QQ
 from .linalg import (SpanBuilder, eye, homology_dims, mat_is_zero, mat_mul,
                      mat_transpose, mat_vec, rank, zeros)
 from .rep import Module, ModuleMap
-from .schwartz import MU2, PermMatrix, _tensor_entries, compose, identity
+from .schwartz import MU2, compose, identity, tensor
 from .weights import (WeightComplex, alternating_suffixes, enumerate_weights,
                       gen_kind, sort_key)
 
@@ -389,150 +389,149 @@ class WindowExceeded(Exception):
     """A computation left its certified window (parts or degree too large)."""
 
 
-# Largest part size of the middle degree at which `_assemble_complex`
-# composes d o d to check that it vanishes.
+# Largest middle-degree part at which `_check_square_zero` composes d o d.
 _CHECK_PARTS = 4
 
 
-def _assemble_complex(degrees, f):
-    """The matrix complex with degrees[k] = (summands, blocks) in degree k.
+def _generator(mu, nu, f):
+    """The generator map M_mu -> M_nu of the kind `gen_kind(mu, nu)` names;
+    ValueError when there is none (Hom(M_mu, M_nu) vanishes)."""
+    kind = gen_kind(mu, nu)
+    if kind == "id":
+        return e_lambda(mu, f)
+    if kind == "d":
+        return down_map(nu, f)
+    if kind == "u":
+        return up_map(mu, f)
+    if kind == "ud":
+        return ud_map(mu[:-1], f)
+    raise ValueError(f"no generator {mu!r} -> {nu!r}")
 
-    Degree k is the direct sum of its summands, each (parts, idempotent
-    entries); d_k sums its blocks, each (dst, src, entries, coeff): coeff
-    times a map from summand src of degree k to summand dst of degree k - 1.
-    Keys are summand-local and shifted to part offsets here, so each entry
-    is checked once, by its degree's one `PermMatrix`.  Returns (objects,
-    diffs) with diffs[k]: objects[k] -> objects[k-1]; d o d is checked to
-    vanish where the middle degree's parts stay within `_CHECK_PARTS`.
-    """
-    objects, diffs = [], [None]
-    for k, (summands, blocks) in enumerate(degrees):
-        starts = list(accumulate((len(p) for p, _ in summands), initial=0))
-        ambient = tuple(s for parts, _ in summands for s in parts)
-        entries = {(ti + o, si + o, p): c
-                   for o, (_, block) in zip(starts, summands)
-                   for (ti, si, p), c in block.items()}
-        objects.append(AObject(MU2, ambient,
-                               PermMatrix(ambient, ambient, entries, f)))
-        entries = {}
-        for dst, src, block, coeff in blocks:   # none in degree 0
-            t_off, s_off = below[dst], starts[src]
-            for (ti, si, p), c in block.items():
-                key = (ti + t_off, si + s_off, p)
-                entries[key] = f.add(entries.get(key, f.zero), f.mul(coeff, c))
-        if k:
-            diffs.append(PermMatrix(ambient, objects[k - 1].ambient, entries, f))
-        if k > 1 and max(objects[k - 1].ambient, default=0) <= _CHECK_PARTS:
-            if not compose(diffs[k - 1], diffs[k], MU2).is_zero():
-                raise AssertionError("differential does not square to zero")
-        below = starts
-    return objects, diffs
+
+def _check_square_zero(cpx):
+    """AssertionError unless d o d vanishes on the matrix complex cpx, where
+    the middle degree's parts stay within `_CHECK_PARTS`: the composites of
+    consecutive blocks are summed per (dst, src)."""
+    for k in range(2, len(cpx)):
+        middle, below = cpx[k - 1]
+        if any(s > _CHECK_PARTS for z in middle for s in z.ambient):
+            continue
+        terms = {}  # (dst, src): the composites through each middle summand
+        for mid, src, first, c1 in cpx[k][1]:
+            for dst, _, second, c2 in (b for b in below if b[1] == mid):
+                terms.setdefault((dst, src), []).append(compose(
+                    second, first, MU2).scale(first.field.mul(c2, c1)))
+        if any(not sum(ts[1:], ts[0]).is_zero() for ts in terms.values()):
+            raise AssertionError("differential does not square to zero")
 
 
 def matrix_complex(res):
-    """Realize a projective resolution as cut objects and matrices.
+    """Realize a projective resolution as a matrix complex of cut objects.
 
-    Homological degree k (degree -k of `res`) becomes the direct sum object
-    with one ambient part per symbol (cut by the weight idempotents);
-    generator entries become the concrete distinguished maps, whose
-    compositions satisfy the same relations as the formal generators (the
-    mixed composite is defined as the composite).
-    Returns (objects, diffs) with diffs[k]: objects[k] -> objects[k-1].
-
-    The squared differential is machine-checked to vanish within
-    `_CHECK_PARTS`; beyond that the identity follows from d o d = 0 on the
-    symbols plus the generator relations, which the test suite checks
-    concretely (compositions of the distinguished maps).
+    A matrix complex is a list with one (summands, blocks) per homological
+    degree k: degree k is the direct sum of its summands, and d_k is the
+    sum of its blocks (dst, src, matrix, coeff), coeff times a map from
+    summand src of degree k to summand dst of degree k - 1.  Degree k
+    (degree -k of `res`) has one summand M_mu (`indecomposable`) per
+    symbol, and each entry is the generator map between two symbols
+    (`_generator`); they compose by the same relations as the formal
+    generators (the mixed composite is defined as the composite).  d o d is
+    checked within `_CHECK_PARTS`; beyond that it follows from d o d = 0 on
+    the symbols and the generator relations, which the tests check.
     """
     f = res.field
     terms = [res.terms[-k] for k in range(len(res.terms))]
-    degrees = []
-    for k, syms in enumerate(terms):
-        blocks = []
-        for (j, i), coeff in (res.diffs[-k].items() if k else ()):
-            mu, nu = syms[i], terms[k - 1][j]
-            kind = gen_kind(mu, nu)
-            if kind == "id":
-                block = e_lambda(mu, f)
-            elif kind == "d":
-                block = down_map(nu, f)
-            elif kind == "u":
-                block = up_map(mu, f)
-            else:
-                block = ud_map(mu[:-1], f)
-            blocks.append((j, i, block.entries, coeff))
-        degrees.append(([((len(mu),), e_lambda(mu, f).entries)
-                         for mu in syms], blocks))
-    return _assemble_complex(degrees, f)
+    cpx = [([indecomposable(mu, MU2, f) for mu in syms],
+            [(j, i, _generator(syms[i], terms[k - 1][j], f), coeff)
+             for (j, i), coeff in (res.diffs[-k].items() if k else ())])
+           for k, syms in enumerate(terms)]
+    _check_square_zero(cpx)
+    return cpx
 
 
-def tensor_matrix_complexes(xa, da, xb, db, max_deg):
-    """Total complex of the Kronecker tensor of two matrix complexes.
+def tensor_matrix_complexes(ca, cb, max_deg):
+    """The total complex of the Kronecker tensor of two matrix complexes
+    (`matrix_complex`), to degree max_deg.
 
-    Degree k is the sum over a + b = k of the part groups of X_a (x) Y_b; the
-    differential uses the sign rule d(x (x) y) = dx (x) y + (-1)^a x (x) dy.
-    Each block is the raw entries of a Kronecker product
-    (`schwartz._tensor_entries`).  The squared differential is checked
-    within `_CHECK_PARTS` (beyond that it follows from bifunctoriality of
-    the tensor, which the tests verify).
+    Degree k has one summand x (x) y (`tensor_objects`) per summand x of
+    degree a of ca and y of degree k - a of cb, in the order of (a, x, y).
+    By the sign rule d(x (x) y) = dx (x) y + (-1)^a x (x) dy, a block B of
+    ca with coeff c gives the blocks B (x) id_y with coeff c, and one of cb
+    gives id_x (x) B with coeff (-1)^a c.  d o d is checked within
+    `_CHECK_PARTS`; beyond that it follows from bifunctoriality of the
+    tensor, which the tests check.
     """
-    f = xa[0].field if xa else QQ
-    pairs = [[(a, k - a) for a in range(k + 1)
-              if a < len(xa) and k - a < len(xb)] for k in range(max_deg + 1)]
-    degrees = []
-    for k, here in enumerate(pairs):
-        blocks = []
-        for i, (a, b) in enumerate(here):
-            # (a - 1, b) and (a, b - 1) lie in degree k - 1 when nonnegative
-            if a:
-                dx = _tensor_entries(da[a], identity(xb[b].ambient, f))[2]
-                blocks.append((pairs[k - 1].index((a - 1, b)), i, dx, f.one))
-            if b:
-                dy = _tensor_entries(identity(xa[a].ambient, f), db[b])[2]
-                blocks.append((pairs[k - 1].index((a, b - 1)), i, dy,
-                               f.of_int((-1) ** a)))
-        degrees.append(([_tensor_entries(xa[a].idem, xb[b].idem)[::2]
-                         for a, b in here], blocks))
-    return _assemble_complex(degrees, f)
+    cpx, at = [], {}  # at[a, b, i, j]: the position of x_i (x) y_j
+    for k in range(max_deg + 1):
+        here = [(a, k - a) for a in range(k + 1)
+                if a < len(ca) and k - a < len(cb)]
+        summands, blocks = [], []
+        for a, b in here:
+            for i, x in enumerate(ca[a][0]):
+                for j, y in enumerate(cb[b][0]):
+                    at[a, b, i, j] = len(summands)
+                    summands.append(tensor_objects(x, y))
+        for a, b in here:   # no blocks leave degree 0 of either factor
+            for dst, src, block, c in ca[a][1]:
+                for j, y in enumerate(cb[b][0]):
+                    dx = tensor(block, identity(y.ambient, block.field))
+                    blocks.append((at[a - 1, b, dst, j], at[a, b, src, j],
+                                   dx, c))
+            for dst, src, block, c in cb[b][1]:
+                c = block.field.neg(c) if a % 2 else c  # (-1)^a c
+                for i, x in enumerate(ca[a][0]):
+                    dy = tensor(identity(x.ambient, block.field), block)
+                    blocks.append((at[a, b - 1, i, dst], at[a, b, i, src],
+                                   dy, c))
+        cpx.append((summands, blocks))
+    _check_square_zero(cpx)
+    return cpx
 
 
 def tor_bmod(m, n, imax, max_part=6, nu_len=None):
     """[dim Tor_i(m, n) for i in 0..imax] via the matrix route.
 
-    Both minimal resolutions are realized as matrix complexes over the cut
-    objects, Kronecker-tensored, and pushed through the restricted Yoneda
-    functor degreewise; homology dimensions are summed over the weight
-    window.  `nu_len` bounds the window; the full support bound is
-    max part + 1, but the default caps at 4 because composition middles of
-    the cut operators grow exponentially with parts + window (desk scale).
-    Pass `nu_len` explicitly to widen or narrow.  Parts beyond `max_part`
-    raise WindowExceeded.
+    Both minimal resolutions are realized as matrix complexes, tensored,
+    and pushed through the restricted Yoneda functor degreewise; homology
+    dimensions are summed over the weight window.  Hom(M_nu, Z_k) is the
+    sum of the summands' hom spaces, and a block (dst, src, B, c) sends a
+    basis map h of summand src to c times the coordinates of B o h in
+    summand dst's.  `nu_len` bounds the window; the support bound is max
+    part + 1, but the default caps at 4 because composition middles grow
+    exponentially with parts + window.  Parts beyond `max_part` raise
+    WindowExceeded.
     """
     f = m.field
     res_a = min_projective_resolution(m, imax + 1)
     res_b = min_projective_resolution(n, imax + 1)
-    biggest = 0
-    for k in range(imax + 2):
-        for a in range(k + 1):
-            for mu in res_a.terms.get(-a, ()):
-                for nu in res_b.terms.get(a - k, ()):
-                    biggest = max(biggest, len(mu) + len(nu))
+    biggest = max((len(mu) + len(nu) for k in range(imax + 2)
+                   for a in range(k + 1) for mu in res_a.terms.get(-a, ())
+                   for nu in res_b.terms.get(a - k, ())), default=0)
     if biggest > max_part:
         raise WindowExceeded(
             f"tensor parts reach {biggest} > max_part={max_part}")
     if nu_len is None:
         nu_len = min(biggest + 1, 4)
-    xa, da = matrix_complex(res_a)
-    xb, db = matrix_complex(res_b)
-    objects, diffs = tensor_matrix_complexes(xa, da, xb, db, imax + 1)
+    cpx = tensor_matrix_complexes(matrix_complex(res_a),
+                                  matrix_complex(res_b), imax + 1)
     out = [0] * (imax + 1)
     for nu in enumerate_weights(nu_len):
         m_nu = indecomposable(nu, MU2, f)
-        spaces = [hom_space(m_nu, z) for z in objects]
-        # one row per basis map of degree k: the coordinates of its image
-        images = [None] + [
-            [coords_in_basis(compose(diffs[k], h, MU2), spaces[k - 1])
-             for h in spaces[k].basis] for k in range(1, len(spaces))]
-        dims = homology_dims([s.dim for s in spaces], images, f, imax)
+        spaces = [[hom_space(m_nu, z) for z in summands]
+                  for summands, _ in cpx]
+        starts = [list(accumulate((s.dim for s in sp), initial=0))
+                  for sp in spaces]
+        images = [None]  # one row per basis map of degree k: its image
+        for k in range(1, len(cpx)):
+            rows = [[f.zero] * starts[k - 1][-1]
+                    for _ in range(starts[k][-1])]
+            for dst, src, block, c in cpx[k][1]:
+                for r, h in enumerate(spaces[k][src].basis, starts[k][src]):
+                    coords = coords_in_basis(compose(block, h, MU2),
+                                             spaces[k - 1][dst])
+                    for col, x in enumerate(coords, starts[k - 1][dst]):
+                        rows[r][col] = f.add(rows[r][col], f.mul(c, x))
+            images.append(rows)
+        dims = homology_dims([s[-1] for s in starts], images, f, imax)
         out = [a + b for a, b in zip(out, dims)]
     return out

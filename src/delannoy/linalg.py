@@ -28,6 +28,8 @@ from .fields import QQ, PrimeField
 # vectorized elimination.
 _MOD_PRIMES = (46337, 46327, 46309, 46307, 46301, 46279, 46273, 46271, 46261,
                46237, 46229, 46219, 46199, 46187, 46183, 46181, 46171, 46153)
+# The field of `ModSpan`, built once: each construction tests primality.
+_MOD_FIELD = PrimeField(_MOD_PRIMES[0])
 
 
 def rref(rows, field=QQ):
@@ -380,7 +382,7 @@ class ModSpan(SpanBuilder):
     """
 
     def __init__(self, ncols):
-        super().__init__(ncols, PrimeField(_MOD_PRIMES[0]))
+        super().__init__(ncols, _MOD_FIELD)
 
     def insert(self, vec):
         """vec: dense list of rationals; True if the span mod p grew.  False

@@ -523,11 +523,8 @@ _STEP = {(p, q): (_LETTER[p in _TGT][q in _TGT], _LETTER[p in _SRC][q in _SRC],
          for p in _POINT for q in _POINT}
 
 
-def _tensor_entries(amat, bmat):
-    """The Kronecker product's (source parts, target parts, entries), with
-    the entries not yet checked against the parts: `tensor` wraps them in
-    one `PermMatrix`, and `bmod.tensor_matrix_complexes` shifts them into
-    the blocks of a total complex and checks each entry there once.
+def tensor(amat, bmat):
+    """Kronecker product, re-expanded over orbit parts of the product objects.
 
     Measure-independent.  Each step of an entry path is one point (U target,
     R source, D both), so the joint orbits of two entries are the
@@ -549,13 +546,7 @@ def _tensor_entries(amat, bmat):
                                                  *map(_STEP.__getitem__, walk)))
                 key = (tgt_index[(ta, tb, dt)], src_index[(sa, sb, ds)], gamma)
                 entries[key] = coeff
-    return src_parts, tgt_parts, entries
-
-
-def tensor(amat, bmat):
-    """Kronecker product, re-expanded over orbit parts of the product objects
-    (`_tensor_entries`)."""
-    return PermMatrix(*_tensor_entries(amat, bmat), amat.field)
+    return PermMatrix(src_parts, tgt_parts, entries, f)
 
 
 # ---------------------------------------------------------------------------

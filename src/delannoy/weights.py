@@ -139,9 +139,14 @@ class WeightComplex:
     field: object
 
     def validate(self):
-        """Check that d o d vanishes under `composite_unit`; returns self."""
+        """Check that every entry joins two weights with a generator between
+        them and that d o d vanishes under `composite_unit`; returns self."""
         f = self.field
         for d, first in self.diffs.items():
+            for j, i in first:
+                if gen_kind(self.terms[d][i], self.terms[d + 1][j]) is None:
+                    raise ValueError(f"no generator {self.terms[d][i]!r} -> "
+                                     f"{self.terms[d + 1][j]!r} at degree {d}")
             total = {}
             for (j, k), b in self.diffs.get(d + 1, {}).items():
                 for (k2, i), a in first.items():

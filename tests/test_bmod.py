@@ -12,7 +12,7 @@ from delannoy.bmod import (BModule, WindowExceeded, ext_table, gen_kind,
                            standard_filtration_failures)
 from delannoy.fields import QQ, PrimeField
 from delannoy.linalg import rank
-from delannoy.schwartz import identity, tensor
+from delannoy.schwartz import MU2, identity, tensor
 from delannoy.weights import (WeightComplex, dual, enumerate_weights,
                               is_alternating)
 from module_oracle import cokernel, image
@@ -207,51 +207,67 @@ def test_find_isomorphism():
 
 def test_matrix_complex_realization():
     res = min_projective_resolution(named_bmodule("S", "w"), 2)
-    objects, diffs = matrix_complex(res)
-    assert [o.ambient for o in objects] == [(1,), (2,), (3,)]
-    assert not diffs[1].is_zero() and not diffs[2].is_zero()
+    cpx = matrix_complex(res)
+    # one interned indecomposable per symbol, and one generator block per
+    # entry of the resolution
+    assert [res.terms[-k] for k in range(3)] == [["w"], ["ww"], ["www"]]
+    for k, (summands, _) in enumerate(cpx):
+        assert len(summands) == 1
+        assert summands[0] is indecomposable(res.terms[-k][0], MU2, QQ)
+    assert not cpx[0][1]
+    for k in (1, 2):
+        assert [(dst, src) for dst, src, _, _ in cpx[k][1]] == \
+            list(res.diffs[-k])
+        assert not any(block.is_zero() for _, _, block, _ in cpx[k][1])
 
 
-def _shifted(m, dst, src, sign, out):
-    for (ti, si, p), c in m.entries.items():
-        out[ti + dst, si + src, p] = m.field.mul(sign, c)
+def _blocks(blocks, field):
+    """The blocks of a differential as comparable, sorted tuples."""
+    return sorted((dst, src, m.source, m.target,
+                   tuple(sorted(m.entries.items())), field.format(c))
+                  for dst, src, m, c in blocks)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(3)], ids=repr)
 def test_tensor_complex_blocks_are_the_tensors(field):
-    # each degree of the total complex is the block sum of the Kronecker
-    # products `tensor` builds, in the same entry order
-    xa, da = matrix_complex(min_projective_resolution(
+    # summand (a, i, j) of degree k is x_i (x) y_j, with x_i the i-th
+    # summand of degree a of the first factor and y_j the j-th of degree
+    # k - a of the second; each block is one factor's generator block
+    # tensored with the other factor's identity, signed (-1)^a on the right
+    ca = matrix_complex(min_projective_resolution(
         named_bmodule("S", "w", field), 2))
-    xb, db = matrix_complex(min_projective_resolution(
+    cb = matrix_complex(min_projective_resolution(
         named_bmodule("Q", "b", field), 2))
-    objects, diffs = tensor_matrix_complexes(xa, da, xb, db, 2)
-    offsets = []
-    for k, obj in enumerate(objects):
-        offs, parts, want = {}, [], {}
-        for a in range(k + 1):
-            if a < len(xa) and k - a < len(xb):
-                t = tensor(xa[a].idem, xb[k - a].idem)
-                offs[a, k - a] = len(parts)
-                _shifted(t, len(parts), len(parts), field.one, want)
-                parts.extend(t.source)
-        offsets.append(offs)
-        assert obj.ambient == tuple(parts)
-        assert list(obj.idem.entries.items()) == list(want.items())
-    for k in range(1, len(objects)):
-        want = {}
-        for (a, b), src in offsets[k].items():
-            if (a - 1, b) in offsets[k - 1]:
-                _shifted(tensor(da[a], identity(xb[b].ambient, field)),
-                         offsets[k - 1][a - 1, b], src, field.one, want)
-            if (a, b - 1) in offsets[k - 1]:
-                _shifted(tensor(identity(xa[a].ambient, field), db[b]),
-                         offsets[k - 1][a, b - 1], src,
-                         field.of_int((-1) ** a), want)
-        assert diffs[k].source == objects[k].ambient
-        assert diffs[k].target == objects[k - 1].ambient
-        assert list(diffs[k].entries.items()) == list(want.items())
-        assert want
+    cpx = tensor_matrix_complexes(ca, cb, 2)
+    assert len(cpx) == 3
+    index = []  # index[k][a, i, j]: the position of summand (a, i, j)
+    for k, (summands, blocks) in enumerate(cpx):
+        labels = [(a, i, j) for a in range(k + 1)
+                  if a < len(ca) and k - a < len(cb)
+                  for i in range(len(ca[a][0]))
+                  for j in range(len(cb[k - a][0]))]
+        index.append({lab: s for s, lab in enumerate(labels)})
+        assert len(summands) == len(labels)
+        for z, (a, i, j) in zip(summands, labels):
+            t = tensor(ca[a][0][i].idem, cb[k - a][0][j].idem)
+            assert z.ambient == t.source
+            assert list(z.idem.entries.items()) == list(t.entries.items())
+        want = []
+        for (a, i, j), src in index[k].items() if k else ():
+            b = k - a
+            for dst, s, block, c in ca[a][1] if a else ():
+                if s == i:
+                    y = cb[b][0][j]
+                    want.append((index[k - 1][a - 1, dst, j], src,
+                                 tensor(block, identity(y.ambient, field)), c))
+            for dst, s, block, c in cb[b][1] if b else ():
+                if s == j:
+                    x = ca[a][0][i]
+                    want.append((index[k - 1][a, i, dst], src,
+                                 tensor(identity(x.ambient, field), block),
+                                 field.mul(field.of_int((-1) ** a), c)))
+        assert _blocks(blocks, field) == _blocks(want, field)
+        assert bool(want) == bool(k)
 
 
 def test_matrix_complex_refuses_a_differential_that_does_not_square_to_zero():
@@ -264,11 +280,35 @@ def test_matrix_complex_refuses_a_differential_that_does_not_square_to_zero():
         matrix_complex(res)
 
 
+def test_square_zero_check_sums_the_paths_through_each_middle_summand():
+    # P_w -> P_w + P_w -> P_e: the two composites are the generator with
+    # coefficients 1 and -1, so d o d vanishes only once they are summed
+    res = WeightComplex({0: [""], -1: ["w", "w"], -2: ["w"]},
+                        {-1: {(0, 0): 1, (0, 1): 1},
+                         -2: {(0, 0): 1, (1, 0): -1}}, QQ).validate()
+    assert len(matrix_complex(res)[2][1]) == 2
+
+
 def test_tensor_complex_refuses_a_factor_that_does_not_square_to_zero():
-    xa = [indecomposable(lam) for lam in ("", "w", "w")]
-    da = [None, down_map("", QQ), e_lambda("w", QQ)]
+    ca = [([indecomposable("")], []),
+          ([indecomposable("w")], [(0, 0, down_map("", QQ), 1)]),
+          ([indecomposable("w")], [(0, 0, e_lambda("w", QQ), 1)])]
     with pytest.raises(AssertionError, match="square to zero"):
-        tensor_matrix_complexes(xa, da, [indecomposable("")], [None], 2)
+        tensor_matrix_complexes(ca, [([indecomposable("")], [])], 2)
+
+
+def test_weight_complex_refuses_an_entry_with_no_generator():
+    # Hom(M_bw, M_wb) = 0: no generator joins the two weights
+    assert gen_kind("bw", "wb") is None
+    with pytest.raises(ValueError, match="no generator"):
+        WeightComplex({0: ["wb"], -1: ["bw"]}, {-1: {(0, 0): 1}},
+                      QQ).validate()
+
+
+def test_matrix_complex_refuses_an_entry_with_no_generator():
+    res = WeightComplex({0: ["wb"], -1: ["bw"]}, {-1: {(0, 0): 1}}, QQ)
+    with pytest.raises(ValueError, match="no generator"):
+        matrix_complex(res)
 
 
 def test_tor_flat_projective():

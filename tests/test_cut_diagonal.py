@@ -3,11 +3,12 @@
 `hom_space` orders its scan by the cut diagonal.  `_cut_diagonal` reads it
 only on the part pairs whose trace term is nonzero and keeps each reduced
 source side with the source object; `diagonal_oracle.cut_diagonal` reads
-every pair afresh.  On the terms Z_k that `tor_bmod` builds, cut against
-the indecomposables M_nu of the Tor window, both give the same lead keys,
-the values sum to `hom_dim`, and the scan composes exactly 2d times.
-`hom_space` contracts the trace terms once and hands them to
-`_cut_diagonal`.
+every pair afresh.  On the summands of the terms Z_k that `tor_bmod`
+builds, cut against the indecomposables M_nu of the Tor window, both give
+the same lead keys, the values sum to `hom_dim`, and the scan composes
+exactly 2d times.  `hom_space` contracts the trace terms once and hands
+them to `_cut_diagonal`; its output on the assembled terms of
+`tor_oracle` is pinned by a hash.
 """
 
 import hashlib
@@ -23,19 +24,21 @@ from delannoy.fields import QQ, PrimeField
 from delannoy.schwartz import MU2, compose
 from delannoy.weights import enumerate_weights
 from diagonal_oracle import cut_diagonal
+from tor_oracle import tor_objects as assembled_tor_objects
 
 # (m, n, imax) of tor_bmod(P_ww, S_e, 0) and tor_bmod(S_w, S_w, 1)
 TOR_CASES = [(("P", "ww"), ("S", ""), 0), (("S", "w"), ("S", "w"), 1)]
 
 
 def tor_objects(m, n, imax, field):
-    """The terms Z_0, ..., Z_{imax+1} of the tensor complex `tor_bmod`
-    pushes through the Yoneda functor."""
-    xa, da = matrix_complex(min_projective_resolution(
+    """The summands of the terms Z_0, ..., Z_{imax+1} of the tensor complex
+    that `tor_bmod` pushes through the Yoneda functor, degree by degree."""
+    ca = matrix_complex(min_projective_resolution(
         named_bmodule(*m, field), imax + 1))
-    xb, db = matrix_complex(min_projective_resolution(
+    cb = matrix_complex(min_projective_resolution(
         named_bmodule(*n, field), imax + 1))
-    return tensor_matrix_complexes(xa, da, xb, db, imax + 1)[0]
+    return [z for summands, _ in tensor_matrix_complexes(ca, cb, imax + 1)
+            for z in summands]
 
 
 def _engine_diagonal(x, y):
@@ -111,7 +114,8 @@ def test_source_side_is_reduced_once_per_part_and_target_size(monkeypatch):
 
 # sha256 of the canonical JSON of every hom_space(M_nu, Z_k) below (d, pivot
 # keys, basis entries), taken while `hom_dim` and `_cut_diagonal` each
-# contracted the trace terms themselves.
+# contracted the trace terms themselves.  Z_k is the whole assembled term
+# (`tor_oracle.tor_objects`), a many-part object, not one summand.
 HOM_SPACES_SHA256 = (
     "237cf9215ee38bf861a7cbb3d4d3e4533af3a3dcace63ca5e5d800d504cc7a89")
 
@@ -129,7 +133,9 @@ def test_hom_space_contracts_the_trace_terms_once(monkeypatch):
     for field in (QQ, PrimeField(3)):
         for case in TOR_CASES:
             rows = []
-            for z in tor_objects(*case, field):
+            m, n, imax = case
+            for z in assembled_tor_objects(named_bmodule(*m, field),
+                                           named_bmodule(*n, field), imax)[0]:
                 for nu in enumerate_weights(3):
                     m_nu = indecomposable(nu, MU2, field)
                     calls.clear()
