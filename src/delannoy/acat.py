@@ -11,9 +11,16 @@ operator H -> idem_y o H o idem_x, an integer contraction of the idempotents'
 diagonal blocks against a structure table.  Over F_p the trace is certified
 either by p exceeding the span dimension or by both idempotents lifting to
 idempotents over Z, so a hom dimension is the same over Q and over every F_p.
-The tables are built per (part sizes, measure) from that measure's
-structure constants; the cut's diagonal reads the same sorted side of the
-join (`_join_side`).
+The tables are built per (part sizes, measure) and take one of two routes.
+Under mu2, on parts of size at most `_CHARACTER_MAX_SIZE`, a table is
+chi_t H chi_s^T: two character tables of the Schwartz spaces and the 0/1
+hom-dimension pattern H of the indecomposables.  It is exact because the
+trace sees the two matrices only modulo the radical (`_trace_table` gives
+the argument); the rule that gives the characters is checked against the
+structure constants on every size pair of that window.  Every other table
+is the join of that measure's structure constants (`_trace_join`).  The
+cut's diagonal always reads the structure constants, from the sorted side
+of the join (`_join_side`).
 
 Hom spaces also take one route: `hom_space` scans the cut images once into
 one span (mod p over Q, exact over F_p) and keeps the span's pivot keys with
@@ -41,7 +48,7 @@ import numpy as np
 
 from .fields import QQ, PrimeField
 from .linalg import ModSpan, SpanBuilder, _max_abs, rank_big, solve
-from .paths import delannoy, enumerate_paths, path_m, path_n
+from .paths import RIGHT, UP, delannoy, enumerate_paths, path_m, path_n
 # `_pair_index` is no longer called here; it stays bound because
 # perfbench/selftest.py checks that the tracer rebinds it in this module.
 from .schwartz import (MU2, PermMatrix, _pair_arrays, _pair_index,  # noqa: F401
@@ -233,7 +240,7 @@ def _join_side(s_t, s_src, mu):
     Returns (alpha, key, c): the rows of `_pair_arrays(s_t, s_src, s_src,
     mu)`, c(delta; gamma, alpha), as int32 path ids alpha, join keys
     (`_join_keys`, over the D(s_src, s_t) paths delta and gamma) and the
-    constants, sorted by key.  `_trace_table` and `_source_side` both
+    constants, sorted by key.  `_trace_join` and `_source_side` both
     read it, so neither sorts it again.
     """
     gamma, alpha, delta, c = _pair_arrays(s_t, s_src, s_src, mu)
@@ -242,17 +249,109 @@ def _join_side(s_t, s_src, mu):
     return alpha[order], key[order], c[order]
 
 
+# Part sizes up to which `_trace_table` reads a mu2 table off the characters:
+# the sizes on which tests/test_structure_constants.py compares every trace
+# table with its structure-constant oracle, since the block rule of
+# `_characters` is checked there and not proven.
+_CHARACTER_MAX_SIZE = 4
+
+
+def _path_characters(path):
+    """{lam: chi(path, lam)} for an (n, n) path, over the weights lam whose
+    value is nonzero: the block rule of `_characters`, one sum per prefix
+    ending at a diagonal cut."""
+    cuts, balance = [0], 0
+    for i, step in enumerate(path, 1):
+        balance += (step != UP) - (step != RIGHT)
+        if not balance:
+            cuts.append(i)
+    sums = [{"": 1}] + [{} for _ in cuts[1:]]
+    for j in range(1, len(cuts)):
+        for i in range(j):
+            block = path[cuts[i]:cuts[j]]
+            # (-1)^(m - d): the m source points less the d shared ones
+            sign = -1 if block.count(RIGHT) % 2 else 1
+            letters = [c for c, end in ((BLACK, RIGHT), (WHITE, UP))
+                       if block[-1] != end]
+            for lam, v in sums[i].items():
+                for c in letters:
+                    sums[j][lam + c] = sums[j].get(lam + c, 0) + sign * v
+    return sums[-1]
+
+
+@lru_cache(maxsize=8)
+def _characters(n):
+    """The mu2 character table chi_n of S(R^(n)), an int64 array over the
+    (n, n) paths beta (`enumerate_paths` order) by the weights lam of length
+    <= n (`enumerate_weights` order).
+
+    chi_n[beta, lam] is the trace of C_beta on the multiplicity space of
+    M_lam in S(R^(n)) = sum over lam of M_lam^C(n-1, |lam|-1).  A diagonal
+    cut of beta is a position where the prefix has as many R-or-D steps as
+    U-or-D steps; cutting beta at k-1 of its interior diagonal cuts gives k
+    blocks.  A block with m source points and d D-steps has sign
+    (-1)^(m-d); it may carry the letter b unless its last step is R, and w
+    unless its last step is U.  chi_n[beta, lam] sums, over the cuts of beta
+    into |lam| blocks, the product of each block's sign and whether it may
+    carry its letter of lam.  So chi_0 = [[1]], chi_n[beta, ""] = 0 for
+    n >= 1, and chi_n[D^n, lam] = C(n-1, |lam|-1).
+    """
+    col = {lam: i for i, lam in enumerate(enumerate_weights(n))}
+    paths = enumerate_paths(n, n)
+    out = np.zeros((len(paths), len(col)), dtype=np.int64)
+    for row, path in enumerate(paths):
+        for lam, v in _path_characters(path).items():
+            out[row, col[lam]] = v
+    return out
+
+
 @lru_cache(maxsize=64)
 def _trace_table(s_t, s_src, mu):
     """Structure table for operator traces on the matrix span under mu.
 
     Returns U: U[beta, alpha] is, for the paths with ids beta and alpha
-    (`_path_pos`), the sum over paths delta, gamma between the parts of
-    c_mu(gamma; beta, delta) * c_mu(delta; gamma, alpha):
-    the trace of H -> C_beta o H o C_alpha on the span of matrices from the
-    size-s_src part to the size-s_t part.  Traces of the cut operators are
-    bilinear contractions of this dense int64 table against the diagonal
-    idempotent blocks.
+    (`_path_pos`), the trace of X -> C_beta o X o C_alpha on the span of
+    matrices from the size-s_src part to the size-s_t part.  Traces of the
+    cut operators are bilinear contractions of this dense int64 table
+    against the diagonal idempotent blocks.
+
+    Under mu2 with both sizes at most `_CHARACTER_MAX_SIZE`, U is
+    chi_t H chi_s^T (`_character_trace`): chi the character tables
+    (`_characters`), H[a][b] = dim Hom(M_b, M_a) (`hom_dim_pattern`).  This
+    is exact.  Write B = C_beta in End(S_t), A = C_alpha in End(S_s) and
+    L_B R_A for X -> B o X o A.  Its trace vanishes when B lies in the
+    radical, as L_B is then nilpotent and commutes with R_A (likewise for
+    A), so it depends on B and A modulo the radicals only.  S_t is the sum
+    over a of M_a (x) k^(m_a), and End(M_a) = k, so End(S_t)/rad is the sum
+    over a of Mat(m_a).  On Hom(M_b, M_a) (x) Hom(k^(m_b), k^(m_a)), L_B R_A
+    acts as id (x) (B_a o - o A_b), with B_a and A_b the images of B and A
+    in Mat(m_a) and Mat(m_b), so its trace is the sum over (a, b) of
+    dim Hom(M_b, M_a) * tr B_a * tr A_b, and tr B_a = chi_t[beta, a].  The
+    block rule that gives chi is checked, not proven: the window is the
+    sizes on which the tests compare every table with the oracle.
+
+    Every other table (mu1, mu3, mu4, or a size above the window) is the
+    structure-constant join, `_trace_join`.
+    """
+    if mu == MU2 and max(s_t, s_src) <= _CHARACTER_MAX_SIZE:
+        return _character_trace(s_t, s_src)
+    return _trace_join(s_t, s_src, mu)
+
+
+def _character_trace(s_t, s_src):
+    """chi_t H chi_s^T over the character tables (`_characters`), with
+    H[a][b] = dim Hom(M_b, M_a) (`hom_dim_pattern`): the mu2 trace table
+    that `_trace_table` reads inside its size window."""
+    pattern = np.array([[hom_dim_pattern(b, a)
+                         for b in enumerate_weights(s_src)]
+                        for a in enumerate_weights(s_t)], dtype=np.int64)
+    return _characters(s_t) @ pattern @ _characters(s_src).T
+
+
+def _trace_join(s_t, s_src, mu):
+    """`_trace_table(s_t, s_src, mu)` from the structure constants: U[beta,
+    alpha] is the sum over paths delta, gamma between the parts of
+    c_mu(gamma; beta, delta) * c_mu(delta; gamma, alpha).
 
     The rows of `_pair_arrays(s_t, s_t, s_src, mu)` are expanded over their
     matches on (delta, gamma) in the sorted `_join_side`, a bounded number
@@ -320,7 +419,8 @@ def _trace_terms(x, y):
     mu)`[rows, cols], exact: in int64 when sum|yc| * sum|xc| * D(s_src,
     s_t)**2 < 2**63 bounds every partial sum, in Python ints otherwise.  A
     table entry sums one product of two constants in {0, 1, -1} per pair
-    (delta, gamma), so it is at most D(s_src, s_t)**2.  `hom_dim` sums the
+    (delta, gamma) (`_trace_join`; the character route gives the same
+    table), so it is at most D(s_src, s_t)**2.  `hom_dim` sums the
     terms; `hom_space` hands them to `_cut_diagonal`, which reads the
     diagonal only where a term is nonzero.
     """
@@ -343,9 +443,13 @@ def hom_dim(x, y):
 
     One route for every field.  P is idempotent, so its rank is its trace,
     the sum of `_trace_terms`: integer contractions of the idempotents'
-    diagonal part-blocks (lifted to integer entries) against the structure
-    table of the objects' measure, one per pair of parts.  Over Q the trace
-    is the rank.  Over F_p it is certified one of two ways:
+    diagonal part-blocks (lifted to integer entries) against the trace
+    table of the objects' measure, one per pair of parts.  Under mu2 on
+    parts of size at most `_CHARACTER_MAX_SIZE` that table is read off the
+    character tables, exactly (`_trace_table`); otherwise it is the join of
+    the structure constants.  Both routes give the same integer table, so
+    the certificate below holds for either.  Over Q the trace is the rank.
+    Over F_p it is certified one of two ways:
 
     * p > n_keys: rank = trace mod p, as rank and trace agree mod p and
       0 <= rank <= n_keys < p, where n_keys = sum of D(s_src, s_t) over the
@@ -423,7 +527,7 @@ def _block_diagonal(s_t, s_src, y_block, source, mu):
     sum_gamma (sum_beta y_beta c(gamma; beta, delta))
               * (sum_alpha x_alpha c(delta; gamma, alpha)),
     the per-key term of the trace `hom_dim` sums.  It reads the two sides
-    `_trace_table` joins under mu.  The source side, the alpha sums per
+    `_trace_join` joins under mu.  The source side, the alpha sums per
     (delta, gamma), is `source`, kept with x by `AObject.source_side`.  The
     target side takes the rows of `_pair_arrays(s_t, s_t, s_src, mu)` of
     the betas in y_block, idem_y's (ids, coeffs, norm) block (rows are

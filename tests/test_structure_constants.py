@@ -233,10 +233,10 @@ def test_trace_table_matches_oracle(sizes):
 
 
 def test_trace_table_join_in_many_chunks(monkeypatch):
-    want = [acat._trace_table.__wrapped__(3, 3, mu) for mu in MEASURES]
+    want = [acat._trace_join(3, 3, mu) for mu in MEASURES]
     monkeypatch.setattr(acat, "_JOIN_CHUNK", 7)
     for mu, table in zip(MEASURES, want):
-        got = acat._trace_table.__wrapped__(3, 3, mu)
+        got = acat._trace_join(3, 3, mu)
         assert np.array_equal(got, table)
 
 
@@ -254,7 +254,7 @@ def test_trace_table_refuses_possible_int64_overflow(monkeypatch):
     big = np.array([2 ** 40], dtype=np.int64)
     _patch_pair_arrays(monkeypatch, {((0, 0, 0), 1): (ids, ids, ids, big)})
     with pytest.raises(OverflowError):
-        acat._trace_table.__wrapped__(0, 0, 1)
+        acat._trace_join(0, 0, 1)
 
 
 @pytest.mark.parametrize("empty", ["first", "second", "both"])
@@ -269,7 +269,7 @@ def test_join_with_an_empty_side_gives_zeros(monkeypatch, empty):
                                      ((1, 0, 0), 1): second,
                                      ((1, 1, 0), 2): one,
                                      ((1, 0, 0), 2): one})
-    table = acat._trace_table.__wrapped__(1, 0, 1)
+    table = acat._trace_join(1, 0, 1)
     assert table.shape == (3, 1) and not table.any()
     block = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
 
@@ -279,7 +279,7 @@ def test_join_with_an_empty_side_gives_zeros(monkeypatch, empty):
 
     assert diagonal(1) == [0]
     # under mu2 both sides keep their row, which joins
-    assert acat._trace_table.__wrapped__(1, 0, 2)[0, 0] == 1
+    assert acat._trace_join(1, 0, 2)[0, 0] == 1
     assert diagonal(2) == [1]
 
 
