@@ -19,8 +19,8 @@ trace sees the two matrices only modulo the radical (`_trace_table` gives
 the argument); the rule that gives the characters is checked against the
 structure constants on every size pair of that window.  Every other table
 is the join of that measure's structure constants (`_trace_join`).  The
-cut's diagonal always reads the structure constants, from the sorted side
-of the join (`_join_side`).
+cut's diagonal always reads the structure constants, as two dense sides per
+part pair (`_block_diagonal`).
 
 Hom spaces also take one route: `hom_space` scans the cut images once into
 one span (mod p over Q, exact over F_p) and keeps the span's pivot keys with
@@ -30,8 +30,7 @@ cut's diagonal is nonzero, read off the same structure constants as the
 trace, so a key is composed only when it is likely to join the basis.  The
 trace terms are contracted once per hom space and give both the dimension
 and the part pairs on which the diagonal is read: those whose term is
-nonzero.  The source side of each read is reduced once per (source part,
-target part size) and kept with the source object (`AObject.source_side`).
+nonzero.  Each read builds its two sides afresh and keeps nothing.
 
 e_lambda is written down as path words, one block per letter (D or UR at b,
 D or RU at w), and down_map, up_map and ud_map as e_lambda's words followed
@@ -113,23 +112,6 @@ class AObject:
                                   else object),
                          norm)
         return out
-
-    @cached_property
-    def _source_sides(self):
-        """{(part, s_t): `_source_side`} of this object's diagonal blocks,
-        filled by `source_side`."""
-        return {}
-
-    def source_side(self, part, s_t):
-        """The source side of `_block_diagonal` for diagonal block `part`
-        against target parts of size s_t, reduced once per (part, s_t) and
-        kept with the object, as `diag_blocks` is."""
-        sides = self._source_sides
-        if (part, s_t) not in sides:
-            sides[part, s_t] = _source_side(s_t, self.ambient[part],
-                                            self.diag_blocks[part],
-                                            self.measure)
-        return sides[part, s_t]
 
     @cached_property
     def lifts_over_z(self):
@@ -231,22 +213,6 @@ def _join_keys(delta, gamma, n_span):
     dtype = np.int32 if n_span * n_span <= np.iinfo(np.int32).max \
         else np.int64
     return delta.astype(dtype) * n_span + gamma
-
-
-@lru_cache(maxsize=64)
-def _join_side(s_t, s_src, mu):
-    """The second side of the trace join under measure mu, sorted by key.
-
-    Returns (alpha, key, c): the rows of `_pair_arrays(s_t, s_src, s_src,
-    mu)`, c(delta; gamma, alpha), as int32 path ids alpha, join keys
-    (`_join_keys`, over the D(s_src, s_t) paths delta and gamma) and the
-    constants, sorted by key.  `_trace_join` and `_source_side` both
-    read it, so neither sorts it again.
-    """
-    gamma, alpha, delta, c = _pair_arrays(s_t, s_src, s_src, mu)
-    key = _join_keys(delta, gamma, delannoy(s_src, s_t))
-    order = np.argsort(key)
-    return alpha[order], key[order], c[order]
 
 
 # Part sizes up to which `_trace_table` reads a mu2 table off the characters:
@@ -353,13 +319,20 @@ def _trace_join(s_t, s_src, mu):
     alpha] is the sum over paths delta, gamma between the parts of
     c_mu(gamma; beta, delta) * c_mu(delta; gamma, alpha).
 
-    The rows of `_pair_arrays(s_t, s_t, s_src, mu)` are expanded over their
-    matches on (delta, gamma) in the sorted `_join_side`, a bounded number
-    of joined rows at a time.
+    The rows of `_pair_arrays(s_t, s_src, s_src, mu)` are sorted by their
+    join key (`_join_keys`) on (delta, gamma), and the rows of
+    `_pair_arrays(s_t, s_t, s_src, mu)` are expanded over their matches
+    there, a bounded number of joined rows at a time.
     """
+    n_span = delannoy(s_src, s_t)
     beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
-    key1 = _join_keys(delta1, gamma1, delannoy(s_src, s_t))
-    alpha, key2, c2 = _join_side(s_t, s_src, mu)
+    key1 = _join_keys(delta1, gamma1, n_span)
+    gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src, mu)
+    key2 = _join_keys(delta2, gamma2, n_span)
+    order = np.argsort(key2)
+    alpha, key2, c2 = alpha[order], key2[order], c2[order]
+    # the permutation is one int64 per row: freed before the expansion
+    del order
     n_beta, n_alpha = delannoy(s_t, s_t), delannoy(s_src, s_src)
     lo = np.searchsorted(key2, key1, "left")
     counts = np.searchsorted(key2, key1, "right") - lo
@@ -485,77 +458,51 @@ def _hom_dim_terms(x, y):
     return total, terms
 
 
-def _source_side(s_t, s_src, x_block, mu):
-    """The source side of `_block_diagonal`: the sums
-    sum_alpha x_alpha c(delta; gamma, alpha) per join key of (delta, gamma).
-
-    x_block is the (ids, coeffs, norm) diagonal block of idem_x
-    (`AObject.diag_blocks`) on a part of size s_src.  The rows of its
-    alphas are selected by a mask from `_join_side(s_t, s_src, mu)`, so
-    they stay sorted by key and are summed per key with no sort.  Returns
-    (keys, sums) over the keys whose sum is nonzero, sorted; the sums are
-    exact, int64 under a bound on every partial sum, Python ints otherwise.
-    It depends on x alone given s_t, so `AObject.source_side` keeps it.
-    """
-    alpha, key2, c2 = _join_side(s_t, s_src, mu)
-    a_ids, a_coeffs, _ = x_block
-    a_used = np.zeros(delannoy(s_src, s_src), dtype=bool)
-    a_used[a_ids] = True
-    rows2 = np.flatnonzero(np.take(a_used, alpha))
-    if not len(rows2):
-        return key2[:0], np.zeros(0, dtype=np.int64)
-    c2 = c2[rows2]
-    # every partial sum is at most rows2 * max|x| * max|c2|
-    bound = len(rows2) * _max_abs(a_coeffs) * _max_abs(c2)
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    wx = np.zeros(len(a_used), dtype=dtype)
-    wx[a_ids] = a_coeffs
-    key2 = key2[rows2]
-    starts = np.flatnonzero(np.r_[True, key2[1:] != key2[:-1]])
-    sums = np.add.reduceat(wx[alpha[rows2]] * c2.astype(dtype), starts)
-    keep = np.flatnonzero(sums != 0)
-    return key2[starts[keep]], sums[keep]
-
-
-def _block_diagonal(s_t, s_src, y_block, source, mu):
+def _block_diagonal(s_t, s_src, y_block, x_block, mu):
     """The diagonal of the cut on one part block, indexed by path id delta.
 
     For the key C_delta from the size-s_src part to the size-s_t part, the
     coefficient of C_delta in idem_y o C_delta o idem_x, with y_beta and
     x_alpha the entries of the diagonal blocks of idem_y and idem_x
-    (`AObject.diag_blocks`), is
-    sum_gamma (sum_beta y_beta c(gamma; beta, delta))
-              * (sum_alpha x_alpha c(delta; gamma, alpha)),
-    the per-key term of the trace `hom_dim` sums.  It reads the two sides
-    `_trace_join` joins under mu.  The source side, the alpha sums per
-    (delta, gamma), is `source`, kept with x by `AObject.source_side`.  The
-    target side takes the rows of `_pair_arrays(s_t, s_t, s_src, mu)` of
-    the betas in y_block, idem_y's (ids, coeffs, norm) block (rows are
-    sorted by beta), and looks their (delta, gamma) up in the source side.
-    The sums are exact: int64 under a bound on every partial sum, Python
-    ints otherwise.
+    (`AObject.diag_blocks`, (ids, coeffs, norm) each), is
+    P[delta] = sum_gamma A[delta, gamma] * B[delta, gamma], with
+    A = sum_beta y_beta c(gamma; beta, delta) and
+    B = sum_alpha x_alpha c(delta; gamma, alpha),
+    the per-key term of the trace `hom_dim` sums.  A and B are dense
+    D x D arrays over the D = D(s_src, s_t) paths delta and gamma, filled
+    from the structure constants under mu: A from the rows of
+    `_pair_arrays(s_t, s_t, s_src, mu)` of y's betas (rows are sorted by
+    beta, so they are read by ranges), B from the rows of
+    `_pair_arrays(s_t, s_src, s_src, mu)` of x's alphas (by a mask).
+
+    Exact: each (beta, delta, gamma) is one row with constant +1 or -1, so
+    |A| <= |y|_1 and |B| <= |x|_1, the blocks' norms, and every partial sum
+    of P is at most D * |y|_1 * |x|_1.  The arrays are int64 when that is
+    below 2**63, Python ints otherwise.  `hom_space`'s source is M_nu with
+    |nu| <= 3 in the engine, so D <= D(3, 7) = 575: two transient arrays
+    of at most 330,625 entries, none kept after the call.
     """
-    key2, sums2 = source
-    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
     n_span = delannoy(s_src, s_t)
-    b_ids, b_coeffs, _ = y_block
+    b_ids, b_coeffs, y_norm = y_block
+    a_ids, a_coeffs, x_norm = x_block
+    dtype = np.int64 if n_span * y_norm * x_norm < _INT64_LIMIT else object
+    beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
     lo = np.searchsorted(beta, b_ids, "left")
     n = np.searchsorted(beta, b_ids, "right") - lo
     rows1 = np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
-    if not len(rows1) or not len(key2):
-        return np.zeros(n_span, dtype=np.int64)
-    c1 = c1[rows1]
-    # |P_kk| <= rows1 * max|y c1| * max|source sum|
-    bound = (len(rows1) * _max_abs(b_coeffs) * _max_abs(c1)
-             * _max_abs(sums2))
-    dtype = np.int64 if bound < _INT64_LIMIT else object
-    key1 = _join_keys(delta1[rows1], gamma1[rows1], n_span)
-    at = np.minimum(np.searchsorted(key2, key1), len(key2) - 1)
-    hit = np.flatnonzero(key2[at] == key1)
-    w1 = np.repeat(b_coeffs.astype(dtype), n)[hit] * c1[hit].astype(dtype)
-    out = np.zeros(n_span, dtype=dtype)
-    np.add.at(out, delta1[rows1[hit]], w1 * sums2[at[hit]].astype(dtype))
-    return out
+    a = np.zeros((n_span, n_span), dtype=dtype)
+    np.add.at(a, (delta1[rows1], gamma1[rows1]),
+              np.repeat(b_coeffs.astype(dtype), n) * c1[rows1].astype(dtype))
+    gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src, mu)
+    wx = np.zeros(delannoy(s_src, s_src), dtype=dtype)
+    wx[a_ids] = a_coeffs
+    used = np.zeros(len(wx), dtype=bool)
+    used[a_ids] = True
+    rows2 = np.flatnonzero(used[alpha])
+    b = np.zeros((n_span, n_span), dtype=dtype)
+    np.add.at(b, (delta2[rows2], gamma2[rows2]),
+              wx[alpha[rows2]] * c2[rows2].astype(dtype))
+    return np.einsum("ij,ij->i", a, b)
 
 
 def _cut_diagonal(x, y, terms):
@@ -563,17 +510,16 @@ def _cut_diagonal(x, y, terms):
     lifts on the part pairs whose trace term in terms (`_trace_terms(x, y)`)
     is nonzero, as {key: P_kk} over the keys with P_kk != 0; P_kk is the
     coefficient of C_key in P(C_key), read off the diagonal part-blocks of
-    both idempotents.  A skipped pair's entries sum to its term 0, so the values
-    still sum to the trace `hom_dim` computes.  Each source side is reduced
-    once per (part of x, target part size) and kept with x
-    (`AObject.source_side`)."""
+    both idempotents (`_block_diagonal`, one per read pair).  A skipped
+    pair's entries sum to its term 0, so the values still sum to the trace
+    `hom_dim` computes."""
     out = {}
     for (tp, sp), term in terms.items():
         if not term:
             continue
         s_t, s_src = y.ambient[tp], x.ambient[sp]
         diag = _block_diagonal(s_t, s_src, y.diag_blocks[tp],
-                               x.source_side(sp, s_t), x.measure)
+                               x.diag_blocks[sp], x.measure)
         paths = enumerate_paths(s_src, s_t)
         for i in np.flatnonzero(diag).tolist():
             out[(tp, sp, paths[i])] = int(diag[i])

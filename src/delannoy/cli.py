@@ -272,6 +272,9 @@ def main(argv=None):
         field = field_from_spec(args.field)
         measure = MEASURE_BY_NAME[args.measure]
         cmd = args.command
+        if cmd in ("hom", "decompose") and measure != MU2:
+            raise ValueError(f"--measure {args.measure}: {cmd} is computed "
+                             "in the second category (mu2) only")
         if cmd == "compose":
             left = _read_matrix(args.left, field)
             right = _read_matrix(args.right, field)

@@ -584,7 +584,12 @@ def suite_kring_iso(gen_len=3, field=QQ):
     return cases, {"gen_len": gen_len}
 
 
-def suite_tor(max_part=6, field=QQ):
+# The largest tensor part the Tor plan runs: degrees whose parts go beyond
+# it are reported as inconclusive.
+TOR_MAX_PART = 7
+
+
+def suite_tor(field=QQ):
     cases = []
     for lam in [w for w in enumerate_weights(2) if w]:
         got = bmod.tor_bmod(bmod.named_bmodule("P", lam, field),
@@ -606,7 +611,7 @@ def suite_tor(max_part=6, field=QQ):
                     nu = 3
                 elif parts <= 6:
                     nu = 2
-                elif parts <= 7:
+                elif parts <= TOR_MAX_PART:
                     nu = 1
                 else:
                     _skip(cases, f"Tor{i}[{pair}][window]",
@@ -617,12 +622,11 @@ def suite_tor(max_part=6, field=QQ):
             ns = bmod.named_bmodule("S", b, field)
             for nu, degrees in sorted(plan.items(), reverse=True):
                 imax = max(degrees)
-                dims = bmod.tor_bmod(ms, ns, imax,
-                                     max_part=max(max_part, total + imax + 1),
+                dims = bmod.tor_bmod(ms, ns, imax, max_part=TOR_MAX_PART,
                                      nu_len=nu)
                 for i in degrees:
                     _case(cases, f"Tor{i}[{pair}][nu<={nu}]", 0, dims[i])
-    return cases, {"max_part": max_part}
+    return cases, {"max_part": TOR_MAX_PART}
 
 
 def suite_tilting_hom(window=6, margin=2, field=QQ):

@@ -3,15 +3,16 @@ skipped the pairs whose trace term is zero.
 
 `cut_diagonal(x, y)` is {key: P_kk} over every key with P_kk != 0, where
 P_kk is the coefficient of C_key in idem_y o C_key o idem_x over the
-integer lifts of the idempotents.  Each part pair's diagonal is one join of
-the two sides of the trace table, reduced afresh on every call; the tests
-compare `acat._cut_diagonal`, which skips pairs and keeps source sides with
-the object, against it.
+integer lifts of the idempotents.  Each part pair's diagonal is one sorted
+key-join of the two sides of the trace table, reduced afresh on every call:
+the second side is sorted by (delta, gamma), summed per key and looked up
+from the first.  The tests compare `acat._cut_diagonal`, which skips pairs
+and multiplies two dense sides elementwise, against it.
 """
 
 import numpy as np
 
-from delannoy.acat import _INT64_LIMIT, _join_keys, _join_side
+from delannoy.acat import _INT64_LIMIT, _join_keys
 from delannoy.linalg import _max_abs
 from delannoy.paths import delannoy, enumerate_paths
 from delannoy.schwartz import _pair_arrays
@@ -22,8 +23,11 @@ def block_diagonal(s_t, s_src, y_block, x_block, mu):
     sum_gamma (sum_beta y_beta c(gamma; beta, delta))
               * (sum_alpha x_alpha c(delta; gamma, alpha))."""
     beta, delta1, gamma1, c1 = _pair_arrays(s_t, s_t, s_src, mu)
-    alpha, key2, c2 = _join_side(s_t, s_src, mu)
     n_span = delannoy(s_src, s_t)
+    gamma2, alpha, delta2, c2 = _pair_arrays(s_t, s_src, s_src, mu)
+    key2 = _join_keys(delta2, gamma2, n_span)
+    order = np.argsort(key2)
+    alpha, key2, c2 = alpha[order], key2[order], c2[order]
     b_ids, b_coeffs, _ = y_block
     a_ids, a_coeffs, _ = x_block
     lo = np.searchsorted(beta, b_ids, "left")

@@ -83,7 +83,7 @@ def test_criterion_12_kb_decomposition():
 @pytest.mark.skipif(not os.environ.get("DELANNOY_TOR"),
                     reason="stretch window; opt in with DELANNOY_TOR=1")
 def test_criterion_13_tor_stretch():
-    rep = _check(13, "tor", max_part=6)
+    rep = _check(13, "tor")
     # the window rules must not silently drop the cheap full-window facts
     ids = {c.id for c in rep.cases}
     assert any(c.startswith("P-tensor-S_e") for c in ids)

@@ -50,6 +50,29 @@ def test_hom_and_decompose(capsys):
     assert json.loads(out)["multiplicities"] == {"b": 1, "w": 1}
 
 
+@pytest.mark.parametrize("argv", [
+    ["hom", "M:e", "M:b", "--measure", "mu1"],
+    ["hom", "M:e", "M:b", "--measure", "mu3"],
+    ["decompose", "M:b*M:w", "--measure", "mu1"],
+    ["--measure", "4", "decompose", "A:1"],
+])
+def test_hom_and_decompose_refuse_other_measures(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("error: --measure ")
+
+
+@pytest.mark.parametrize("flags", [["--measure", "mu2"],
+                                   ["--measure", "2"]])
+def test_hom_and_decompose_under_mu2(capsys, flags):
+    code, out = run_cli(capsys, "hom", "M:e", "M:b", "--json", *flags)
+    assert code == 0 and json.loads(out)["dim"] == 1
+    code, out = run_cli(capsys, "decompose", "A:1", "--json", *flags)
+    assert code == 0
+    assert json.loads(out)["multiplicities"] == {"b": 1, "w": 1}
+
+
 def test_idempotent_command(capsys):
     code, out = run_cli(capsys, "idempotent", "b", "--json")
     data = json.loads(out)

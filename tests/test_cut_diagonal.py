@@ -1,14 +1,16 @@
 """`acat._cut_diagonal` against the all-pairs oracle on the Tor complexes.
 
 `hom_space` orders its scan by the cut diagonal.  `_cut_diagonal` reads it
-only on the part pairs whose trace term is nonzero and keeps each reduced
-source side with the source object; `diagonal_oracle.cut_diagonal` reads
-every pair afresh.  On the summands of the terms Z_k that `tor_bmod`
-builds, cut against the indecomposables M_nu of the Tor window, both give
-the same lead keys, the values sum to `hom_dim`, and the scan composes
-exactly 2d times.  `hom_space` contracts the trace terms once and hands
-them to `_cut_diagonal`; its output on the assembled terms of
-`tor_oracle` is pinned by a hash.
+only on the part pairs whose trace term is nonzero, as the elementwise
+product of two dense sides; `diagonal_oracle.cut_diagonal` reads every
+pair by a sorted key-join.  On the summands of the terms Z_k that
+`tor_bmod` builds, cut against the indecomposables M_nu of the Tor window,
+both give the same lead keys, the values sum to `hom_dim`, and the scan
+composes exactly 2d times.  The terms of `tor_bmod(S_w, S_w, 2)` reach
+parts of size 5, whose trace tables come from the structure-constant
+join.  `hom_space` contracts the trace terms once and hands them to
+`_cut_diagonal`; its output on the assembled terms of `tor_oracle` is
+pinned by a hash.
 """
 
 import hashlib
@@ -77,39 +79,35 @@ def test_cut_diagonal_matches_all_pairs_on_tor_terms(monkeypatch, field,
     assert cut
 
 
-def test_source_side_is_reduced_once_per_part_and_target_size(monkeypatch):
-    ys = tor_objects(("S", "w"), ("S", "w"), 1, QQ)
-    lam = indecomposable("ww")
-    # a fresh object, so no source side is kept yet
-    x = AObject(MU2, lam.ambient, lam.idem)
-    sides, blocks = [], []
+def test_cut_diagonal_matches_all_pairs_on_parts_of_size_5():
+    # the terms of tor_bmod(S_w, S_w, 2) reach parts of size 5, where
+    # `_trace_terms` reads its tables off `_trace_join`; every term there is
+    # 0 at nu <= 2, so the engine skips those pairs and the oracle, reading
+    # every pair, must find no key on them
+    zs = tor_objects(("S", "w"), ("S", "w"), 2, QQ)
+    assert max(max(z.ambient) for z in zs) == 5
+    for z in zs:
+        for nu in enumerate_weights(2):
+            m_nu = indecomposable(nu, MU2, QQ)
+            got = _engine_diagonal(m_nu, z)
+            assert _leads(got, QQ) == _leads(cut_diagonal(m_nu, z), QQ)
+            assert sum(got.values()) == hom_dim(m_nu, z)
 
-    def counting_side(s_t, s_src, x_block, mu):
-        sides.append(s_t)
-        return source_side(s_t, s_src, x_block, mu)
 
-    def counting_block(*args):
-        blocks.append(1)
-        return block_diagonal(*args)
-
-    source_side = acat._source_side
-    block_diagonal = acat._block_diagonal
-    monkeypatch.setattr(acat, "_source_side", counting_side)
-    monkeypatch.setattr(acat, "_block_diagonal", counting_block)
-    reads = set()
-    for y in ys:
-        assert _engine_diagonal(x, y) == cut_diagonal(x, y)
-        reads |= {(sp, y.ambient[tp])
-                  for (tp, sp), t in acat._trace_terms(x, y).items() if t}
-    # one reduction per (source part, target size), though every term
-    # cuts several parts of one size
-    assert len(sides) == len(set(sides)) == len(reads) > 0
-    assert len(blocks) > 2 * len(sides)
-    assert set(x._source_sides) == reads
-    # a second pass reuses every kept side and gives the same values
-    for y in ys:
-        assert _engine_diagonal(x, y) == cut_diagonal(x, y)
-    assert len(sides) == len(reads)
+def test_cut_diagonal_values_match_all_pairs_on_scaled_cuts():
+    # every lifted coefficient of a Tor summand and of M_nu is 1; scaled cuts
+    # put other values on both sides, so the values, not only the lead keys,
+    # show that each side weighs the entries of its own block
+    three = QQ.of_int(3)
+    for z in tor_objects(("S", "w"), ("S", "w"), 1, QQ):
+        zs = AObject(MU2, z.ambient, z.idem.scale(three))
+        for nu in enumerate_weights(2):
+            m_nu = indecomposable(nu, MU2, QQ)
+            xs = AObject(MU2, m_nu.ambient, m_nu.idem.scale(QQ.of_int(2)))
+            terms = acat._trace_terms(xs, zs)
+            want = {k: v for k, v in cut_diagonal(xs, zs).items()
+                    if terms[k[:2]]}
+            assert acat._cut_diagonal(xs, zs, terms) == want
 
 
 # sha256 of the canonical JSON of every hom_space(M_nu, Z_k) below (d, pivot

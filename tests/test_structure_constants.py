@@ -241,11 +241,9 @@ def test_trace_table_join_in_many_chunks(monkeypatch):
 
 
 def _patch_pair_arrays(monkeypatch, arrays):
-    """Serve `_pair_arrays` from `arrays`, keyed by (sizes, measure), with
-    `_join_side` built afresh."""
+    """Serve `_pair_arrays` from `arrays`, keyed by (sizes, measure)."""
     monkeypatch.setattr(acat, "_pair_arrays",
                         lambda *sizes: arrays[sizes[:3], sizes[3]])
-    monkeypatch.setattr(acat, "_join_side", acat._join_side.__wrapped__)
 
 
 def test_trace_table_refuses_possible_int64_overflow(monkeypatch):
@@ -274,8 +272,7 @@ def test_join_with_an_empty_side_gives_zeros(monkeypatch, empty):
     block = (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 1)
 
     def diagonal(mu):
-        source = acat._source_side(1, 0, block, mu)
-        return acat._block_diagonal(1, 0, block, source, mu).tolist()
+        return acat._block_diagonal(1, 0, block, block, mu).tolist()
 
     assert diagonal(1) == [0]
     # under mu2 both sides keep their row, which joins
@@ -349,8 +346,7 @@ def composable_triples(draw):
 
 
 def _clear_structure_caches():
-    for cached in (_pair_index, _pair_arrays, acat._join_side,
-                   acat._trace_table):
+    for cached in (_pair_index, _pair_arrays, acat._trace_table):
         cached.cache_clear()
 
 

@@ -56,4 +56,3 @@ def test_characters_match_the_join_at_size_5(sizes):
         assert np.array_equal(acat._character_trace(*sizes), want)
     finally:
         _pair_arrays.cache_clear()
-        acat._join_side.cache_clear()
