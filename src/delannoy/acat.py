@@ -11,6 +11,8 @@ operator H -> idem_y o H o idem_x, an integer contraction of the idempotents'
 diagonal blocks against a structure table.  Over F_p the trace is certified
 either by p exceeding the span dimension or by both idempotents lifting to
 idempotents over Z, so a hom dimension is the same over Q and over every F_p.
+An object keeps only the trace's input, its integer diagonal blocks, so
+over Q only they must be integral; the Z-lift test reads the entries itself.
 The tables are built per (part sizes, measure) and take one of two routes.
 Under mu2, on parts of size at most `_CHARACTER_MAX_SIZE`, a table is
 chi_t H chi_s^T: two character tables of the Schwartz spaces and the 0/1
@@ -83,29 +85,23 @@ class AObject:
         return self.idem == identity(self.ambient, self.idem.field)
 
     @cached_property
-    def lifted(self):
-        """The idempotent lifted to integers, {key: int} (see
-        `_integer_entries`); once per object, so once per weight and field
-        for the interned `indecomposable`s."""
-        return _integer_entries(self.idem)
-
-    @cached_property
     def diag_blocks(self):
-        """The diagonal part-blocks of the lifted idempotent, once per object:
-        diag_blocks[part] = (ids, coeffs, norm), with ids the int64 path ids
-        (`_path_pos`) of the block's nonzero entries, coeffs their integer
-        values (int64, or Python ints when one does not fit) and norm the
-        sum of their absolute values."""
+        """The diagonal part-blocks of the idempotent as integers, once per
+        object: diag_blocks[part] = (ids, coeffs, norm), with ids the int64
+        path ids (`_path_pos`) of the block's nonzero entries, coeffs their
+        values (`_integer_entries`: int64, or Python ints when one does not
+        fit) and norm the sum of their absolute values.  Only these entries
+        are converted, so over Q only they must be integral."""
         parts = {}
-        for (tp, sp, path), c in self.lifted.items():
+        for (tp, sp, path), c in self.idem.entries.items():
             if tp == sp:
-                parts.setdefault(tp, []).append((path, c))
+                parts.setdefault(tp, {})[path] = c
         out = {}
-        for part, items in parts.items():
+        for part, block in parts.items():
             pos = _path_pos(self.ambient[part], self.ambient[part])
-            values = [c for _, c in items]
+            values = list(_integer_entries(block, self.field).values())
             norm = sum(map(abs, values))
-            out[part] = (np.array([pos[path] for path, _ in items],
+            out[part] = (np.array([pos[path] for path in block],
                                   dtype=np.int64),
                          np.array(values, dtype=np.int64
                                   if max(map(abs, values)) < _INT64_LIMIT
@@ -115,10 +111,11 @@ class AObject:
 
     @cached_property
     def lifts_over_z(self):
-        """Whether the integer lift of the idempotent is idempotent over Z,
-        decided once per object (`_idempotent_over_z`)."""
+        """Whether the idempotent's entries as integers make an idempotent
+        over Z, decided once per object (`_idempotent_over_z`)."""
         return self.identity_cut or _idempotent_over_z(
-            self.measure, self.ambient, self.lifted.items())
+            self.measure, self.ambient,
+            _integer_entries(self.idem.entries, self.field).items())
 
 
 @dataclass
@@ -166,7 +163,7 @@ def indecomposable(lam, measure=MU2, field=QQ):
     """The indecomposable object cut out of S(R^(l(lam))) by e_lambda.
 
     Built once per (weight, measure, field) and shared, so its identity
-    flag, integer lift and diagonal blocks are computed once per process.
+    flag, Z-lift test and diagonal blocks are computed once per process.
     """
     return AObject(measure, (len(lam),), e_lambda(lam, field))
 
@@ -360,15 +357,16 @@ def _trace_join(s_t, s_src, mu):
     return table.reshape(n_beta, n_alpha)
 
 
-def _integer_entries(m):
-    """The entries of m as Python ints: a prime-field entry c as its
-    symmetric residue (c - p when 2c > p), a rational one only if integral."""
-    f = m.field
-    if isinstance(f, PrimeField):
-        return {k: c - f.p if 2 * c > f.p else c for k, c in m.entries.items()}
-    if any(c.denominator != 1 for c in m.entries.values()):
+def _integer_entries(entries, field):
+    """The values of an entries dict over `field` as Python ints: a
+    prime-field entry c as its symmetric residue (c - p when 2c > p), a
+    rational one only if integral."""
+    if isinstance(field, PrimeField):
+        return {k: c - field.p if 2 * c > field.p else c
+                for k, c in entries.items()}
+    if any(c.denominator != 1 for c in entries.values()):
         raise ValueError("idempotent has a non-integral entry")
-    return {k: c.numerator for k, c in m.entries.items()}
+    return {k: c.numerator for k, c in entries.items()}
 
 
 def _idempotent_over_z(measure, ambient, entries):
@@ -385,7 +383,7 @@ def _idempotent_over_z(measure, ambient, entries):
 
 def _trace_terms(x, y):
     """The trace of the cut P: H -> idem_y o H o idem_x split by part pair,
-    {(tp, sp): term}, over the diagonal part-blocks of both lifted
+    {(tp, sp): term}, over the integer diagonal part-blocks of both
     idempotents (`AObject.diag_blocks`).
 
     A term is yc @ block @ xc with block = `_trace_table(s_t, s_src,
@@ -416,12 +414,13 @@ def hom_dim(x, y):
 
     One route for every field.  P is idempotent, so its rank is its trace,
     the sum of `_trace_terms`: integer contractions of the idempotents'
-    diagonal part-blocks (lifted to integer entries) against the trace
-    table of the objects' measure, one per pair of parts.  Under mu2 on
-    parts of size at most `_CHARACTER_MAX_SIZE` that table is read off the
-    character tables, exactly (`_trace_table`); otherwise it is the join of
-    the structure constants.  Both routes give the same integer table, so
-    the certificate below holds for either.  Over Q the trace is the rank.
+    diagonal part-blocks (`AObject.diag_blocks`; over Q only they must be
+    integral) against the trace table of the objects' measure, one per pair
+    of parts.  Under mu2 on parts of size at most `_CHARACTER_MAX_SIZE` that
+    table is read off the character tables, exactly (`_trace_table`);
+    otherwise it is the join of the structure constants.  Both routes give
+    the same integer table, so the certificate below holds for either.  Over
+    Q the trace is the rank.
     Over F_p it is certified one of two ways:
 
     * p > n_keys: rank = trace mod p, as rank and trace agree mod p and

@@ -27,6 +27,7 @@ A `PermMatrix` is immutable once built; it groups its entries for
 composed many times converts its coefficients once.
 """
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -529,7 +530,9 @@ def tensor(amat, bmat):
     Measure-independent.  Each step of an entry path is one point (U target,
     R source, D both), so the joint orbits of two entries are the
     interleavings of their steps, read off by `_STEP`; the entry at each is
-    the product of the two coefficients.
+    the product of the two coefficients.  Many pairs of entries share a
+    joint path, so each path is interned (`sys.intern`): the product's keys
+    hold one string per distinct path, freed with the last matrix using it.
     """
     if amat.field != bmat.field:
         raise ValueError("field mismatch")
@@ -544,7 +547,8 @@ def tensor(amat, bmat):
                 # the leading ("", "", "") keeps the empty walk unpackable
                 dt, ds, gamma = map("".join, zip(("", "", ""),
                                                  *map(_STEP.__getitem__, walk)))
-                key = (tgt_index[(ta, tb, dt)], src_index[(sa, sb, ds)], gamma)
+                key = (tgt_index[(ta, tb, dt)], src_index[(sa, sb, ds)],
+                       sys.intern(gamma))
                 entries[key] = coeff
     return PermMatrix(src_parts, tgt_parts, entries, f)
 

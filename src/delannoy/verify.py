@@ -176,25 +176,30 @@ def suite_degenerate_ideal(max_n=4, field=QQ):
     return cases, {"max_n": max_n}
 
 
-def suite_tensor_rule(max_sum=3, kring_sum=6, field=QQ):
+# The tensor-rule window: the weight-length sum of the matrix-level
+# decompositions and of the K-ring checks.
+TENSOR_MAX_SUM, KRING_MAX_SUM = 3, 6
+
+
+def suite_tensor_rule(field=QQ):
     cases = []
-    for a in enumerate_weights(max_sum):
-        for b in enumerate_weights(max_sum - len(a)):
+    for a in enumerate_weights(TENSOR_MAX_SUM):
+        for b in enumerate_weights(TENSOR_MAX_SUM - len(a)):
             x = acat.tensor_objects(acat.indecomposable(a, MU2, field),
                                     acat.indecomposable(b, MU2, field))
             counts = ruffle_counts(a, b, True)
             _case(cases, f"matrix[{format_weight(a)},{format_weight(b)}]",
                   {w: counts[w] for w in sorted(counts, key=sort_key)},
                   acat.multiplicities(x))
-    for a in enumerate_weights(kring_sum):
-        for b in enumerate_weights(kring_sum - len(a)):
+    for a in enumerate_weights(KRING_MAX_SUM):
+        for b in enumerate_weights(KRING_MAX_SUM - len(a)):
             xa = kring.basis_element(kring.KA, a)
             xb = kring.basis_element(kring.KA, b)
             lhs = kring.phi_map(kring.mult(xa, xb))
             rhs = kring.mult(kring.phi_map(xa), kring.phi_map(xb))
             _case(cases, f"phi-hom[{format_weight(a)},{format_weight(b)}]",
                   True, lhs == rhs)
-    return cases, {"max_sum": max_sum, "kring_sum": kring_sum}
+    return cases, {"max_sum": TENSOR_MAX_SUM, "kring_sum": KRING_MAX_SUM}
 
 
 def suite_bmod_ext(max_len=5, max_i=5, field=QQ):
@@ -371,7 +376,11 @@ def _named_matches(value, kind, lam):
         dmod.named_support(*value) == dmod.named_support(kind, lam)
 
 
-def suite_derived_functors(max_len=4, max_deg=6, psi_i_len=3, field=QQ):
+# The weight length up to which L Psi(I_lam) is checked against T_lam.
+PSI_I_LEN = 3
+
+
+def suite_derived_functors(max_len=4, max_deg=6, field=QQ):
     cases = []
     weights = enumerate_weights(max_len)
     for lam in weights:
@@ -430,12 +439,12 @@ def suite_derived_functors(max_len=4, max_deg=6, psi_i_len=3, field=QQ):
             psi = derived.pointwise_homology(res, derived.psi_support, 4)
             _case(cases, f"LPsi-amplitude-{kind}[{format_weight(lam)}]", True,
                   all(k < 2 for k in psi))
-    for lam in enumerate_weights(psi_i_len):
+    for lam in enumerate_weights(PSI_I_LEN):
         psi = derived.l_psi(bmod.named_bmodule("I", lam, field), 3)
         ok = set(psi) == {1} and _named_matches(psi[1], "T", lam)
         _case(cases, f"LPsi-I[{format_weight(lam)}]", True, ok)
     return cases, {"max_len": max_len, "max_deg": max_deg,
-                   "psi_i_len": psi_i_len}
+                   "psi_i_len": PSI_I_LEN}
 
 
 def _ses_exact(maps):
@@ -534,9 +543,13 @@ def suite_sod(max_len=4, max_i=5, field=QQ):
     return cases, {"max_len": max_len, "max_i": max_i}
 
 
-def suite_kring_iso(gen_len=3, field=QQ):
+# The weight length of the generators Q_lam and I_lam decomposed in K_b.
+KRING_GEN_LEN = 3
+
+
+def suite_kring_iso(field=QQ):
     cases = []
-    for lam in enumerate_weights(gen_len):
+    for lam in enumerate_weights(KRING_GEN_LEN):
         chi_c, chi_d, chi_v = kring.kb_decompose(
             bmod.named_bmodule("Q", lam, field))
         want = (kring.basis_element(kring.KC, lam),
@@ -581,7 +594,7 @@ def suite_kring_iso(gen_len=3, field=QQ):
     rhs = triple_sum([(1, kb(bmod.named_bmodule("S", "w", field))),
                       (1, kb(bmod.named_bmodule("I", "", field)))])
     _case(cases, "kb-additive-3graded2", rhs, lhs)
-    return cases, {"gen_len": gen_len}
+    return cases, {"gen_len": KRING_GEN_LEN}
 
 
 # The largest tensor part the Tor plan runs: degrees whose parts go beyond
@@ -629,7 +642,13 @@ def suite_tor(field=QQ):
     return cases, {"max_part": TOR_MAX_PART}
 
 
-def suite_tilting_hom(window=6, margin=2, field=QQ):
+# The truncation window of the tiltings and the margin below it inside
+# which their checks are exact.
+TILTING_WINDOW, TILTING_MARGIN = 6, 2
+
+
+def suite_tilting_hom(field=QQ):
+    window, margin = TILTING_WINDOW, TILTING_MARGIN
     cases = []
     base_max = window - margin
     for lam in enumerate_weights(base_max):

@@ -4,6 +4,10 @@ Every criterion is exact equality at desk scale; a test prints one pass/fail
 line (visible with `pytest -s tests/test_acceptance.py`).  The stretch Tor
 suite (criterion 13) is opted out by default and runs with DELANNOY_TOR=1;
 its window rules report inconclusive cases rather than silently passing.
+
+Each test states its criterion's whole window: the suite's arguments, and
+in `fixed` the window entries the suite sets itself; the report's window
+must equal it.
 """
 
 import os
@@ -15,10 +19,12 @@ import pytest
 from delannoy.verify import run_suite
 
 
-def _check(criterion, name, **kwargs):
+def _check(criterion, name, fixed=None, **kwargs):
     t0 = time.time()
     rep = run_suite(name, **kwargs)
     elapsed = time.time() - t0
+    assert rep.window == {**kwargs, **(fixed or {})}, \
+        f"criterion {criterion} ({name}) ran at {rep.window}"
     npass = sum(c.status == "pass" for c in rep.cases)
     status = "PASS" if rep.ok else "FAIL"
     line = (f"[criterion {criterion:>2}] {name:<17} {status} "
@@ -57,7 +63,7 @@ def test_criterion_06_degenerate_ideal():
 
 
 def test_criterion_07_tensor_rule():
-    _check(7, "tensor-rule", max_sum=3, kring_sum=6)
+    _check(7, "tensor-rule", {"max_sum": 3, "kring_sum": 6})
 
 
 def test_criterion_08_bmod_homology_tables():
@@ -69,7 +75,7 @@ def test_criterion_09_dmod_tables():
 
 
 def test_criterion_10_derived_functor_tables():
-    _check(10, "derived-functors", max_len=4, max_deg=6, psi_i_len=3)
+    _check(10, "derived-functors", {"psi_i_len": 3}, max_len=4, max_deg=6)
 
 
 def test_criterion_11_sod():
@@ -77,17 +83,17 @@ def test_criterion_11_sod():
 
 
 def test_criterion_12_kb_decomposition():
-    _check(12, "kring-iso", gen_len=3)
+    _check(12, "kring-iso", {"gen_len": 3})
 
 
 @pytest.mark.skipif(not os.environ.get("DELANNOY_TOR"),
                     reason="stretch window; opt in with DELANNOY_TOR=1")
 def test_criterion_13_tor_stretch():
-    rep = _check(13, "tor")
+    rep = _check(13, "tor", {"max_part": 7})
     # the window rules must not silently drop the cheap full-window facts
     ids = {c.id for c in rep.cases}
     assert any(c.startswith("P-tensor-S_e") for c in ids)
 
 
 def test_criterion_14_truncated_tilting_checks():
-    _check(14, "tilting-hom", window=6, margin=2)
+    _check(14, "tilting-hom", {"window": 6, "margin": 2})

@@ -55,6 +55,8 @@ def test_hom_and_decompose(capsys):
     ["hom", "M:e", "M:b", "--measure", "mu3"],
     ["decompose", "M:b*M:w", "--measure", "mu1"],
     ["--measure", "4", "decompose", "A:1"],
+    ["tensor", "b", "w", "--measure", "mu1"],
+    ["--measure", "mu3", "tensor", "b", "w"],
 ])
 def test_hom_and_decompose_refuse_other_measures(capsys, argv):
     code = main(argv)
@@ -71,6 +73,9 @@ def test_hom_and_decompose_under_mu2(capsys, flags):
     code, out = run_cli(capsys, "decompose", "A:1", "--json", *flags)
     assert code == 0
     assert json.loads(out)["multiplicities"] == {"b": 1, "w": 1}
+    code, out = run_cli(capsys, "tensor", "b", "w", "--json", *flags)
+    assert code == 0
+    assert json.loads(out)["summands"] == ["b", "w", "bw", "wb"]
 
 
 def test_idempotent_command(capsys):

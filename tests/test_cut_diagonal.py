@@ -8,9 +8,11 @@ pair by a sorted key-join.  On the summands of the terms Z_k that
 both give the same lead keys, the values sum to `hom_dim`, and the scan
 composes exactly 2d times.  The terms of `tor_bmod(S_w, S_w, 2)` reach
 parts of size 5, whose trace tables come from the structure-constant
-join.  `hom_space` contracts the trace terms once and hands them to
-`_cut_diagonal`; its output on the assembled terms of `tor_oracle` is
-pinned by a hash.
+join; every trace term on those parts is 0 at nu <= 2, so the engine reads
+no diagonal there.  S(R^5) against M_nu, whose one term is nonzero, runs
+`_block_diagonal` on a part of size 5.  `hom_space` contracts the trace
+terms once and hands them to `_cut_diagonal`; its output on the assembled
+terms of `tor_oracle` is pinned by a hash.
 """
 
 import hashlib
@@ -19,7 +21,8 @@ import json
 import pytest
 
 from delannoy import acat
-from delannoy.acat import AObject, hom_dim, hom_space, indecomposable
+from delannoy.acat import (AObject, hom_dim, hom_space, indecomposable,
+                           schwartz_object)
 from delannoy.bmod import (matrix_complex, min_projective_resolution,
                            named_bmodule, tensor_matrix_complexes)
 from delannoy.fields import QQ, PrimeField
@@ -92,6 +95,30 @@ def test_cut_diagonal_matches_all_pairs_on_parts_of_size_5():
             got = _engine_diagonal(m_nu, z)
             assert _leads(got, QQ) == _leads(cut_diagonal(m_nu, z), QQ)
             assert sum(got.values()) == hom_dim(m_nu, z)
+
+
+@pytest.mark.parametrize("nu, d", [("b", 5), ("w", 6), ("bw", 15),
+                                   ("ww", 15)])
+def test_block_diagonal_runs_on_a_part_of_size_5(monkeypatch, nu, d):
+    # the one trace term of M_nu into S(R^5) lies on the (5, |nu|) pair, off
+    # `_trace_join`, and is d != 0, so the dense diagonal is read there
+    sizes = []
+    block_diagonal = acat._block_diagonal
+
+    def spy(s_t, *args):
+        sizes.append(s_t)
+        return block_diagonal(s_t, *args)
+
+    monkeypatch.setattr(acat, "_block_diagonal", spy)
+    x, y = indecomposable(nu, MU2, QQ), schwartz_object(5)
+    got = _engine_diagonal(x, y)
+    assert sizes == [5]
+    assert _leads(got, QQ) == _leads(cut_diagonal(x, y), QQ)
+    assert sum(got.values()) == hom_dim(x, y) == hom_space(x, y).dim == d
+    # scaled cuts: the values show that each side weighs its own block
+    xs = AObject(MU2, x.ambient, x.idem.scale(QQ.of_int(2)))
+    ys = AObject(MU2, y.ambient, y.idem.scale(QQ.of_int(3)))
+    assert _engine_diagonal(xs, ys) == cut_diagonal(xs, ys)
 
 
 def test_cut_diagonal_values_match_all_pairs_on_scaled_cuts():

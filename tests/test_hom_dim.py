@@ -12,12 +12,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from delannoy.acat import (AObject, _idempotent_over_z, _integer_entries,
-                           _span_keys, hom_dim, indecomposable,
-                           multiplicities)
+from delannoy.acat import (AObject, _apply_cut, _idempotent_over_z,
+                           _integer_entries, _span_keys, hom_dim, hom_space,
+                           indecomposable, multiplicities)
 from delannoy.cli import parse_aobject
 from delannoy.fields import QQ, PrimeField
-from delannoy.linalg import _as_int_array, _exact_product, rank_big
+from delannoy.linalg import _as_int_array, _exact_product, rank, rank_big
 from delannoy.schwartz import MU1, MU2, PermMatrix, _pair_index, identity
 
 
@@ -158,6 +158,19 @@ def test_non_integral_entry_raises():
         hom_dim(x, AObject(MU2, (1,), identity((1,), QQ)))
 
 
+def test_non_integral_off_diagonal_entry_gets_the_brute_force_rank():
+    # the trace reads only the diagonal blocks, so an off-diagonal 1/2 is
+    # never lifted to an integer
+    e = PermMatrix((1, 1), (1, 1), {(0, 0, "D"): QQ.one,
+                                    (0, 1, "D"): Fraction(1, 2)}, QQ)
+    x = AObject(MU2, (1, 1), e).validate()
+    keys = _span_keys(x, x)
+    images = [_apply_cut(PermMatrix(x.ambient, x.ambient, {k: QQ.one}, QQ),
+                         x, x) for k in keys]
+    brute = rank([[h.get(*k) for k in keys] for h in images], QQ)
+    assert hom_dim(x, x) == brute == hom_space(x, x).dim == 3
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_multiplicities_do_not_wrap_mod_p(p):
     # 2 and 3 vanish mod 2 and mod 3: the counts are solved over Q
@@ -173,7 +186,7 @@ def test_identity_cuts_and_z_lifts_compare_within_one_field(field):
                              ("M:b*M:w", False)):
         x = parse_aobject(lit, field)
         assert x.identity_cut is is_identity
-        lifted = frozenset(_integer_entries(x.idem).items())
+        lifted = frozenset(_integer_entries(x.idem.entries, x.field).items())
         assert _idempotent_over_z(x.measure, x.ambient, lifted)
     doubled = frozenset({((0, 0, "D"), 2)})
     assert not _idempotent_over_z(MU2, (1,), doubled)

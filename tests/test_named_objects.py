@@ -35,7 +35,7 @@ FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(46337)]
 def _lifted_diag(obj):
     """(entries, diag): the integer lift and its diagonal part-blocks as
     diag[part] = [(path, int)]."""
-    entries = _integer_entries(obj.idem)
+    entries = _integer_entries(obj.idem.entries, obj.field)
     diag = {}
     for (tp, sp, path), c in entries.items():
         if tp == sp:

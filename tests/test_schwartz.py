@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from delannoy.acat import indecomposable, tensor_objects
 from delannoy.fields import QQ, PrimeField
 from delannoy.paths import enumerate_paths
 from delannoy.schwartz import (BOUNDED, FULL_LINE, MEASURES, MU1, MU2, MU3,
@@ -281,6 +282,14 @@ def test_tensor_bifunctoriality():
             lhs = tensor(compose(b, a, mu), compose(b2, a2, mu))
             rhs = compose(tensor(b, b2), tensor(a, a2), mu)
             assert lhs == rhs, mu
+
+
+def test_tensor_keys_hold_one_string_per_joint_path():
+    # many entry pairs share a joint path: 7,880 entries on 1,118 paths
+    t = tensor_objects(indecomposable("bw"), indecomposable("wbw")).idem
+    paths = [path for _, _, path in t.entries]
+    assert len(paths) == 7880
+    assert len(set(paths)) == len({id(path) for path in paths}) == 1118
 
 
 # ---------------------------------------------------------------------------
