@@ -477,9 +477,12 @@ def _block_diagonal(s_t, s_src, y_block, x_block, mu):
     Exact: each (beta, delta, gamma) is one row with constant +1 or -1, so
     |A| <= |y|_1 and |B| <= |x|_1, the blocks' norms, and every partial sum
     of P is at most D * |y|_1 * |x|_1.  The arrays are int64 when that is
-    below 2**63, Python ints otherwise.  `hom_space`'s source is M_nu with
-    |nu| <= 3 in the engine, so D <= D(3, 7) = 575: two transient arrays
-    of at most 330,625 entries, none kept after the call.
+    below 2**63, Python ints otherwise.  `hom_space`'s source is M_nu:
+    `tor_bmod`'s default `nu_len` reaches |nu| = 4 (the `P_lam (x) S_e`
+    windows cut M_nu on a part of size 4), and `suite_tor` caps the target
+    parts at 7, so D <= D(4, 7) = 2,241: two transient arrays of about
+    5.0 million entries, 40 MB each in int64, none kept after the call.
+    A wider `nu_len` passed by hand raises that bound.
     """
     n_span = delannoy(s_src, s_t)
     b_ids, b_coeffs, y_norm = y_block

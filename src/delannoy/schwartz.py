@@ -15,7 +15,10 @@ Composition reads its structure constants per size triple and measure.
 `_pair_arrays` builds them once as numpy arrays over path ids (indexes into
 `enumerate_paths`), one row per constant nonzero under the measure, each
 +1 or -1; `_pair_index` serves them as rows (beta, alpha) -> {gamma: c},
-each built on first use, so callers index it with `[]`.
+each built on first use, so callers index it with `[]`.  A path's id is the
+sum of its steps' rank offsets (the Delannoy numbers of the completions
+that start with a smaller letter), so `_pair_arrays` folds the ids of beta
+and alpha directly, one row gather from a small offset table per slot.
 
 The tensor product needs no coordinates: a joint orbit of two entries is an
 interleaving of their paths' steps (`paths.interleavings`), and the table
@@ -249,25 +252,9 @@ def _middle_cells(r, k, measure):
     return tuple(results)
 
 
-# Paths as integers.  A path is coded as the base-4 number of its steps
-# (U = 1, R = 2, D = 3, most significant first); the digits are nonzero, so
-# different paths get different codes, and a path of at most _CODE_LEN steps
-# fits int64.  Its id is its index in enumerate_paths.
-_CODE_LEN = 31
-_DIGITS = str.maketrans("URD", "123")
-
 # Entries of the (gamma x pattern) grid that _pair_arrays folds at once, so
-# its int64 temporaries stay a few MB whatever the size triple.
+# its temporaries stay a few MB whatever the size triple.
 _CHUNK = 1 << 16
-
-
-@lru_cache(maxsize=None)
-def _path_codes(m, n):
-    """Sorted codes of the (m, n) paths and the path id of each sorted code."""
-    codes = np.array([int("0" + p.translate(_DIGITS), 4)
-                      for p in enumerate_paths(m, n)], dtype=np.int64)
-    order = np.argsort(codes)
-    return codes[order], order.astype(np.int32)
 
 
 @lru_cache(maxsize=None)
@@ -276,10 +263,10 @@ def _path_pos(m, n):
     return {p: i for i, p in enumerate(enumerate_paths(m, n))}
 
 
-def _path_ids(codes, m, n):
-    """Ids of coded (m, n) paths."""
-    sorted_codes, ids = _path_codes(m, n)
-    return ids[np.searchsorted(sorted_codes, codes)]
+def _delannoy_table(m, n):
+    """D(j, k) at [j + 1, k + 1] for -1 <= j <= m and -1 <= k <= n, int32."""
+    return np.array([[delannoy(j, k) for k in range(-1, n + 1)]
+                     for j in range(-1, m + 1)], dtype=np.int32)
 
 
 @lru_cache(maxsize=None)
@@ -295,13 +282,25 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
     (source -> middle) contributes c * product-of-coefficients to gamma.
 
     Each gamma of length r is paired with every middle-cell pattern of
-    _middle_cells(r, mid, measure), and beta and alpha are folded slot by
-    slot over the whole (gamma x pattern) grid: a gap of g middle
-    coordinates appends R^g to beta and U^g to alpha; a pin takes the letter
-    of gamma there, and the pattern uses or skips it.  Used/skipped, a U pin
-    (target only) gives beta D/U and alpha U/nothing, an R pin (source only)
-    gives beta R/nothing and alpha D/R, and a D pin gives beta D/U and alpha
-    D/R.
+    _middle_cells(r, mid, measure), and the ids of beta and alpha are folded
+    slot by slot over the whole (gamma x pattern) grid.  At slot i a gap of
+    g middle coordinates appends R^g to beta and U^g to alpha; then the pin
+    takes the letter of gamma there, and the pattern uses or skips it.
+    Used/skipped, a U pin (target only) gives beta D/U and alpha U/nothing,
+    an R pin (source only) gives beta R/nothing and alpha D/R, and a D pin
+    gives beta D/U and alpha D/R.
+
+    The id of a path in `enumerate_paths` order (U < R < D) is a sum over
+    its steps: a step with m' source and n' target steps left adds the
+    number of completions that start with a smaller letter, 0 for U,
+    D(m', n' - 1) for R and D(m', n' - 1) + D(m' - 1, n') for D.  Before
+    slot i the middle points used depend only on the pattern, and the
+    target and source points used only on gamma; so the slot's beta offset
+    is one row of a table over (slot, target points left, whether the
+    letter is a target point) and patterns, and its alpha offset one row of
+    a table over (slot, source points left, whether it is a source point).
+    The last gap adds nothing: its R steps in beta have no target step
+    left, and U steps add 0.
 
     Every grid entry is its own row, with the pattern's measure +1 or -1 as
     its constant.  No two entries share a (beta, alpha, gamma): gamma fixes
@@ -319,48 +318,89 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
     n_beta, n_alpha, n_gamma = (delannoy(mid_size, tgt_size),
                                 delannoy(src_size, mid_size),
                                 delannoy(src_size, tgt_size))
-    if (max(tgt_size + mid_size, mid_size + src_size, src_size + tgt_size)
-            > _CODE_LEN or n_beta * n_alpha * n_gamma >= 2 ** 63):
+    if (max(n_beta, n_alpha, n_gamma) >= 2 ** 31
+            or n_beta * n_alpha * n_gamma >= 2 ** 63):
         raise ValueError(f"size triple {(tgt_size, mid_size, src_size)} is "
-                         f"too large for int64 path codes")
+                         f"too large for int32 path ids and int64 keys")
+    # Rank offsets.  beta runs from the middle (its source) to the target,
+    # alpha from the source to the middle; d_x[j + 1, k + 1] = D(j, k), and
+    # run_beta[j + 1, k + 1] sums D(j', k) over j' <= j.
+    d_beta = _delannoy_table(mid_size, tgt_size)
+    run_beta = d_beta.cumsum(axis=0, dtype=np.int32)
+    d_alpha = _delannoy_table(src_size, mid_size)
+    t_left = np.arange(tgt_size + 1)[:, None]
+    s_left = np.arange(src_size + 1)[:, None]
     gammas = enumerate_paths(src_size, tgt_size)
     by_len = {}
     for gid, g in enumerate(gammas):
         by_len.setdefault(len(g), []).append(gid)
-    keys, cells = [], []
-    for r, gids in by_len.items():
+
+    def fold(r, gids):
+        """The keys (beta * n_alpha + alpha) * n_gamma + gamma and constants
+        of the grid of the gammas `gids` of length r, chunk by chunk.  Its
+        tables go with the generator, before the keys are sorted."""
         patterns = _middle_cells(r, mid_size, measure)
         if not patterns:
-            continue
-        pat = np.array([p for p, _ in patterns], dtype=np.int64)
+            return
+        pat = np.array([p for p, _ in patterns], dtype=np.int32)
         cell = np.array([c for _, c in patterns], dtype=np.int8)
-        letters = np.array([[int(c) for c in gammas[g].translate(_DIGITS)]
-                            for g in gids], dtype=np.int64)
-        in_tgt, in_src = letters != 2, letters != 1
-        gap_mult = 4 ** pat[:, 0::2]
-        gap_r, gap_u = 2 * (gap_mult - 1) // 3, (gap_mult - 1) // 3
-        used = pat[:, 1::2] == 1
-        step = max(1, _CHUNK // len(patterns))
-        for lo in range(0, len(gids), step):
-            hi = min(lo + step, len(gids))
-            beta = np.zeros((hi - lo, len(patterns)), dtype=np.int64)
-            alpha = np.zeros_like(beta)
-            for i in range(r + 1):
-                beta = beta * gap_mult[:, i] + gap_r[:, i]
-                alpha = alpha * gap_mult[:, i] + gap_u[:, i]
-                if i == r:
-                    break
-                t, s = in_tgt[lo:hi, i, None], in_src[lo:hi, i, None]
-                u = used[:, i]
-                b = np.where(u, np.where(t, 3, 2), np.where(t, 1, 0))
-                a = np.where(u, np.where(s, 3, 1), np.where(s, 2, 0))
-                beta = np.where(b > 0, 4 * beta + b, beta)
-                alpha = np.where(a > 0, 4 * alpha + a, alpha)
-            b_ids = _path_ids(beta, mid_size, tgt_size).astype(np.int64)
-            a_ids = _path_ids(alpha, src_size, mid_size)
-            g_ids = np.array(gids[lo:hi], dtype=np.int64)[:, None]
-            keys.append(((b_ids * n_alpha + a_ids) * n_gamma + g_ids).ravel())
-            cells.append(np.broadcast_to(cell, beta.shape).ravel())
+        # at slot i (rows) of each pattern (columns): whether the pin is
+        # used, and the middle points left once the gap is taken
+        gap, used = pat[:, 0:2 * r:2].T, pat[:, 1::2].T
+        after = mid_size - np.cumsum(gap + used, axis=0) + used
+        # each gamma's row in a slot's tables: its letter bit (a target
+        # point for beta, a source point for alpha) and the points left
+        letters = np.frombuffer("".join(gammas[g] for g in gids).encode(),
+                                dtype=np.uint8).reshape(len(gids), r)
+        rows = []
+        for bit, size in ((letters != ord(RIGHT), tgt_size),
+                          (letters != ord(UP), src_size)):
+            left = size - np.cumsum(bit, axis=1) + bit
+            rows.append((bit * (size + 1) + left).T)
+        b_row, a_row = rows
+        step = max(1, _CHUNK // len(pat))
+        bounds = [(lo, min(lo + step, len(gids)))
+                  for lo in range(0, len(gids), step)]
+        betas = [np.zeros((hi - lo, len(pat)), dtype=np.int32)
+                 for lo, hi in bounds]
+        alphas = [np.zeros_like(beta) for beta in betas]
+        # the slots whose tables are built at once: about 4 * _CHUNK table
+        # entries (1 MB of int32), 2 * (tgt_size + src_size + 2) per pattern
+        block = max(1, 4 * _CHUNK
+                    // (2 * (tgt_size + src_size + 2) * len(pat)))
+        for i0 in range(0, r, block):
+            # Offset tables over (slot, letter bit, points left, pattern).
+            # In beta the gap's R steps add D(j, n' - 1) for j from
+            # after + gap down to after + 1, and a used pin is one more step
+            # at j = after: an R, or a D if it is a target point, which adds
+            # D(after - 1, n') too.  In alpha the gap's U steps add nothing,
+            # and a source pin is an R step, or a D if used.
+            u, a, g = (x[i0:i0 + block, None] for x in (used, after, gap))
+            run = (run_beta[a + g + 1, t_left]
+                   - run_beta[a + 1 - u, t_left])
+            b_tab = np.concatenate((run, run + u * d_beta[a, t_left + 1]),
+                                   axis=1)
+            a_step = d_alpha[s_left + 1, a] + u * d_alpha[s_left, a + 1]
+            a_tab = np.concatenate((np.zeros_like(a_step), a_step), axis=1)
+            for (lo, hi), beta, alpha in zip(bounds, betas, alphas):
+                for k in range(len(b_tab)):
+                    beta += b_tab[k][b_row[i0 + k, lo:hi]]
+                    alpha += a_tab[k][a_row[i0 + k, lo:hi]]
+        g_ids = np.array(gids, dtype=np.int64)[:, None]
+        for lo, hi in bounds:
+            beta, alpha = betas.pop(0), alphas.pop(0)
+            key = beta.astype(np.int64)
+            key *= n_alpha
+            key += alpha
+            key *= n_gamma
+            key += g_ids[lo:hi]
+            yield key.ravel(), cell[None].repeat(hi - lo, axis=0).ravel()
+
+    keys, cells = [], []
+    for r, gids in by_len.items():
+        for key, cell in fold(r, gids):
+            keys.append(key)
+            cells.append(cell)
     # each int64 temporary of the grid's size is freed before the next
     key = np.concatenate(keys or [np.zeros(0, dtype=np.int64)])
     del keys

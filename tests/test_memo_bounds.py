@@ -21,8 +21,6 @@ ALLOWED = {
         "one path tuple per part-size pair",
     ("schwartz", "_middle_cells"):
         "one cell list per (fixed points, middle size, measure)",
-    ("schwartz", "_path_codes"):
-        "one code array per part-size pair",
     ("schwartz", "_path_pos"):
         "one path index per part-size pair",
     ("schwartz", "_pair_arrays"):

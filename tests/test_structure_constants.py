@@ -290,9 +290,12 @@ def test_too_large_middle_raises_before_any_allocation(monkeypatch):
         _pair_arrays(1, MAX_MIDDLE + 1, 1, 2)
     with pytest.raises(ValueError, match="MAX_MIDDLE"):
         _pair_index(0, MAX_MIDDLE + 1, 0, 2)
-    # paths of more than 31 steps would overflow their int64 codes
+    # D(16, 16) paths gamma: more ids than int32 holds
     with pytest.raises(ValueError, match="int64"):
         _pair_arrays(16, 1, 16, 2)
+    # a key space below 2**63, but D(16, 15) = 103,706,427,393 gamma ids
+    with pytest.raises(ValueError, match="int32"):
+        _pair_arrays(15, 0, 16, 2)
 
 
 def test_repeated_patterns_raise(monkeypatch):
