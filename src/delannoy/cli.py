@@ -246,7 +246,8 @@ def _suite_kwargs(name, args):
 
 def _print_report(report, as_json):
     if as_json:
-        print(json.dumps(report.to_json(), sort_keys=True))
+        sys.stdout.writelines(report.json_pieces())
+        sys.stdout.write("\n")
         return
     counts = report.counts
     print(f"suite {report.suite}: {counts['pass']} pass, "

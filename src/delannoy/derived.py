@@ -66,19 +66,38 @@ def pointwise_image(cpx, support):
 def _image(cpx, over):
     """`pointwise_image` over the slot numbering `over` of `_slots`."""
     f = cpx.field
+    # lying[k][kappa]: (row, column, coeff) over kappa of each entry of the
+    # degree k differential whose two slots lie over kappa; each entry is
+    # read once per weight its source slot lies over
+    lying = [None]
+    for k in range(1, len(over)):
+        cols = {}  # cols[i]: (kappa, column of slot i over kappa)
+        for kappa, rows in over[k].items():
+            for i, col in rows.items():
+                cols.setdefault(i, []).append((kappa, col))
+        per = {}
+        for (j, i), coeff in cpx.diffs.get(-k, {}).items():
+            for kappa, col in cols.get(i, ()):
+                below = over[k - 1].get(kappa, {})
+                if j in below:
+                    per.setdefault(kappa, []).append((below[j], col, coeff))
+        lying.append(per)
     out = {}
     for kappa in sorted(set().union(*over), key=sort_key):
         pos = [per.get(kappa, {}) for per in over]
-        diffs = [None]
+        diffs, before = [None], None
         for k in range(1, len(pos)):
             mat = zeros(len(pos[k - 1]), len(pos[k]), f)
-            for (j, i), coeff in cpx.diffs.get(-k, {}).items():
-                if i in pos[k] and j in pos[k - 1]:
-                    mat[pos[k - 1][j]][pos[k][i]] = coeff
-            if k > 1 and not mat_is_zero(mat_mul(diffs[-1], mat, f), f):
-                raise AssertionError(
-                    f"gauge is not functorial over {kappa!r}: d^2 != 0")
+            here = lying[k].get(kappa)
+            if here:
+                for row, col, coeff in here:
+                    mat[row][col] = coeff
+                # a product with a factor without entries is zero
+                if before and not mat_is_zero(mat_mul(diffs[-1], mat, f), f):
+                    raise AssertionError(
+                        f"gauge is not functorial over {kappa!r}: d^2 != 0")
             diffs.append(mat)
+            before = here
         out[kappa] = ([len(p) for p in pos], diffs)
     return out
 

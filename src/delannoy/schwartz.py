@@ -102,8 +102,10 @@ class PermMatrix:
     `source` and `target` are tuples of part sizes; `entries` maps
     (target part index, source part index, path) to a nonzero coefficient,
     where the path key runs between the source part (right steps) and the
-    target part (up steps).  Absent keys are zero.  Over F_p an entry is
-    kept as its residue in [0, p), so equal matrices have equal entries.
+    target part (up steps).  Absent keys are zero.  The constructor also
+    takes the entries as an iterable of (key, coefficient) items, read once;
+    a later item with an earlier key replaces its value.  Over F_p an entry
+    is kept as its residue in [0, p), so equal matrices have equal entries.
 
     A matrix is immutable: nothing changes `entries` after construction,
     which is what makes it hashable and lets it keep the grouped operands
@@ -118,7 +120,8 @@ class PermMatrix:
         self.field = field
         p = field.p if isinstance(field, PrimeField) else None
         clean = {}
-        for (ti, si, path), c in entries.items():
+        items = entries.items() if isinstance(entries, dict) else entries
+        for (ti, si, path), c in items:
             if p is not None:
                 c %= p
             if field.is_zero(c):
@@ -573,24 +576,26 @@ def tensor(amat, bmat):
     the product of the two coefficients.  Many pairs of entries share a
     joint path, so each path is interned (`sys.intern`): the product's keys
     hold one string per distinct path, freed with the last matrix using it.
+    The walk feeds the matrix item by item, so the product is held once.
     """
     if amat.field != bmat.field:
         raise ValueError("field mismatch")
     f = amat.field
     src_parts, src_index = tensor_object(amat.source, bmat.source)
     tgt_parts, tgt_index = tensor_object(amat.target, bmat.target)
-    entries = {}
-    for (ta, sa, pa), ca in amat.entries.items():
-        for (tb, sb, pb), cb in bmat.entries.items():
-            coeff = f.mul(ca, cb)
-            for walk in interleavings(pa, pb):
-                # the leading ("", "", "") keeps the empty walk unpackable
-                dt, ds, gamma = map("".join, zip(("", "", ""),
-                                                 *map(_STEP.__getitem__, walk)))
-                key = (tgt_index[(ta, tb, dt)], src_index[(sa, sb, ds)],
-                       sys.intern(gamma))
-                entries[key] = coeff
-    return PermMatrix(src_parts, tgt_parts, entries, f)
+
+    def items():
+        for (ta, sa, pa), ca in amat.entries.items():
+            for (tb, sb, pb), cb in bmat.entries.items():
+                coeff = f.mul(ca, cb)
+                for walk in interleavings(pa, pb):
+                    # the leading ("", "", "") keeps the empty walk unpackable
+                    dt, ds, gamma = map("".join,
+                                        zip(("", "", ""),
+                                            *map(_STEP.__getitem__, walk)))
+                    yield ((tgt_index[(ta, tb, dt)], src_index[(sa, sb, ds)],
+                            sys.intern(gamma)), coeff)
+    return PermMatrix(src_parts, tgt_parts, items(), f)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Each suite returns a VerifyReport whose cases carry pass/fail/inconclusive.
 Inconclusive only arises from truncation-margin or window rules, never from a
 failed computation; any fail carries a reproducer command.  A suite that
-raises is reported as one failed case naming the exception.
+raises is reported as one failed case naming the exception.  A finished
+report is written as JSON by `VerifyReport.json_pieces`, a bounded batch of
+cases at a time, so no whole-report dict or string is ever built.
 """
 
+import json
 import os
 import time
 import traceback
@@ -23,13 +26,16 @@ from .weights import (black_tail, enumerate_weights, flat, format_weight,
                       hom_dim_pattern, ruffle_counts, sort_key)
 
 
-@dataclass
+@dataclass(slots=True)
 class Case:
     id: str
     status: str              # pass | fail | inconclusive
     expected: object
     actual: object
     repro: str = ""
+
+
+_BATCH = 512  # cases per piece of `VerifyReport.json_pieces`
 
 
 @dataclass
@@ -57,18 +63,30 @@ class VerifyReport:
     def ok(self):
         return not self.failed
 
-    def to_json(self):
-        return {
-            "schema": 1,
-            "suite": self.suite,
-            "window": self.window,
-            "cases": [{"id": c.id, "status": c.status,
-                       "expected": repr(c.expected), "actual": repr(c.actual),
-                       **({"repro": c.repro} if c.repro else {})}
-                      for c in self.cases],
-            "counts": self.counts,
-            "elapsed_s": round(self.elapsed, 3),
-        }
+    def json_pieces(self):
+        """The report as JSON text, in pieces of at most `_BATCH` cases.
+
+        Joined, the pieces are `json.dumps(d, sort_keys=True)` for d the
+        report as one dict of "cases" (one dict per case, its values written
+        by repr), "counts", "elapsed_s", "schema", "suite" and "window".
+        Sorted keys put "cases" first, so the writer opens the case list,
+        encodes one batch of case dicts at a time (list brackets stripped,
+        batches joined by ", ") and closes with the encoded trailer minus its
+        opening brace.  Only one batch is ever held as dicts and text, never
+        the whole report.
+        """
+        enc = json.JSONEncoder(sort_keys=True)
+        yield '{"cases": ['
+        for lo in range(0, len(self.cases), _BATCH):
+            batch = [{"id": c.id, "status": c.status,
+                      "expected": repr(c.expected), "actual": repr(c.actual),
+                      **({"repro": c.repro} if c.repro else {})}
+                     for c in self.cases[lo:lo + _BATCH]]
+            yield (", " if lo else "") + enc.encode(batch)[1:-1]
+        yield "], " + enc.encode({"counts": self.counts,
+                                  "elapsed_s": round(self.elapsed, 3),
+                                  "schema": 1, "suite": self.suite,
+                                  "window": self.window})[1:]
 
 
 def _case(cases, cid, expected, actual):

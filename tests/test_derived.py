@@ -346,6 +346,19 @@ def test_validate_rejects_nonzero_square(degrees):
     assert good.validate() is good
 
 
+def test_pointwise_image_rejects_a_nonzero_square():
+    one = QQ.one
+    # w -> e -> b, every slot over the one weight e: the image is the scalar
+    # complex 1 -> 1 -> 1 with both differentials 1
+    bad = WeightComplex({-2: ["w"], -1: [""], 0: ["b"]},
+                        {-2: {(0, 0): one}, -1: {(0, 0): one}}, QQ)
+    with pytest.raises(AssertionError, match="not functorial over ''"):
+        pointwise_image(bad, lambda mu: ("",))
+    # with the middle slot over no weight both differentials vanish
+    assert pointwise_image(bad, lambda mu: ("",) if mu else ()) == \
+        {"": ([1, 0, 1], [None, [[]], []])}
+
+
 # ---------------------------------------------------------------------------
 # l_psi against the module route it replaced.
 # ---------------------------------------------------------------------------

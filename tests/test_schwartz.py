@@ -344,6 +344,16 @@ def test_unreduced_prime_field_entries_hash_like_their_residues():
     assert x.entries == {(0, 0, "D"): 2, (0, 0, "UR"): 2}
 
 
+def test_entries_given_as_items_are_checked_like_a_dict():
+    gf3 = PrimeField(3)
+    items = [((0, 0, "UR"), 4), ((0, 0, "D"), 3), ((0, 0, "UR"), 5)]
+    x = PermMatrix((1,), (1,), iter(items), gf3)
+    assert list(x.entries.items()) == [((0, 0, "UR"), 2)]
+    assert x == PermMatrix((1,), (1,), dict(items), gf3)
+    with pytest.raises(ValueError):
+        PermMatrix((1,), (1,), iter([((0, 0, "RR"), Fraction(1))]))
+
+
 def test_shape_validation():
     with pytest.raises(ValueError):
         PermMatrix((1,), (1,), {(0, 0, "RR"): Fraction(1)})

@@ -70,7 +70,7 @@ def test_dmod_ext_builds_each_module_and_complex_once(monkeypatch):
     monkeypatch.setattr(dmod, "tilting_complex", spy_complex)
     report = verify.run_suite("dmod-ext", max_len=3, max_i=2,
                               uniserial_len=3)
-    assert report.to_json()["counts"] == \
+    assert report.counts == \
         {"pass": 612, "fail": 0, "inconclusive": 0}
     # 15 for homT, the rest for the tilting maps, the corestriction
     # sequences and the tilting quotients
