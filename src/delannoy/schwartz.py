@@ -18,7 +18,9 @@ Composition reads its structure constants per size triple and measure.
 each built on first use, so callers index it with `[]`.  A path's id is the
 sum of its steps' rank offsets (the Delannoy numbers of the completions
 that start with a smaller letter), so `_pair_arrays` folds the ids of beta
-and alpha directly, one row gather from a small offset table per slot.
+and alpha directly, one gamma length at a time and one row gather from a
+small offset table per slot, into one int64 key per row that carries the
+sign in its low bit; one in-place sort orders them all.
 
 The tensor product needs no coordinates: a joint orbit of two entries is an
 interleaving of their paths' steps (`paths.interleavings`), and the table
@@ -213,17 +215,19 @@ def _middle_cells(r, k, measure):
     """Order types of a strictly increasing k-tuple relative to r fixed points,
     those of nonzero measure.
 
-    Returns tuples (pattern, c): `pattern` alternates gap and pin counts
-    (g0, p0, g1, p1, ..., gr) with gaps holding any number of middle
-    coordinates and pins at most one; `c` is the cell's measure, the product
-    of gap_measure(measure, kind, g) over its gaps (pins are points of
-    measure one), so +1 or -1.  A gap of measure zero prunes the recursion.
+    Returns (pattern, c), read-only arrays with one row per cell: `pattern`
+    is an int32 (cells x (2r + 1)) matrix whose rows alternate gap and pin
+    counts (g0, p0, g1, p1, ..., gr), gaps holding any number of middle
+    coordinates and pins at most one; `c` is the int8 vector of the cells'
+    measures, each the product of gap_measure(measure, kind, g) over its
+    gaps (pins are points of measure one), so +1 or -1.  A gap of measure
+    zero prunes the recursion.
     """
     if r == 0:
         kinds = (FULL_LINE,)
     else:
         kinds = (UNBOUNDED_BELOW,) + (BOUNDED,) * (r - 1) + (UNBOUNDED_ABOVE,)
-    results = []
+    patterns, signs = [], []
     pattern = [0] * (2 * r + 1)
 
     def rec(slot, remaining, c):
@@ -232,7 +236,8 @@ def _middle_cells(r, k, measure):
             v = c * gap_measure(measure, kinds[r], remaining)
             if v:
                 pattern[slot] = remaining
-                results.append((tuple(pattern), v))
+                patterns.append(tuple(pattern))
+                signs.append(v)
                 pattern[slot] = 0
             return
         if slot % 2 == 1:  # pin: holds zero or one middle coordinate
@@ -252,11 +257,15 @@ def _middle_cells(r, k, measure):
                 pattern[slot] = 0
 
     rec(0, k, 1)
-    return tuple(results)
+    del rec  # it refers to itself: drop it now, and its lists with it
+    pat = np.array(patterns, dtype=np.int32).reshape(len(signs), 2 * r + 1)
+    c = np.array(signs, dtype=np.int8)
+    pat.flags.writeable = c.flags.writeable = False
+    return pat, c
 
 
-# Entries of the (gamma x pattern) grid that _pair_arrays folds at once, so
-# its temporaries stay a few MB whatever the size triple.
+# Bound on the offset tables _pair_arrays builds at once (its `block` of
+# slots), so they stay about a MB unless one slot's tables are larger.
 _CHUNK = 1 << 16
 
 
@@ -284,11 +293,11 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
     supported on beta (middle -> target) with one supported on alpha
     (source -> middle) contributes c * product-of-coefficients to gamma.
 
-    Each gamma of length r is paired with every middle-cell pattern of
-    _middle_cells(r, mid, measure), and the ids of beta and alpha are folded
-    slot by slot over the whole (gamma x pattern) grid.  At slot i a gap of
-    g middle coordinates appends R^g to beta and U^g to alpha; then the pin
-    takes the letter of gamma there, and the pattern uses or skips it.
+    The gammas of each length r are paired with every middle-cell pattern
+    of _middle_cells(r, mid, measure), and the ids of beta and alpha are
+    folded slot by slot over that (gamma x pattern) grid.  At slot i a gap
+    of g middle coordinates appends R^g to beta and U^g to alpha; then the
+    pin takes the letter of gamma there, and the pattern uses or skips it.
     Used/skipped, a U pin (target only) gives beta D/U and alpha U/nothing,
     an R pin (source only) gives beta R/nothing and alpha D/R, and a D pin
     gives beta D/U and alpha D/R.
@@ -306,13 +315,15 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
     left, and U steps add 0.
 
     Every grid entry is its own row, with the pattern's measure +1 or -1 as
-    its constant.  No two entries share a (beta, alpha, gamma): gamma fixes
-    the r points and which of them are target and which source points;
-    beta fixes each middle point's place among the target points (which one
-    it equals, or how many lie below it) and alpha its place among the
-    source points, and with gamma the two give its place among all r
-    points, that is its slot.  So the three paths fix the pattern; a
-    repeated key raises RuntimeError.
+    its constant.  Each length's grid becomes one signed int64 key
+    ((beta * n_alpha + alpha) * n_gamma + gamma) * 2 + (c > 0); the keys of
+    all lengths are sorted in place, and c is read off the low bit.  No two
+    entries share a (beta, alpha, gamma): gamma fixes the r points and
+    which of them are target and which source points; beta fixes each
+    middle point's place among the target points (which one it equals, or
+    how many lie below it) and alpha its place among the source points, and
+    with gamma the two give its place among all r points, that is its slot.
+    So the three paths fix the pattern; a repeated key raises RuntimeError.
     """
     if mid_size > MAX_MIDDLE:
         raise ValueError(
@@ -322,7 +333,7 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
                                 delannoy(src_size, mid_size),
                                 delannoy(src_size, tgt_size))
     if (max(n_beta, n_alpha, n_gamma) >= 2 ** 31
-            or n_beta * n_alpha * n_gamma >= 2 ** 63):
+            or n_beta * n_alpha * n_gamma >= 2 ** 62):
         raise ValueError(f"size triple {(tgt_size, mid_size, src_size)} is "
                          f"too large for int32 path ids and int64 keys")
     # Rank offsets.  beta runs from the middle (its source) to the target,
@@ -337,16 +348,11 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
     by_len = {}
     for gid, g in enumerate(gammas):
         by_len.setdefault(len(g), []).append(gid)
-
-    def fold(r, gids):
-        """The keys (beta * n_alpha + alpha) * n_gamma + gamma and constants
-        of the grid of the gammas `gids` of length r, chunk by chunk.  Its
-        tables go with the generator, before the keys are sorted."""
-        patterns = _middle_cells(r, mid_size, measure)
-        if not patterns:
-            return
-        pat = np.array([p for p, _ in patterns], dtype=np.int32)
-        cell = np.array([c for _, c in patterns], dtype=np.int8)
+    keys = []
+    for r, gids in by_len.items():
+        pat, cell = _middle_cells(r, mid_size, measure)
+        if not len(cell):
+            continue
         # at slot i (rows) of each pattern (columns): whether the pin is
         # used, and the middle points left once the gap is taken
         gap, used = pat[:, 0:2 * r:2].T, pat[:, 1::2].T
@@ -361,16 +367,12 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
             left = size - np.cumsum(bit, axis=1) + bit
             rows.append((bit * (size + 1) + left).T)
         b_row, a_row = rows
-        step = max(1, _CHUNK // len(pat))
-        bounds = [(lo, min(lo + step, len(gids)))
-                  for lo in range(0, len(gids), step)]
-        betas = [np.zeros((hi - lo, len(pat)), dtype=np.int32)
-                 for lo, hi in bounds]
-        alphas = [np.zeros_like(beta) for beta in betas]
+        beta = np.zeros((len(gids), len(cell)), dtype=np.int32)
+        alpha = np.zeros_like(beta)
         # the slots whose tables are built at once: about 4 * _CHUNK table
         # entries (1 MB of int32), 2 * (tgt_size + src_size + 2) per pattern
         block = max(1, 4 * _CHUNK
-                    // (2 * (tgt_size + src_size + 2) * len(pat)))
+                    // (2 * (tgt_size + src_size + 2) * len(cell)))
         for i0 in range(0, r, block):
             # Offset tables over (slot, letter bit, points left, pattern).
             # In beta the gap's R steps add D(j, n' - 1) for j from
@@ -385,36 +387,28 @@ def _pair_arrays(tgt_size, mid_size, src_size, measure):
                                    axis=1)
             a_step = d_alpha[s_left + 1, a] + u * d_alpha[s_left, a + 1]
             a_tab = np.concatenate((np.zeros_like(a_step), a_step), axis=1)
-            for (lo, hi), beta, alpha in zip(bounds, betas, alphas):
-                for k in range(len(b_tab)):
-                    beta += b_tab[k][b_row[i0 + k, lo:hi]]
-                    alpha += a_tab[k][a_row[i0 + k, lo:hi]]
-        g_ids = np.array(gids, dtype=np.int64)[:, None]
-        for lo, hi in bounds:
-            beta, alpha = betas.pop(0), alphas.pop(0)
-            key = beta.astype(np.int64)
-            key *= n_alpha
-            key += alpha
-            key *= n_gamma
-            key += g_ids[lo:hi]
-            yield key.ravel(), cell[None].repeat(hi - lo, axis=0).ravel()
-
-    keys, cells = [], []
-    for r, gids in by_len.items():
-        for key, cell in fold(r, gids):
-            keys.append(key)
-            cells.append(cell)
-    # each int64 temporary of the grid's size is freed before the next
+            for k in range(len(b_tab)):
+                beta += b_tab[k][b_row[i0 + k]]
+                alpha += a_tab[k][a_row[i0 + k]]
+            del run, b_tab, a_step, a_tab  # freed before the next ones
+        key = beta.astype(np.int64)
+        key *= n_alpha
+        key += alpha
+        del beta, alpha
+        key *= n_gamma
+        key += np.array(gids, dtype=np.int64)[:, None]
+        key <<= 1
+        key += cell > 0
+        keys.append(key.ravel())
     key = np.concatenate(keys or [np.zeros(0, dtype=np.int64)])
     del keys
-    order = np.argsort(key)
-    key = key[order]
+    key.sort()
+    c = 2 * (key & 1).astype(np.int8) - 1
+    key >>= 1
     if np.any(key[1:] == key[:-1]):
         raise RuntimeError(f"size triple {(tgt_size, mid_size, src_size)}: "
                            "two middle-cell patterns give one (beta, alpha, "
                            "gamma)")
-    c = np.concatenate(cells or [np.zeros(0, dtype=np.int8)])[order]
-    del order
     gamma = (key % n_gamma).astype(np.int32)
     key //= n_gamma
     alpha = (key % n_alpha).astype(np.int32)

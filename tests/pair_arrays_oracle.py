@@ -52,21 +52,20 @@ def pair_arrays(tgt_size, mid_size, src_size, measure):
         by_len.setdefault(len(g), []).append(gid)
     keys, cells = [], []
     for r, gids in by_len.items():
-        patterns = _middle_cells(r, mid_size, measure)
-        if not patterns:
+        pat, cell = _middle_cells(r, mid_size, measure)
+        if not len(cell):
             continue
-        pat = np.array([p for p, _ in patterns], dtype=np.int64)
-        cell = np.array([c for _, c in patterns], dtype=np.int8)
+        pat = pat.astype(np.int64)
         letters = np.array([[int(c) for c in gammas[g].translate(DIGITS)]
                             for g in gids], dtype=np.int64)
         in_tgt, in_src = letters != 2, letters != 1
         gap_mult = 4 ** pat[:, 0::2]
         gap_r, gap_u = 2 * (gap_mult - 1) // 3, (gap_mult - 1) // 3
         used = pat[:, 1::2] == 1
-        step = max(1, CHUNK // len(patterns))
+        step = max(1, CHUNK // len(cell))
         for lo in range(0, len(gids), step):
             hi = min(lo + step, len(gids))
-            beta = np.zeros((hi - lo, len(patterns)), dtype=np.int64)
+            beta = np.zeros((hi - lo, len(cell)), dtype=np.int64)
             alpha = np.zeros_like(beta)
             for i in range(r + 1):
                 # a gap of g middle points: R^g in beta, U^g in alpha

@@ -296,16 +296,24 @@ def test_too_large_middle_raises_before_any_allocation(monkeypatch):
     # a key space below 2**63, but D(16, 15) = 103,706,427,393 gamma ids
     with pytest.raises(ValueError, match="int32"):
         _pair_arrays(15, 0, 16, 2)
+    # every id below 2**31, but a key space of about 1.99 * 2**62: no room
+    # left for the sign bit of the signed keys
+    with pytest.raises(ValueError, match="int64"):
+        _pair_arrays(7, 7, 17, 2)
 
 
 def test_repeated_patterns_raise(monkeypatch):
     real = _middle_cells
-
-    def doubled(r, k, measure):
-        return real(r, k, measure) * 2
-    monkeypatch.setattr(schwartz, "_middle_cells", doubled)
-    with pytest.raises(RuntimeError, match="one \\(beta, alpha, gamma\\)"):
-        _pair_arrays.__wrapped__(2, 2, 2, 2)
+    # a repeat with the opposite sign differs from its pattern's key in the
+    # low bit only
+    for flip in (1, -1):
+        def doubled(r, k, measure):
+            pat, c = real(r, k, measure)
+            return np.concatenate((pat, pat)), np.concatenate((c, flip * c))
+        monkeypatch.setattr(schwartz, "_middle_cells", doubled)
+        with pytest.raises(RuntimeError,
+                           match="one \\(beta, alpha, gamma\\)"):
+            _pair_arrays.__wrapped__(2, 2, 2, 2)
 
 
 def test_degenerate_quotient_matches_row_oracle():
